@@ -90,7 +90,6 @@ from .bounds import (
 from .optimize import (
     DEFAULT_SEED,
     OBJECTIVES,
-    THEOREM_OBJECTIVES,
     ConvexityCertificate,
     GridOracleResult,
     OptimizationReport,
@@ -106,32 +105,3 @@ from .optimize import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AmbiguousInput", "DegenerateTriangle", "EvaluationFailure", "HypergonError",
-    "IdealVertex", "Infeasible", "InvalidPoint", "InvalidTotal", "NotCertified",
-    "OracleTooLarge", "OutOfRange",
-    "EPS_GEOM", "EPS_REL", "RegularNGonSpec", "RegularPolygonMetrics",
-    "RightTriangle", "acosh1p", "angle_from_sides", "coshm1", "hyp_hypotenuse",
-    "regular_convert", "right_triangle_residuals", "solve_right_triangle",
-    "stable_asinh", "stable_atanh", "tangential_radius_limit",
-    "CyclicPolygon", "Polygon", "TangentialPolygon", "area",
-    "cyclic_half_angle", "cyclic_half_side", "from_json_dict",
-    "interior_angles", "is_regular", "perimeter",
-    "tangential_interior_angle", "tangential_tangent_length", "to_json_dict",
-    "HPoint", "ORIGIN", "dist", "embed", "geodesic_point", "measured_area",
-    "measured_interior_angles", "measured_perimeter",
-    "min_distance_from_origin", "point_at",
-    "THEOREMS", "BoundResult", "area_radius_limit", "cor1_inradius_lower",
-    "equality_value", "reference_r_from_R",
-    "thm1_peri_lower", "thm2_peri_upper", "thm3_area_lower", "thm4_area_upper",
-    "thm5_total_peri_lower", "thm6_total_peri_lower", "thm7_radius_threshold",
-    "thm7_total_area_lower", "thm8_total_area_lower", "thm9_total_peri_lower",
-    "thm9_area_threshold", "thm10_peri_threshold", "thm10_total_area_upper",
-    "DEFAULT_SEED", "OBJECTIVES", "THEOREM_OBJECTIVES", "ConvexityCertificate",
-    "GridOracleResult", "OptimizationReport", "SeparableProblem",
-    "VerificationReport", "certify_convexity", "grid_oracle", "make_problem",
-    "random_cyclic_polygon", "random_tangential_polygon", "solve_equal_sum",
-    "verify_theorem",
-    "__version__",
-]

@@ -37,8 +37,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import Infeasible, InvalidTotal
+from .errors import Infeasible, InvalidTotal, OutOfRange
 from .hypmath import (
+    EPS_REL,
+    LEG_MAX,
     RegularNGonSpec,
     acos_snapped,
     acosh1p,
@@ -48,8 +50,6 @@ from .hypmath import (
     stable_atanh,
     tangential_radius_limit,
 )
-
-_SNAP = 1e-14
 
 
 @dataclass(frozen=True)
@@ -99,9 +99,12 @@ def _check_nk(n: int, k: int = 1) -> None:
         raise Infeasible(f"need integer k >= 1, got {k!r}")
 
 
-def _check_radius(x: float) -> None:
+def _check_radius(x: float, k: int = 1) -> None:
+    """x is one radius, or a total of k radii split evenly."""
     if not x > 0.0:
         raise Infeasible(f"radius must be positive, got {x!r}")
+    if x / k > LEG_MAX:
+        raise OutOfRange(f"radius {x / k!r} per polygon beyond {LEG_MAX}; cosh would overflow")
 
 
 def area_radius_limit(n: int) -> float:
@@ -131,12 +134,6 @@ def thm7_radius_threshold(n: int) -> float:
     """
     c2 = 1.0 / math.tan(math.pi / n) ** 2
     return acosh1p((1.0 + c2) / (math.sqrt(2.0 + c2) + 1.0))
-
-
-def _snap_to_one(x: float) -> float:
-    if 1.0 - _SNAP <= x <= 1.0 + 1e-12:
-        return 1.0
-    return x
 
 
 def _tangential_peri(n: int, k: int, x: float, theorem: str, T: float) -> BoundResult:
@@ -175,8 +172,8 @@ def _cyclic_peri(n: int, k: int, x: float, theorem: str, T: float, kind: str) ->
 
 
 def _tangential_area(n: int, k: int, x: float, theorem: str, T: float) -> BoundResult:
-    arg = _snap_to_one(math.sin(math.pi / n) * math.cosh(x))
-    feasible = arg <= 1.0
+    arg = math.sin(math.pi / n) * math.cosh(x)
+    feasible = arg <= 1.0 + EPS_REL
     acos_term = acos_snapped(arg) if feasible else 0.0
     value = k * (n - 2) * math.pi - 2.0 * n * k * acos_term
     return BoundResult(
@@ -258,14 +255,14 @@ def thm4_area_upper(n: int, R: float) -> BoundResult:
 def thm5_total_peri_lower(n: int, k: int, T: float) -> BoundResult:
     """Total perimeter of k regular cyclic n-gons with circumradii summing to T."""
     _check_nk(n, k)
-    _check_radius(T)
+    _check_radius(T, k)
     return _cyclic_peri(n, k, T / k, "1.5", T, kind="lower")
 
 
 def thm6_total_peri_lower(n: int, k: int, T: float) -> BoundResult:
     """Total perimeter of k regular tangential n-gons with inradii summing to T."""
     _check_nk(n, k)
-    _check_radius(T)
+    _check_radius(T, k)
     return _tangential_peri(n, k, T / k, "1.6", T)
 
 
@@ -278,14 +275,14 @@ def thm7_total_area_lower(n: int, k: int, T: float) -> BoundResult:
     (n=6, k=2, T=6: radii (2, 4) total about 19.2 against a bound of 21.0).
     """
     _check_nk(n, k)
-    _check_radius(T)
+    _check_radius(T, k)
     return _cyclic_area(n, k, T / k, "1.7", T, kind="lower", guarded=True)
 
 
 def thm8_total_area_lower(n: int, k: int, T: float) -> BoundResult:
     """Total area of k regular tangential n-gons with inradii summing to T."""
     _check_nk(n, k)
-    _check_radius(T)
+    _check_radius(T, k)
     return _tangential_area(n, k, T / k, "1.8", T)
 
 
@@ -330,6 +327,8 @@ def thm10_total_area_upper(n: int, k: int, T: float) -> BoundResult:
     _check_nk(n, k)
     if not T > 0.0:
         raise InvalidTotal(f"total perimeter must be positive, got {T!r}")
+    if T / (n * k) > LEG_MAX:
+        raise OutOfRange(f"side {T / (n * k)!r} per polygon beyond {LEG_MAX}; cosh would overflow")
     value = k * (n - 2) * math.pi - 2.0 * n * k * math.asin(math.cos(math.pi / n) / math.cosh(T / (2.0 * n * k)))
     threshold = thm10_peri_threshold(n)
     return BoundResult(
@@ -394,18 +393,75 @@ def equality_value(res: BoundResult) -> float:
     return res.k * metric
 
 
-# Registry used by the CLI and the verification driver.  param tells what the
-# swept argument means; multi marks the fixed-total family.
+def _record(func, param, sweep, family=None, objective=None, spec=None, window=None, total=None) -> dict:
+    return {"func": func, "param": param, "multi": total is not None, "family": family,
+            "objective": objective, "spec": spec, "window": window, "total": total, "sweep": sweep}
+
+
+def _thm9_sweep(n: int) -> tuple[float, float]:
+    thr, amax = thm9_area_threshold(n), (n - 2) * math.pi
+    return thr + 0.05 * (amax - thr), thr + 0.95 * (amax - thr)
+
+
+def _thm9_total(n: int, k: int) -> float:
+    lo, hi = thm9_area_threshold(n), (n - 2) * math.pi
+    return k * (lo + 0.55 * (hi - lo))
+
+
+def _thm10_sweep(n: int) -> tuple[float, float]:
+    thr = thm10_peri_threshold(n)
+    return 1.05 * thr, 3.0 * thr
+
+
+# The one record per theorem id; the CLI, verify_theorem and the report read
+# every fact about a bound from here, looking func up at call time.
+#   func       the bound, func(n, p) or, when multi, func(n, k, p)
+#   param      what the swept argument means; "total_area" is the only
+#              angle-typed one
+#   multi      the fixed-total family: k polygons share the total p
+#   family     "cyclic" or "tangential" for the single-polygon bounds
+#   objective  the registered optimize objective certifying the equal split
+#   spec       spec(n, x): the regular polygon one split component x defines
+#   window     window(n): the open admissibility window of one component
+#   total      total(n, k): the default fixed total
+#   sweep      sweep(n): the report's per-polygon sweep window
 THEOREMS: dict[str, dict] = {
-    "1.1": {"func": thm1_peri_lower, "param": "r", "multi": False},
-    "1.2": {"func": thm2_peri_upper, "param": "R", "multi": False},
-    "1.3": {"func": thm3_area_lower, "param": "r", "multi": False},
-    "1.4": {"func": thm4_area_upper, "param": "R", "multi": False},
-    "1.5": {"func": thm5_total_peri_lower, "param": "total_circumradius", "multi": True},
-    "1.6": {"func": thm6_total_peri_lower, "param": "total_inradius", "multi": True},
-    "1.7": {"func": thm7_total_area_lower, "param": "total_circumradius", "multi": True},
-    "1.8": {"func": thm8_total_area_lower, "param": "total_inradius", "multi": True},
-    "1.9": {"func": thm9_total_peri_lower, "param": "total_area", "multi": True},
-    "1.10": {"func": thm10_total_area_upper, "param": "total_perimeter", "multi": True},
-    "cor1": {"func": cor1_inradius_lower, "param": "R", "multi": False},
+    "1.1": _record(thm1_peri_lower, "r", lambda n: (0.1, 0.95 * tangential_radius_limit(n)),
+                   family="tangential", objective="tangential_tangent_length"),
+    "1.2": _record(thm2_peri_upper, "R", lambda n: (0.1, 2.0),
+                   family="cyclic", objective="cyclic_half_side"),
+    "1.3": _record(thm3_area_lower, "r", lambda n: (0.1, 0.95 * tangential_radius_limit(n)),
+                   family="tangential", objective="tangential_interior_angle"),
+    "1.4": _record(thm4_area_upper, "R", lambda n: (0.1, 2.0),
+                   family="cyclic", objective="cyclic_half_angle"),
+    "1.5": _record(thm5_total_peri_lower, "total_circumradius", lambda n: (0.25, 1.5),
+                   objective="thm5_radius", spec=lambda n, x: RegularNGonSpec(n=n, R=x),
+                   window=lambda n: (0.0, math.inf), total=lambda n, k: k * 1.0),
+    "1.6": _record(thm6_total_peri_lower, "total_inradius", lambda n: (0.1, 0.9 * tangential_radius_limit(n)),
+                   objective="thm6_radius", spec=lambda n, x: RegularNGonSpec(n=n, r=x),
+                   window=lambda n: (0.0, tangential_radius_limit(n)),
+                   total=lambda n, k: k * 0.5 * tangential_radius_limit(n)),
+    "1.7": _record(thm7_total_area_lower, "total_circumradius", lambda n: (0.25, 1.5),
+                   objective="thm7_radius", spec=lambda n, x: RegularNGonSpec(n=n, R=x),
+                   window=lambda n: (0.0, thm7_radius_threshold(n)),
+                   total=lambda n, k: k * 0.6 * thm7_radius_threshold(n)),
+    "1.8": _record(thm8_total_area_lower, "total_inradius", lambda n: (0.1, 0.9 * tangential_radius_limit(n)),
+                   objective="thm8_radius", spec=lambda n, x: RegularNGonSpec(n=n, r=x),
+                   window=lambda n: (0.0, tangential_radius_limit(n)),
+                   total=lambda n, k: k * 0.5 * tangential_radius_limit(n)),
+    "1.9": _record(thm9_total_peri_lower, "total_area", _thm9_sweep,
+                   objective="thm9_theta",
+                   spec=lambda n, x: RegularNGonSpec(n=n, theta=((n - 2) * math.pi - x) / n),
+                   window=lambda n: (thm9_area_threshold(n), (n - 2) * math.pi), total=_thm9_total),
+    "1.10": _record(thm10_total_area_upper, "total_perimeter", _thm10_sweep,
+                    objective="thm10_perimeter", spec=lambda n, x: RegularNGonSpec(n=n, side=x / n),
+                    window=lambda n: (thm10_peri_threshold(n), math.inf),
+                    total=lambda n, k: k * 1.5 * thm10_peri_threshold(n)),
+    "cor1": _record(cor1_inradius_lower, "R", lambda n: (0.25, 1.5)),
 }
+
+
+def evaluate(theorem_id: str, n: int, k: int, x: float) -> BoundResult:
+    """The bound theorem_id at parameter x; k counts only for the fixed-total family."""
+    entry = THEOREMS[theorem_id]
+    return entry["func"](n, k, x) if entry["multi"] else entry["func"](n, x)

@@ -36,9 +36,6 @@ SCHEMA_VERSION = 1
 CSV_HEADER = "theorem,n,k,param,value,feasible,guard_margin"
 DEG = math.pi / 180.0
 
-# The only angle-typed sweep parameter: a total area is an angle deficit.
-_ANGLE_PARAM_THEOREMS = {"1.9"}
-
 
 def _g17(x: float) -> str:
     return format(float(x), ".17g")
@@ -54,6 +51,15 @@ def _csv_row(theorem: str, n: int, k: int, param: float, value: float, feasible:
         "true" if feasible else "false",
         _g17(guard_margin),
     ])
+
+
+def _csv_text(rows: list[dict]) -> str:
+    lines = [CSV_HEADER]
+    lines += [
+        _csv_row(r["theorem"], r["n"], r["k"], r["param"], r["value"], r["feasible"], r["guard_margin"])
+        for r in rows
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def _result_rows(res: _bounds.BoundResult) -> list[dict]:
@@ -79,12 +85,7 @@ def _result_rows(res: _bounds.BoundResult) -> list[dict]:
 
 def _emit_rows(rows: list[dict], fmt: str, out: str | None) -> None:
     if fmt == "csv":
-        lines = [CSV_HEADER]
-        lines += [
-            _csv_row(r["theorem"], r["n"], r["k"], r["param"], r["value"], r["feasible"], r["guard_margin"])
-            for r in rows
-        ]
-        text = "\n".join(lines) + "\n"
+        text = _csv_text(rows)
     else:
         text = json.dumps({"schema_version": SCHEMA_VERSION, "rows": rows}, indent=2) + "\n"
     if out:
@@ -113,8 +114,8 @@ def _parse_range(spec: str, steps_required: bool) -> tuple[float, float, int]:
             raise ValueError(spec)
     except ValueError:
         raise SystemExit2(f"bad range {spec!r}; expected lo:hi:steps")
-    if steps < 1 or (steps > 1 and not lo < hi) or not lo <= hi:
-        raise SystemExit2(f"bad range {spec!r}")
+    if steps < 1 or (steps > 1 and not lo < hi) or not lo <= hi or not math.isfinite(hi - lo):
+        raise SystemExit2(f"bad range {spec!r}; need finite ends with lo <= hi")
     return lo, hi, steps
 
 
@@ -125,7 +126,7 @@ class SystemExit2(Exception):
 def _check_degrees(args, theorem_ids) -> None:
     if not getattr(args, "degrees", False):
         return
-    bad = [t for t in theorem_ids if t not in _ANGLE_PARAM_THEOREMS]
+    bad = [t for t in theorem_ids if _bounds.THEOREMS[t]["param"] != "total_area"]
     if bad:
         raise SystemExit2(
             "--degrees only applies to angle-typed parameters (total area); "
@@ -150,13 +151,15 @@ def cmd_bounds(args) -> int:
     _check_degrees(args, ids)
     lo, hi, steps = _parse_range(args.range, steps_required=True)
     scale = DEG if args.degrees else 1.0
-    params = [float(v) * scale for v in np.linspace(lo, hi, steps)]
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            params = [float(v) * scale for v in np.linspace(lo, hi, steps)]
+    except FloatingPointError:
+        raise SystemExit2(f"bad range {args.range!r}; the sweep overflows")
     rows: list[dict] = []
     for t in ids:
-        entry = _bounds.THEOREMS[t]
         for p in params:
-            res = entry["func"](args.n, args.k, p) if entry["multi"] else entry["func"](args.n, p)
-            rows.extend(_result_rows(res))
+            rows.extend(_result_rows(_bounds.evaluate(t, args.n, args.k, p)))
     _emit_rows(rows, args.format, args.out)
     return 0
 
@@ -164,12 +167,14 @@ def cmd_bounds(args) -> int:
 def cmd_verify(args) -> int:
     if args.format == "csv":
         raise SystemExit2("verify reports are JSON only")
+    if args.trials < 1:
+        raise SystemExit2(f"--trials must be at least 1, got {args.trials}")
     if args.thm == "all":
-        ids = list(_optimize.THEOREM_OBJECTIVES)
+        ids = [t for t, entry in _bounds.THEOREMS.items() if entry["objective"]]
     else:
         ids = _theorem_ids(args.thm)
-        if args.thm == "cor1":
-            raise SystemExit2("cor1 is an audit-only expression with no verification sampler")
+        if not _bounds.THEOREMS[args.thm]["objective"]:
+            raise SystemExit2(f"{args.thm} is an audit-only expression with no verification sampler")
     _check_degrees(args, ids)
     radius_range = (0.1, 2.0)
     if args.range:
@@ -187,7 +192,12 @@ def cmd_verify(args) -> int:
         )
         reports.append(rep.to_json_dict())
     _emit_json({"reports": reports}, args.out)
-    return 0 if all(r["violations"] == 0 for r in reports) else 1
+    if any(r["violations"] for r in reports):
+        return 1
+    empty = [r["theorem"] for r in reports if r["asserted"] == 0]
+    if empty:
+        raise SystemExit2(f"nothing was asserted for {', '.join(empty)}: every draw fell outside the guard")
+    return 0
 
 
 def cmd_sample(args) -> int:
@@ -199,8 +209,10 @@ def cmd_sample(args) -> int:
         rng = _optimize.trial_rng(args.seed, i)
         if args.regular:
             if args.kind == "tangential":
-                r = rng.uniform(lo, min(hi, 0.999 * tangential_radius_limit(args.n)))
-                poly = _polygon.TangentialPolygon.regular(args.n, r)
+                top = min(hi, 0.999 * tangential_radius_limit(args.n))
+                if lo > top:
+                    raise SystemExit2(f"radius window {lo!r}:{hi!r} holds no tangential {args.n}-gon")
+                poly = _polygon.TangentialPolygon.regular(args.n, rng.uniform(lo, top))
             else:
                 poly = _polygon.CyclicPolygon.regular(args.n, rng.uniform(lo, hi))
         elif args.kind == "tangential":
@@ -231,10 +243,9 @@ def cmd_optimize(args) -> int:
     if args.objective:
         name = args.objective
     elif args.thm:
-        mapped = _optimize.THEOREM_OBJECTIVES.get(args.thm)
-        if mapped is None:
+        name = _bounds.THEOREMS.get(args.thm, {}).get("objective")
+        if name is None:
             raise SystemExit2(f"no registered objective for theorem {args.thm!r}")
-        name = mapped
     else:
         raise SystemExit2("optimize needs --objective or --thm")
     if args.degrees:
@@ -259,39 +270,17 @@ def cmd_optimize(args) -> int:
 
 def _report_criteria_rows(n: int, k: int) -> list[dict]:
     rows: list[dict] = []
-    rmax = tangential_radius_limit(n)
-    thr9 = _bounds.thm9_area_threshold(n)
-    thr10 = _bounds.thm10_peri_threshold(n)
-    amax = (n - 2) * math.pi
-    sweeps = {
-        "1.1": np.linspace(0.1, 0.95 * rmax, 5),
-        "1.2": np.linspace(0.1, 2.0, 5),
-        "1.3": np.linspace(0.1, 0.95 * rmax, 5),
-        "1.4": np.linspace(0.1, 2.0, 5),
-        "1.5": k * np.linspace(0.25, 1.5, 5),
-        "1.6": k * np.linspace(0.1, 0.9 * rmax, 5),
-        "1.7": k * np.linspace(0.25, 1.5, 5),
-        "1.8": k * np.linspace(0.1, 0.9 * rmax, 5),
-        "1.9": k * np.linspace(thr9 + 0.05 * (amax - thr9), thr9 + 0.95 * (amax - thr9), 5),
-        "1.10": k * np.linspace(1.05 * thr10, 3.0 * thr10, 5),
-        "cor1": np.linspace(0.25, 1.5, 5),
-    }
-    for t, params in sweeps.items():
-        entry = _bounds.THEOREMS[t]
+    for t, entry in _bounds.THEOREMS.items():
+        params = np.linspace(*entry["sweep"](n), 5)
+        if entry["multi"]:
+            params = k * params
         for p in params:
-            p = float(p)
-            res = entry["func"](n, k, p) if entry["multi"] else entry["func"](n, p)
-            rows.extend(_result_rows(res))
+            rows.extend(_result_rows(_bounds.evaluate(t, n, k, float(p))))
     return rows
 
 
-def _csv_text(rows: list[dict]) -> str:
-    lines = [CSV_HEADER]
-    lines += [
-        _csv_row(r["theorem"], r["n"], r["k"], r["param"], r["value"], r["feasible"], r["guard_margin"])
-        for r in rows
-    ]
-    return "\n".join(lines) + "\n"
+# Circumradii of the inradius-expression audit table and its CSV.
+_COR1_RADII = np.linspace(0.25, 1.5, 6)
 
 
 def _md_table(header: list[str], rows: list[list[str]]) -> list[str]:
@@ -306,37 +295,48 @@ def _g12(x: float | None) -> str:
 
 def _crit1_equivalence(seed: int, count: int) -> tuple[bool, str]:
     worst_p = worst_a = 0.0
-    done = 0
-    i = 0
-    while done < count:
+    for i in range(count):
         rng = _optimize.trial_rng(seed, i)
-        i += 1
         n = int(rng.integers(3, 13))
-        if done % 2 == 0:
+        if i % 2 == 0:
             poly = _optimize.random_cyclic_polygon(n, (0.05, 3.0), rng)
         else:
             poly = _optimize.random_tangential_polygon(n, (0.05, 3.0), rng)
         emb = _hmodel.embed(poly)
         worst_p = max(worst_p, abs(_polygon.perimeter(poly) - _hmodel.measured_perimeter(emb)))
         worst_a = max(worst_a, abs(_polygon.area(poly) - _hmodel.measured_area(emb)))
-        done += 1
     ok = worst_p <= 1e-9 and worst_a <= 1e-8
     return ok, f"{count} polygons, worst perimeter gap {_g12(worst_p)}, worst area gap {_g12(worst_a)}"
 
 
-def _crit_verify(ids, n: int, ks, trials: int, seed: int, collect) -> bool:
-    ok = True
-    for t in ids:
-        for k in ks:
-            rep = _optimize.verify_theorem(t, n=n, k=k, trials=trials, seed=seed)
-            good = rep.violations == 0 and (rep.equality_abs_error is None or rep.equality_abs_error <= _optimize.EQ_TOL)
-            ok = ok and good
-            collect.append([
-                t, str(k) if _bounds.THEOREMS[t].get("multi") else "-",
-                str(rep.trials), str(rep.asserted), str(rep.skipped),
-                str(rep.violations), _g12(rep.worst_margin), _g12(rep.equality_abs_error),
-            ])
-    return ok
+def _crit_verify(ids, n: int, ks, trials: int, seed: int) -> tuple[bool, list]:
+    """verify_theorem per (bound, k): each must pass and reproduce its equality case."""
+    reps = [_optimize.verify_theorem(t, n=n, k=k, trials=trials, seed=seed) for t in ids for k in ks]
+    ok = all(rep.passed and (rep.equality_abs_error is None or rep.equality_abs_error <= _optimize.EQ_TOL)
+             for rep in reps)
+    return ok, reps
+
+
+def _crit2_single(n: int, trials: int, seed: int) -> tuple[bool, list]:
+    return _crit_verify(("1.1", "1.2", "1.3", "1.4"), n, (1,), trials, seed)
+
+
+def _crit3_radius_totals(n: int, splits: int, seed: int) -> tuple[bool, list]:
+    return _crit_verify(("1.5", "1.6", "1.7", "1.8"), n, (2, 3, 5), splits, seed)
+
+
+def _crit4_guarded(n: int, splits: int, seed: int) -> tuple[bool, list, str]:
+    ok, reps = _crit_verify(("1.9", "1.10"), n, (2, 3), splits, seed)
+    certified, note = _crit4_certificates(n)
+    return ok and certified, reps, note
+
+
+def _verify_row(rep) -> list[str]:
+    return [
+        rep.theorem, str(rep.k) if _bounds.THEOREMS[rep.theorem]["multi"] else "-",
+        str(rep.trials), str(rep.asserted), str(rep.skipped),
+        str(rep.violations), _g12(rep.worst_margin), _g12(rep.equality_abs_error),
+    ]
 
 
 def _crit4_certificates(n: int) -> tuple[bool, str]:
@@ -355,8 +355,9 @@ def _crit4_certificates(n: int) -> tuple[bool, str]:
                 f"straddling windows {straddle9.sign}/{straddle10.sign}")
 
 
-def _crit5_oracles(n: int, seed: int, collect) -> bool:
+def _crit5_oracles(n: int, seed: int) -> tuple[bool, list[list[str]]]:
     ok = True
+    rows = []
     for name in _optimize.OBJECTIVES:
         for k, res in ((2, 200), (3, 60)):
             problem = _optimize.make_problem(name, k=k, n=n)
@@ -366,23 +367,27 @@ def _crit5_oracles(n: int, seed: int, collect) -> bool:
                     and cell_dev <= rep.oracle_step * (1 + 1e-9)
                     and rep.max_deviation_from_uniform <= _optimize.UNIFORM_TOL)
             ok = ok and good
-            collect.append([
+            rows.append([
                 name, str(k), rep.sense, rep.certificate.sign,
                 _g12(rep.max_deviation_from_uniform),
                 f"{cell_dev / rep.oracle_step:.2f}",
                 {True: "yes", False: "NO", None: "-"}[rep.oracle_agreement],
             ])
-    return ok
+    return ok, rows
 
 
-def _crit6_anchors() -> tuple[bool, list[str]]:
+def _crit6_anchors(
+    wants: tuple[float, float, float] = (4 * math.log(3.0), 12 * math.log(1.0 + math.sqrt(2.0)), 4 * math.pi),
+) -> tuple[bool, list[str]]:
+    """Equality cases of thm1-thm3 against wants = (4 ln 3, 12 ln(1 + sqrt 2), 4 pi)."""
+    four_ln3, twelve_ln_silver, four_pi = wants
     checks = [
         ("thm1(4, asinh 1/2) = 4 ln 3",
-         _bounds.thm1_peri_lower(4, math.asinh(0.5)).value, 4 * math.log(3.0)),
+         _bounds.thm1_peri_lower(4, math.asinh(0.5)).value, four_ln3),
         ("thm2(6, asinh 2) = 12 ln(1+sqrt 2)",
-         _bounds.thm2_peri_upper(6, math.asinh(2.0)).value, 12 * math.log(1.0 + math.sqrt(2.0))),
+         _bounds.thm2_peri_upper(6, math.asinh(2.0)).value, twelve_ln_silver),
         ("thm3(6, acosh 2) = 4 pi",
-         _bounds.thm3_area_lower(6, math.acosh(2.0)).value, 4 * math.pi),
+         _bounds.thm3_area_lower(6, math.acosh(2.0)).value, four_pi),
     ]
     lines = []
     ok = True
@@ -423,10 +428,10 @@ def _crit7_euclidean(n: int) -> tuple[bool, list[str]]:
     return ok, lines
 
 
-def _crit8_audit(n: int) -> tuple[bool, list[list[str]], float]:
+def _crit8_audit(n: int, radii=_COR1_RADII) -> tuple[bool, list[list[str]], float]:
     rows = []
     worst = 0.0
-    for R in np.linspace(0.25, 1.5, 6):
+    for R in radii:
         R = float(R)
         res = _bounds.cor1_inradius_lower(n, R)
         ref = _bounds.reference_r_from_R(n, R)
@@ -438,6 +443,9 @@ def _crit8_audit(n: int) -> tuple[bool, list[list[str]], float]:
 
 
 def cmd_report(args) -> int:
+    for flag in ("polygons", "trials", "splits"):
+        if getattr(args, flag) < 1:
+            raise SystemExit2(f"--{flag} must be at least 1, got {getattr(args, flag)}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     n, k, seed = args.n, args.k, args.seed
@@ -445,7 +453,7 @@ def cmd_report(args) -> int:
     (out_dir / "criteria.csv").write_text(_csv_text(_report_criteria_rows(n, k)))
 
     cor_csv_rows: list[dict] = []
-    for R in np.linspace(0.25, 1.5, 6):
+    for R in _COR1_RADII:
         cor_csv_rows.extend(_result_rows(_bounds.cor1_inradius_lower(n, float(R))))
     (out_dir / "cor1_divergence.csv").write_text(_csv_text(cor_csv_rows))
 
@@ -454,22 +462,18 @@ def cmd_report(args) -> int:
     ok1, note1 = _crit1_equivalence(seed, args.polygons)
     results.append(("1. closed-form vs measured metrics", ok1, note1))
 
-    single_rows: list[list[str]] = []
-    ok2 = _crit_verify(["1.1", "1.2", "1.3", "1.4"], n, (1,), args.trials, seed, single_rows)
+    ok2, reps2 = _crit2_single(n, args.trials, seed)
     results.append(("2. single-polygon bounds on random polygons", ok2,
                     f"{args.trials} trials each, tolerance {_optimize.INEQ_TOL:g}"))
 
-    multi_rows: list[list[str]] = []
-    ok3 = _crit_verify(["1.5", "1.6", "1.7", "1.8"], n, (2, 3, 5), args.splits, seed, multi_rows)
+    ok3, reps3 = _crit3_radius_totals(n, args.splits, seed)
     results.append(("3. fixed-total-radius bounds on random splits", ok3,
                     f"{args.splits} splits per (theorem, k)"))
 
-    ok4a = _crit_verify(["1.9", "1.10"], n, (2, 3), args.splits, seed, multi_rows)
-    ok4b, note4 = _crit4_certificates(n)
-    results.append(("4. guarded total-area/total-perimeter bounds", ok4a and ok4b, note4))
+    ok4, reps4, note4 = _crit4_guarded(n, args.splits, seed)
+    results.append(("4. guarded total-area/total-perimeter bounds", ok4, note4))
 
-    oracle_rows: list[list[str]] = []
-    ok5 = _crit5_oracles(n, seed, oracle_rows)
+    ok5, oracle_rows = _crit5_oracles(n, seed)
     results.append(("5. equal-split optima vs grid oracle", ok5,
                     "k=2 at resolution 200, k=3 at resolution 60"))
 
@@ -524,7 +528,7 @@ def cmd_report(args) -> int:
     ]
     lines += _md_table(
         ["bound", "k", "trials", "asserted", "skipped", "violations", "worst margin", "equality error"],
-        single_rows + multi_rows,
+        [_verify_row(rep) for rep in reps2 + reps3 + reps4],
     )
     lines += [
         "",

@@ -76,11 +76,6 @@ def dist(p: HPoint, q: HPoint) -> float:
     return acosh1p(t)
 
 
-def rotate_about_origin(p: HPoint, phi: float) -> HPoint:
-    c, s = math.cos(phi), math.sin(phi)
-    return HPoint(p.x0, c * p.x1 - s * p.x2, s * p.x1 + c * p.x2)
-
-
 def geodesic_point(p: HPoint, q: HPoint, t: float) -> HPoint:
     """Point at parameter t in [0, 1] along the geodesic from p to q."""
     d = dist(p, q)

@@ -40,7 +40,11 @@ _BRANCH_SNAP = 1e-14
 def stable_asinh(x: float) -> float:
     """asinh via a sign-symmetric log1p form, exact for tiny arguments."""
     ax = abs(x)
-    r = math.log1p(ax + ax * ax / (1.0 + math.hypot(1.0, ax)))
+    if ax > 1e150:
+        # ax * ax would overflow; asinh(x) = log(2x) up to O(x^-2)
+        r = _LN2 + math.log(ax)
+    else:
+        r = math.log1p(ax + ax * ax / (1.0 + math.hypot(1.0, ax)))
     return -r if x < 0 else r
 
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import bounds as _bounds
 from . import polygon as _polygon
-from .errors import EvaluationFailure, Infeasible, NotCertified, OracleTooLarge
-from .hypmath import RegularNGonSpec, regular_convert, tangential_radius_limit
+from .errors import EvaluationFailure, Infeasible, NotCertified, OracleTooLarge, OutOfRange
+from .hypmath import LEG_MAX, RegularNGonSpec, regular_convert, tangential_radius_limit
 from .polygon import CyclicPolygon, TangentialPolygon, TWO_PI
 
 # All randomness flows from one seed through counter-based Philox streams;
@@ -71,7 +71,7 @@ def random_tangential_polygon(n: int, radius_range: tuple[float, float], rng: np
     ideal-vertex limit and draws violating the per-sector guard are redrawn."""
     lo, hi = radius_range
     hi = min(hi, 0.999 * tangential_radius_limit(n))
-    if not lo < hi:
+    if not 0.0 <= lo < hi:
         raise Infeasible(f"no tangential inradius window inside {radius_range} for n={n}")
     for _ in range(1000):
         r = rng.uniform(lo, hi)
@@ -438,87 +438,86 @@ def _theta_sup_tangential(r: float) -> float:
     return 2.0 * math.atan2(1.0, math.sinh(r))
 
 
-def _objective_specs() -> dict[str, dict]:
-    return {
-        "cyclic_half_side": {
-            "make": lambda n, radius: (lambda t: _polygon.cyclic_half_side(t, radius), (0.0, math.pi)),
-            "sense": "maximize",
-            "radius_default": 1.0,
-        },
-        # convex in theta for R > 0, so the uniform partition MINIMIZES the
-        # angle sum: that is what makes the fixed-circumradius area bound an
-        # upper bound rather than a lower one.
-        "cyclic_half_angle": {
-            "make": lambda n, radius: (lambda t: _polygon.cyclic_half_angle(t, radius), (0.0, math.pi)),
-            "sense": "minimize",
-            "radius_default": 1.0,
-        },
-        "tangential_tangent_length": {
-            "make": lambda n, radius: (
-                lambda t: _polygon.tangential_tangent_length(t, radius),
-                (0.0, _theta_sup_tangential(radius)),
-            ),
-            "sense": "minimize",
-            "radius_default": 0.4,
-        },
-        "tangential_interior_angle": {
-            "make": lambda n, radius: (
-                lambda t: _polygon.tangential_interior_angle(t, radius),
-                (0.0, _theta_sup_tangential(radius)),
-            ),
-            "sense": "maximize",
-            "radius_default": 0.4,
-        },
-        "thm5_radius": {
-            "make": lambda n, radius: (
-                lambda x: math.asinh(math.sin(math.pi / n) * math.sinh(x)),
-                (0.0, 3.0),
-            ),
-            "sense": "minimize",
-            "radius_default": None,
-        },
-        "thm6_radius": {
-            "make": lambda n, radius: (
-                lambda x: math.atanh(math.tan(math.pi / n) * math.sinh(x)),
-                (0.0, tangential_radius_limit(n)),
-            ),
-            "sense": "minimize",
-            "radius_default": None,
-        },
-        # concave only below the inflection radius; registered on that window
-        "thm7_radius": {
-            "make": lambda n, radius: (
-                lambda x: math.atan2(1.0, math.tan(math.pi / n) * math.cosh(x)),
-                (0.0, _bounds.thm7_radius_threshold(n)),
-            ),
-            "sense": "maximize",
-            "radius_default": None,
-        },
-        "thm8_radius": {
-            "make": lambda n, radius: (
-                lambda x: math.acos(math.sin(math.pi / n) * math.cosh(x)),
-                (0.0, _bounds.area_radius_limit(n)),
-            ),
-            "sense": "maximize",
-            "radius_default": None,
-        },
-        "thm9_theta": {
-            "make": lambda n, radius: (
-                lambda t: math.acosh(math.cos(math.pi / n) / math.sin(0.5 * t)),
-                (0.0, thm9_theta_threshold(n)),
-            ),
-            "sense": "minimize",
-            "radius_default": None,
-        },
-        "thm10_perimeter": {
-            "make": lambda n, radius: (
-                lambda x: math.asin(math.cos(math.pi / n) / math.cosh(x / (2.0 * n))),
-                (_bounds.thm10_peri_threshold(n), 3.0 * _bounds.thm10_peri_threshold(n)),
-            ),
-            "sense": "minimize",
-            "radius_default": None,
-        },
-    }
+_OBJECTIVE_SPECS: dict[str, dict] = {
+    "cyclic_half_side": {
+        "make": lambda n, radius: (lambda t: _polygon.cyclic_half_side(t, radius), (0.0, math.pi)),
+        "sense": "maximize",
+        "radius_default": 1.0,
+    },
+    # convex in theta for R > 0, so the uniform partition MINIMIZES the
+    # angle sum: that is what makes the fixed-circumradius area bound an
+    # upper bound rather than a lower one.
+    "cyclic_half_angle": {
+        "make": lambda n, radius: (lambda t: _polygon.cyclic_half_angle(t, radius), (0.0, math.pi)),
+        "sense": "minimize",
+        "radius_default": 1.0,
+    },
+    "tangential_tangent_length": {
+        "make": lambda n, radius: (
+            lambda t: _polygon.tangential_tangent_length(t, radius),
+            (0.0, _theta_sup_tangential(radius)),
+        ),
+        "sense": "minimize",
+        "radius_default": 0.4,
+    },
+    "tangential_interior_angle": {
+        "make": lambda n, radius: (
+            lambda t: _polygon.tangential_interior_angle(t, radius),
+            (0.0, _theta_sup_tangential(radius)),
+        ),
+        "sense": "maximize",
+        "radius_default": 0.4,
+    },
+    "thm5_radius": {
+        "make": lambda n, radius: (
+            lambda x: math.asinh(math.sin(math.pi / n) * math.sinh(x)),
+            (0.0, 3.0),
+        ),
+        "sense": "minimize",
+        "radius_default": None,
+    },
+    "thm6_radius": {
+        "make": lambda n, radius: (
+            lambda x: math.atanh(math.tan(math.pi / n) * math.sinh(x)),
+            (0.0, tangential_radius_limit(n)),
+        ),
+        "sense": "minimize",
+        "radius_default": None,
+    },
+    # concave only below the inflection radius; registered on that window
+    "thm7_radius": {
+        "make": lambda n, radius: (
+            lambda x: math.atan2(1.0, math.tan(math.pi / n) * math.cosh(x)),
+            (0.0, _bounds.thm7_radius_threshold(n)),
+        ),
+        "sense": "maximize",
+        "radius_default": None,
+    },
+    "thm8_radius": {
+        "make": lambda n, radius: (
+            lambda x: math.acos(math.sin(math.pi / n) * math.cosh(x)),
+            (0.0, _bounds.area_radius_limit(n)),
+        ),
+        "sense": "maximize",
+        "radius_default": None,
+    },
+    "thm9_theta": {
+        "make": lambda n, radius: (
+            lambda t: math.acosh(math.cos(math.pi / n) / math.sin(0.5 * t)),
+            (0.0, thm9_theta_threshold(n)),
+        ),
+        "sense": "minimize",
+        "radius_default": None,
+    },
+    "thm10_perimeter": {
+        "make": lambda n, radius: (
+            lambda x: math.asin(math.cos(math.pi / n) / math.cosh(x / (2.0 * n))),
+            (_bounds.thm10_peri_threshold(n), 3.0 * _bounds.thm10_peri_threshold(n)),
+        ),
+        "sense": "minimize",
+        "radius_default": None,
+    },
+}
 
 
 def thm9_theta_threshold(n: int) -> float:
@@ -526,21 +525,7 @@ def thm9_theta_threshold(n: int) -> float:
     return 2.0 * math.asin(math.sqrt(1.0 - math.sin(math.pi / n)))
 
 
-OBJECTIVES = tuple(_objective_specs())
-
-# Which registered objective certifies each theorem's equal-split step.
-THEOREM_OBJECTIVES = {
-    "1.1": "tangential_tangent_length",
-    "1.2": "cyclic_half_side",
-    "1.3": "tangential_interior_angle",
-    "1.4": "cyclic_half_angle",
-    "1.5": "thm5_radius",
-    "1.6": "thm6_radius",
-    "1.7": "thm7_radius",
-    "1.8": "thm8_radius",
-    "1.9": "thm9_theta",
-    "1.10": "thm10_perimeter",
-}
+OBJECTIVES = tuple(_OBJECTIVE_SPECS)
 
 
 def make_problem(
@@ -556,10 +541,9 @@ def make_problem(
     The default constraint level places the uniform point off-center (and
     off-grid for the standard oracle resolutions) inside the interval.
     """
-    specs = _objective_specs()
-    if name not in specs:
-        raise Infeasible(f"unknown objective {name!r}; known: {sorted(specs)}")
-    spec = specs[name]
+    if name not in _OBJECTIVE_SPECS:
+        raise Infeasible(f"unknown objective {name!r}; known: {sorted(_OBJECTIVE_SPECS)}")
+    spec = _OBJECTIVE_SPECS[name]
     if radius is None:
         radius = spec["radius_default"]
     f, natural = spec["make"](n, radius)
@@ -594,7 +578,8 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return self.violations == 0
+        """No violation, and at least one draw was asserted."""
+        return self.violations == 0 and self.asserted > 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -616,22 +601,6 @@ class VerificationReport:
         }
 
 
-def _default_total(theorem_id: str, n: int, k: int) -> float:
-    if theorem_id == "1.5":
-        return k * 1.0
-    if theorem_id == "1.7":
-        return k * 0.6 * _bounds.thm7_radius_threshold(n)
-    if theorem_id in ("1.6", "1.8"):
-        return k * 0.5 * tangential_radius_limit(n)
-    if theorem_id == "1.9":
-        lo = _bounds.thm9_area_threshold(n)
-        hi = (n - 2) * math.pi
-        return k * (lo + 0.55 * (hi - lo))
-    if theorem_id == "1.10":
-        return k * 1.5 * _bounds.thm10_peri_threshold(n)
-    raise Infeasible(f"no total parameter for theorem {theorem_id}")
-
-
 def verify_theorem(
     theorem_id: str,
     n: int = 6,
@@ -647,23 +616,27 @@ def verify_theorem(
     so an out-of-region total shows up as skipped == trials.  Inequalities
     are asserted with 1e-12 slack and the equality configuration with 1e-9.
     """
-    if theorem_id in ("1.1", "1.2", "1.3", "1.4"):
-        return _verify_single(theorem_id, n, radius_range, trials, seed)
-    if theorem_id in ("1.5", "1.6", "1.7", "1.8", "1.9", "1.10"):
-        if total is None:
-            total = _default_total(theorem_id, n, k)
-        return _verify_total(theorem_id, n, k, total, trials, seed)
-    raise Infeasible(f"unknown theorem id {theorem_id!r}")
+    entry = _bounds.THEOREMS.get(theorem_id)
+    if entry is None or entry["objective"] is None:
+        raise Infeasible(f"unknown theorem id {theorem_id!r}")
+    if not entry["multi"]:
+        return _verify_single(theorem_id, entry, n, radius_range, trials, seed)
+    if total is None:
+        total = entry["total"](n, k)
+    return _verify_total(theorem_id, entry, n, k, total, trials, seed)
 
 
-def _verify_single(theorem_id: str, n: int, radius_range: tuple[float, float], trials: int, seed: int) -> VerificationReport:
-    tangential = theorem_id in ("1.1", "1.3")
-    func = _bounds.THEOREMS[theorem_id]["func"]
+def _verify_single(theorem_id: str, entry: dict, n: int, radius_range: tuple[float, float], trials: int,
+                   seed: int) -> VerificationReport:
+    tangential = entry["family"] == "tangential"
+    func = entry["func"]
     lo, hi = radius_range
     if tangential:
         hi = min(hi, 0.999 * tangential_radius_limit(n))
-        if not lo < hi:
+        if not 0.0 <= lo < hi:
             raise Infeasible(f"radius range {radius_range} has no tangential window for n={n}")
+    if hi > LEG_MAX:
+        raise OutOfRange(f"radius range {radius_range} reaches beyond {LEG_MAX}; cosh would overflow")
 
     asserted = violations = skipped = 0
     worst = None
@@ -713,72 +686,34 @@ def _verify_single(theorem_id: str, n: int, radius_range: tuple[float, float], t
     )
 
 
-def _split_metrics(theorem_id: str, n: int, xs) -> float:
-    """Total of the relevant metric over regular polygons defined by the split."""
-    total = 0.0
-    for x in xs:
-        if theorem_id in ("1.5", "1.7"):
-            m = regular_convert(RegularNGonSpec(n=n, R=x))
-        elif theorem_id in ("1.6", "1.8"):
-            m = regular_convert(RegularNGonSpec(n=n, r=x))
-        elif theorem_id == "1.9":
-            m = regular_convert(RegularNGonSpec(n=n, theta=((n - 2) * math.pi - x) / n))
-        else:  # 1.10: split component is a perimeter
-            m = regular_convert(RegularNGonSpec(n=n, side=x / n))
-        if theorem_id in ("1.5", "1.6", "1.9"):
-            total += m.perimeter
-        else:
-            total += m.area
-    return total
+def _verify_total(theorem_id: str, entry: dict, n: int, k: int, total: float, trials: int,
+                  seed: int) -> VerificationReport:
+    """Random splits of the total, each component a regular polygon spec(n, x)."""
+    res = entry["func"](n, k, total)
+    spec = entry["spec"]
+    lo, hi = entry["window"](n)
 
+    def inside(xs) -> bool:
+        return all(lo < x < hi for x in xs)
 
-def _split_ok(theorem_id: str, n: int, xs) -> bool:
-    if theorem_id in ("1.6", "1.8"):
-        limit = tangential_radius_limit(n)
-        return all(x < limit for x in xs)
-    if theorem_id == "1.7":
-        limit = _bounds.thm7_radius_threshold(n)
-        return all(x < limit for x in xs)
-    if theorem_id == "1.9":
-        tl = _bounds.thm9_area_threshold(n)
-        return all(tl < x < (n - 2) * math.pi for x in xs)
-    if theorem_id == "1.10":
-        tl = _bounds.thm10_peri_threshold(n)
-        return all(x > tl for x in xs)
-    return True
+    def metric(xs) -> float:
+        # the split metric is the bound's own quantity, summed per component
+        out = 0.0
+        for x in xs:
+            m = regular_convert(spec(n, x))
+            out += m.perimeter if res.quantity == "perimeter" else m.area
+        return out
 
-
-def _split_polygons(theorem_id: str, n: int, xs) -> list[dict]:
-    """Full polygon JSON for the regular polygons a split defines."""
-    out = []
-    for x in xs:
-        if theorem_id in ("1.5", "1.7"):
-            poly = CyclicPolygon.regular(n, x)
-        elif theorem_id in ("1.6", "1.8"):
-            poly = TangentialPolygon.regular(n, x)
-        elif theorem_id == "1.9":
-            m = regular_convert(RegularNGonSpec(n=n, theta=((n - 2) * math.pi - x) / n))
-            poly = CyclicPolygon.regular(n, m.R)
-        else:
-            m = regular_convert(RegularNGonSpec(n=n, side=x / n))
-            poly = CyclicPolygon.regular(n, m.R)
-        out.append(_polygon.to_json_dict(poly))
-    return out
-
-
-def _verify_total(theorem_id: str, n: int, k: int, total: float, trials: int, seed: int) -> VerificationReport:
-    func = _bounds.THEOREMS[theorem_id]["func"]
-    res = func(n, k, total)
     asserted = violations = skipped = 0
     worst = None
     counterexample = None
     for i in range(trials):
         rng = trial_rng(seed, i)
         xs = random_split(total, k, rng)
-        if not _split_ok(theorem_id, n, xs):
+        if not inside(xs):
             skipped += 1
             continue
-        actual = _split_metrics(theorem_id, n, xs)
+        actual = metric(xs)
         margin = (actual - res.value) if res.kind == "lower" else (res.value - actual)
         asserted += 1
         if worst is None or margin < worst:
@@ -788,15 +723,15 @@ def _verify_total(theorem_id: str, n: int, k: int, total: float, trials: int, se
             if counterexample is None:
                 counterexample = {
                     "split": list(xs),
-                    "polygons": _split_polygons(theorem_id, n, xs),
+                    "polygons": [_regular_polygon_json(spec(n, x)) for x in xs],
                     "bound": res.to_json_dict(),
                     "margin": margin,
                 }
     eq_err = None
     if res.feasible and res.equality_spec is not None:
         uniform = (total / k,) * k
-        if _split_ok(theorem_id, n, uniform):
-            eq_err = abs(_split_metrics(theorem_id, n, uniform) - res.value)
+        if inside(uniform):
+            eq_err = abs(metric(uniform) - res.value)
     return VerificationReport(
         theorem=theorem_id,
         n=n,
@@ -813,3 +748,10 @@ def _verify_total(theorem_id: str, n: int, k: int, total: float, trials: int, se
         params={"total": total},
         counterexample=counterexample,
     )
+
+
+def _regular_polygon_json(spec: RegularNGonSpec) -> dict:
+    """Full polygon JSON for a regular polygon: tangential when given by inradius."""
+    m = regular_convert(spec)
+    poly = TangentialPolygon.regular(spec.n, m.r) if spec.r is not None else CyclicPolygon.regular(spec.n, m.R)
+    return _polygon.to_json_dict(poly)

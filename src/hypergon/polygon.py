@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import IdealVertex, Infeasible
-from .hypmath import acos_snapped, stable_asinh, stable_atanh
+from .errors import IdealVertex, Infeasible, OutOfRange
+from .hypmath import LEG_MAX, acos_snapped, stable_asinh, stable_atanh
 
 # Constructors renormalize partitions off by at most this and reject worse.
 PARTITION_TOL = 1e-10
@@ -73,8 +73,14 @@ def tangential_interior_angle(theta: float, r: float) -> float:
 def _check_sector_args(theta: float, radius: float) -> None:
     if not 0.0 < theta < math.pi:
         raise Infeasible(f"sector angle must lie in (0, pi), got {theta!r}")
-    if radius < 0.0:
+    if not 0.0 <= radius <= LEG_MAX:
+        _check_radius_cap(radius)
         raise Infeasible(f"radius must be nonnegative, got {radius!r}")
+
+
+def _check_radius_cap(radius: float) -> None:
+    if radius > LEG_MAX:
+        raise OutOfRange(f"radius {radius!r} beyond {LEG_MAX}; cosh would overflow")
 
 
 def _normalized_partition(n: int, thetas) -> tuple[float, ...]:
@@ -106,6 +112,7 @@ class CyclicPolygon:
     def __post_init__(self):
         if not self.R > 0.0:
             raise Infeasible(f"circumradius must be positive, got {self.R!r}")
+        _check_radius_cap(self.R)
         object.__setattr__(self, "thetas", _normalized_partition(self.n, self.thetas))
 
     kind = "cyclic"
@@ -130,6 +137,7 @@ class TangentialPolygon:
     def __post_init__(self):
         if not self.r > 0.0:
             raise Infeasible(f"inradius must be positive, got {self.r!r}")
+        _check_radius_cap(self.r)
         ts = _normalized_partition(self.n, self.thetas)
         object.__setattr__(self, "thetas", ts)
         sr = math.sinh(self.r)

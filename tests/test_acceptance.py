@@ -1,30 +1,17 @@
 """Acceptance battery: one go/no-go test per shipped guarantee.
 
-Each test states its tolerance and sample size inline, so `pytest -v`
+Each test runs the report's own battery criterion (`cli._crit*`) at the
+sample size stated inline and asserts on its results, so `pytest -v`
 renders exactly one pass/fail line per criterion.  The report bundle used
 by the last two criteria is rendered twice into session temp directories.
 """
 
-import math
 import time
 
 import pytest
 
 import frozen
-from hypergon import bounds, hmodel, polygon
-from hypergon.cli import main as cli_main
-from hypergon.hypmath import RegularNGonSpec, regular_convert
-from hypergon.optimize import (
-    OBJECTIVES,
-    certify_convexity,
-    make_problem,
-    random_cyclic_polygon,
-    random_tangential_polygon,
-    solve_equal_sum,
-    thm9_theta_threshold,
-    trial_rng,
-    verify_theorem,
-)
+from hypergon import cli
 
 SEED = 7
 
@@ -32,7 +19,7 @@ SEED = 7
 @pytest.fixture(scope="session")
 def report_bundles(tmp_path_factory):
     dirs = [tmp_path_factory.mktemp("bundle_a"), tmp_path_factory.mktemp("bundle_b")]
-    codes = [cli_main(["report", "--out", str(d), "--seed", str(SEED)]) for d in dirs]
+    codes = [cli.main(["report", "--out", str(d), "--seed", str(SEED)]) for d in dirs]
     return codes, dirs
 
 
@@ -40,80 +27,53 @@ def test_criterion_1_closed_forms_match_measured_metrics():
     # 10^4 seeded random polygons, n in [3, 12], radii in [0.05, 3]:
     # perimeter routes within 1e-9, area routes within 1e-8, under 10 s
     t0 = time.perf_counter()
-    worst_peri = worst_area = 0.0
-    for i in range(10_000):
-        rng = trial_rng(SEED, i)
-        n = int(rng.integers(3, 13))
-        if i % 2 == 0:
-            poly = random_cyclic_polygon(n, (0.05, 3.0), rng)
-        else:
-            poly = random_tangential_polygon(n, (0.05, 3.0), rng)
-        emb = hmodel.embed(poly)
-        worst_peri = max(
-            worst_peri, abs(polygon.perimeter(poly) - hmodel.measured_perimeter(emb))
-        )
-        worst_area = max(
-            worst_area, abs(polygon.area(poly) - hmodel.measured_area(emb))
-        )
+    ok, note = cli._crit1_equivalence(SEED, 10_000)
     elapsed = time.perf_counter() - t0
-    assert worst_peri <= 1e-9
-    assert worst_area <= 1e-8
+    assert ok, note
     assert elapsed < 10.0
 
 
 def test_criterion_2_single_polygon_bounds_hold():
     # 10^4 random polygons per bound: zero violations at 1e-12 and the
     # regular configuration reproduces the bound to 1e-9
-    for tid in ("1.1", "1.2", "1.3", "1.4"):
-        rep = verify_theorem(tid, n=6, trials=10_000, seed=SEED)
-        assert rep.violations == 0, tid
-        assert rep.worst_margin >= -1e-12, tid
-        assert rep.equality_abs_error is not None, tid
-        assert rep.equality_abs_error <= 1e-9, tid
+    ok, reps = cli._crit2_single(6, 10_000, SEED)
+    assert ok
+    for rep in reps:
+        assert rep.violations == 0, rep.theorem
+        assert rep.worst_margin >= -1e-12, rep.theorem
+        assert rep.equality_abs_error is not None, rep.theorem
+        assert rep.equality_abs_error <= 1e-9, rep.theorem
 
 
 def test_criterion_3_fixed_total_radius_bounds_hold():
-    # 2000 draws per (bound, k) so at least 1000 splits land inside the
-    # admissibility guards; none may beat the bound at 1e-12 and the
-    # uniform split must reproduce it to 1e-9
-    for tid in ("1.5", "1.6", "1.7", "1.8"):
-        for k in (2, 3, 5):
-            rep = verify_theorem(tid, n=6, k=k, trials=2000, seed=SEED)
-            assert rep.violations == 0, (tid, k)
-            assert rep.asserted >= 1000, (tid, k)
-            assert rep.worst_margin >= -1e-12, (tid, k)
-            assert rep.equality_abs_error is not None, (tid, k)
-            assert rep.equality_abs_error <= 1e-9, (tid, k)
+    # 2000 draws per (bound, k) for k in {2, 3, 5} so at least 1000 splits
+    # land inside the admissibility guards; none may beat the bound at
+    # 1e-12 and the uniform split must reproduce it to 1e-9
+    ok, reps = cli._crit3_radius_totals(6, 2000, SEED)
+    assert ok
+    assert len(reps) == 12
+    for rep in reps:
+        key = (rep.theorem, rep.k)
+        assert rep.violations == 0, key
+        assert rep.asserted >= 1000, key
+        assert rep.worst_margin >= -1e-12, key
+        assert rep.equality_abs_error is not None, key
+        assert rep.equality_abs_error <= 1e-9, key
 
 
 def test_criterion_4_guarded_bounds_and_convexity_windows():
     # the total-area and total-perimeter bounds only apply inside their
-    # guards; inside, random splits never beat them, and the convexity
-    # certificate is consistent inside the window and mixed straddling it
-    for tid in ("1.9", "1.10"):
-        for k in (2, 3):
-            rep = verify_theorem(tid, n=6, k=k, trials=4000, seed=SEED)
-            assert rep.violations == 0, (tid, k)
-            assert rep.asserted >= 1000, (tid, k)
-            assert rep.worst_margin >= -1e-12, (tid, k)
-
-    n = 6
-    thr9 = thm9_theta_threshold(n)
-
-    def f9(t):
-        return math.acosh(math.cos(math.pi / n) / math.sin(0.5 * t))
-
-    assert certify_convexity(f9, (1e-3, 0.999 * thr9)).sign == "positive"
-    theta_max = 2.0 * math.asin(math.cos(math.pi / n))
-    assert certify_convexity(f9, (0.9 * thr9, 0.5 * (thr9 + theta_max))).sign == "mixed"
-
-    thr10 = bounds.thm10_peri_threshold(n)
-
-    def f10(x):
-        return math.asin(math.cos(math.pi / n) / math.cosh(x / (2.0 * n)))
-
-    assert certify_convexity(f10, (1.001 * thr10, 3.0 * thr10)).sign == "positive"
-    assert certify_convexity(f10, (0.5 * thr10, 1.5 * thr10)).sign == "mixed"
+    # guards; inside, 4000 random splits per (bound, k) never beat them,
+    # and the convexity certificate is positive inside the window and
+    # mixed straddling it
+    ok, reps, note = cli._crit4_guarded(6, 4000, SEED)
+    assert ok, note
+    assert len(reps) == 4
+    for rep in reps:
+        key = (rep.theorem, rep.k)
+        assert rep.violations == 0, key
+        assert rep.asserted >= 1000, key
+        assert rep.worst_margin >= -1e-12, key
 
 
 def test_criterion_5_descent_matches_grid_oracle():
@@ -121,51 +81,23 @@ def test_criterion_5_descent_matches_grid_oracle():
     # (resolution 60): certified, descent within 1e-6 of uniform per
     # coordinate, oracle optimum within one grid cell, all under 60 s
     t0 = time.perf_counter()
-    for name in OBJECTIVES:
-        for k, res in ((2, 200), (3, 60)):
-            prob = make_problem(name, k=k, n=6)
-            rep = solve_equal_sum(prob, seed=SEED, oracle_resolution=res)
-            assert rep.certified, (name, k)
-            assert rep.oracle_agreement is True, (name, k)
-            assert rep.max_deviation_from_uniform <= 1e-6, (name, k)
-            uc = prob.c / k
-            cell = max(abs(p - uc) for p in rep.oracle_point)
-            assert cell <= rep.oracle_step * (1.0 + 1e-9), (name, k)
+    ok, rows = cli._crit5_oracles(6, SEED)
+    assert ok, rows
     assert time.perf_counter() - t0 < 60.0
 
 
 def test_criterion_6_analytic_anchors():
-    checks = [
-        (bounds.thm1_peri_lower(4, math.asinh(0.5)).value, frozen.FOUR_LN3),
-        (bounds.thm2_peri_upper(6, math.asinh(2.0)).value, frozen.TWELVE_LN_SILVER),
-        (bounds.thm3_area_lower(6, math.acosh(2.0)).value, frozen.FOUR_PI),
-    ]
-    for got, want in checks:
-        assert abs(got - want) <= 1e-12 * abs(want)
-    # the area bound vanishes quadratically at small circumradius with the
-    # Euclidean coefficient; Richardson extrapolation of v/R^2 kills the
-    # truncation term
-    R0 = 1e-4
-    c1 = bounds.thm4_area_upper(4, R0).value / R0 ** 2
-    c2 = bounds.thm4_area_upper(4, 2 * R0).value / (2 * R0) ** 2
-    coeff = (4.0 * c1 - c2) / 3.0
-    euclid = 4.0 * math.sin(math.pi / 4) * math.cos(math.pi / 4)
-    assert abs(coeff - euclid) <= 1e-12 * euclid
+    # equality cases against the mpmath-frozen constants, relative 1e-12,
+    # and the Euclidean R^2 coefficient of the area bound
+    ok, lines = cli._crit6_anchors((frozen.FOUR_LN3, frozen.TWELVE_LN_SILVER, frozen.FOUR_PI))
+    assert ok, lines
 
 
 def test_criterion_7_euclidean_limits():
-    n, x = 6, 1e-4
-    checks = [
-        (bounds.thm1_peri_lower(n, x).value, 2 * n * math.tan(math.pi / n) * x),
-        (bounds.thm2_peri_upper(n, x).value, 2 * n * math.sin(math.pi / n) * x),
-        (bounds.thm3_area_lower(n, x).value, n * math.tan(math.pi / n) * x * x),
-        (
-            bounds.thm4_area_upper(n, x).value,
-            n * math.sin(math.pi / n) * math.cos(math.pi / n) * x * x,
-        ),
-    ]
-    for got, want in checks:
-        assert abs(got - want) / want <= 1e-5
+    # the four single-polygon bounds at radius 1e-4 against their
+    # Euclidean first-order forms, relative 1e-5
+    ok, lines = cli._crit7_euclidean(6)
+    assert ok, lines
 
 
 def test_criterion_8_report_audits_expression_divergences(report_bundles):
@@ -177,13 +109,9 @@ def test_criterion_8_report_audits_expression_divergences(report_bundles):
     assert div[0] == "theorem,n,k,param,value,feasible,guard_margin"
     assert len(div) > 1
     # the reference conversion itself is exact on regular polygons
-    worst = 0.0
     for n in (3, 4, 6, 12):
-        for R in (0.1, 0.7, 1.5, 3.0):
-            ref = bounds.reference_r_from_R(n, R)
-            conv = regular_convert(RegularNGonSpec(n=n, R=R)).r
-            worst = max(worst, abs(ref - conv) / conv)
-    assert worst <= 1e-12
+        ok, _, worst = cli._crit8_audit(n, (0.1, 0.7, 1.5, 3.0))
+        assert ok, (n, worst)
 
 
 def test_criterion_9_report_bundle_is_deterministic(report_bundles):

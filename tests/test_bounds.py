@@ -8,6 +8,7 @@ from hypergon.bounds import (
     area_radius_limit,
     cor1_inradius_lower,
     equality_value,
+    evaluate,
     reference_r_from_R,
     thm1_peri_lower,
     thm2_peri_upper,
@@ -23,8 +24,8 @@ from hypergon.bounds import (
     thm10_peri_threshold,
     thm10_total_area_upper,
 )
-from hypergon.errors import Infeasible, InvalidTotal
-from hypergon.hypmath import RegularNGonSpec, regular_convert, tangential_radius_limit
+from hypergon.errors import Infeasible, InvalidTotal, OutOfRange
+from hypergon.hypmath import LEG_MAX, RegularNGonSpec, regular_convert, tangential_radius_limit
 
 
 # single-polygon anchors
@@ -249,6 +250,53 @@ def test_registry_shape():
     assert set(THEOREMS) == {f"1.{i}" for i in range(1, 11)} | {"cor1"}
     assert all(THEOREMS[f"1.{i}"]["multi"] for i in range(5, 11))
     assert not any(THEOREMS[t]["multi"] for t in ("1.1", "1.2", "1.3", "1.4", "cor1"))
+
+
+def test_record_defaults_are_feasible_inside_windows():
+    # each fixed-total bound is feasible at its default total, the equal
+    # split lies inside its admissibility window, and k copies of the
+    # regular polygon spec() builds from that split reproduce the bound
+    for tid, entry in THEOREMS.items():
+        if not entry["multi"]:
+            continue
+        for n in (3, 4, 6, 12, 50):
+            for k in (2, 3, 5):
+                total = entry["total"](n, k)
+                res = evaluate(tid, n, k, total)
+                assert res.feasible, (tid, n, k)
+                lo, hi = entry["window"](n)
+                assert lo < total / k < hi, (tid, n, k)
+                m = regular_convert(entry["spec"](n, total / k))
+                metric = m.perimeter if res.quantity == "perimeter" else m.area
+                assert abs(k * metric - res.value) <= 1e-9 * max(1.0, res.value), (tid, n, k)
+
+
+def test_record_single_families():
+    families = {t: e["family"] for t, e in THEOREMS.items() if e["family"]}
+    assert families == {"1.1": "tangential", "1.2": "cyclic", "1.3": "tangential", "1.4": "cyclic"}
+    for t, family in families.items():
+        assert THEOREMS[t]["param"] == ("r" if family == "tangential" else "R")
+
+
+def test_evaluate_dispatches_on_multi():
+    assert evaluate("1.2", 6, 5, 1.0) == thm2_peri_upper(6, 1.0)
+    assert evaluate("1.5", 6, 2, 2.0) == thm5_total_peri_lower(6, 2, 2.0)
+    assert evaluate("cor1", 6, 3, 1.0) == cor1_inradius_lower(6, 1.0)
+
+
+def test_overflowing_radius_is_out_of_range():
+    for tid in ("1.1", "1.2", "1.3", "1.4", "cor1"):
+        with pytest.raises(OutOfRange):
+            evaluate(tid, 6, 1, 800.0)
+    for tid in ("1.5", "1.6", "1.7", "1.8"):
+        with pytest.raises(OutOfRange):
+            evaluate(tid, 6, 2, 1500.0)
+        # the cap is per polygon: five radii of 200 are fine
+        evaluate(tid, 6, 5, 1000.0)
+    with pytest.raises(OutOfRange):
+        thm10_total_area_upper(6, 2, 2 * 6 * 1.01 * LEG_MAX)
+    with pytest.raises(OutOfRange):
+        reference_r_from_R(6, math.inf)
 
 
 def test_bound_result_json_fields():

@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+import warnings
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import frozen
+import hypergon
 from hypergon import bounds, polygon
 from hypergon.cli import CSV_HEADER, main
 
@@ -148,6 +153,20 @@ def test_verify_all_small(capsys):
     assert all(r["passed"] for r in doc["reports"])
 
 
+def test_verify_rejects_runs_that_check_nothing(capsys):
+    for trials in ("0", "-5"):
+        code, out = run_cli(capsys, "verify", "--thm", "1.2", "--trials", trials)
+        assert code == 2
+        assert out == ""
+    # every split of this total puts a circumradius past the 1.7 guard, so
+    # nothing is asserted; the reports are still written
+    code, out = run_cli(capsys, "verify", "--thm", "1.7", "--total", "100", "--trials", "50")
+    assert code == 2
+    rep = json.loads(out)["reports"][0]
+    assert rep["asserted"] == 0
+    assert rep["passed"] is False
+
+
 def test_verify_rejects_cor1(capsys):
     code, _ = run_cli(capsys, "verify", "--thm", "cor1")
     assert code == 2
@@ -223,6 +242,45 @@ def test_bad_range_spec(capsys):
     assert code == 2
     code, _ = run_cli(capsys, "bounds", "--thm", "1.2", "--range", "2:1:5")
     assert code == 2
+    for spec in ("inf:inf:1", "1:inf:3", "nan:1:2", "-1e308:1e308:3"):
+        code, _ = run_cli(capsys, "bounds", "--thm", "1.2", f"--range={spec}")
+        assert code == 2, spec
+
+
+def test_report_rejects_empty_batteries(tmp_path, capsys):
+    for flag in ("--polygons", "--trials", "--splits"):
+        code, out = run_cli(capsys, "report", "--out", str(tmp_path / "bundle"), flag, "0")
+        assert code == 2, flag
+        assert out == ""
+    assert not (tmp_path / "bundle").exists()
+
+
+def test_overflowing_radius_exits_2(capsys):
+    for argv in (
+        ("bounds", "--thm", "1.2", "--range", "800:800:1"),
+        ("bounds", "--thm", "1.5", "--range", "1500:1500:1"),
+        ("bounds", "--thm", "1.10", "--range", "1e6:1e6:1"),
+        ("verify", "--thm", "1.2", "--range", "800:900"),
+        ("verify", "--thm", "1.5", "--total", "1e300", "--trials", "3"),
+        ("sample", "--range", "800:900"),
+        ("sample", "--kind", "tangential", "--regular", "--range", "800:900"),
+    ):
+        code, _ = run_cli(capsys, *argv)
+        assert code == 2, argv
+
+
+@given(lo=st.floats(), hi=st.floats(), steps=st.integers(1, 4))
+@example(lo=math.inf, hi=math.inf, steps=1)
+@example(lo=0.0, hi=1.7976931348623157e308, steps=4)  # linspace overflows
+@example(lo=400.0, hi=400.0, steps=1)  # sinh R near 1e173
+@example(lo=800.0, hi=800.0, steps=1)  # past LEG_MAX
+def test_bounds_all_never_raises(lo, hi, steps):
+    # any float ends, nan and inf included: rows or a clean input error,
+    # never a traceback or a numpy warning leaking out of the sweep
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["bounds", "--thm", "all", f"--range={lo!r}:{hi!r}:{steps}", "--out", os.devnull])
+    assert code in (0, 2)
 
 
 def test_unknown_theorem(capsys):
@@ -237,10 +295,13 @@ def test_missing_required_flag_exits_2():
 
 
 def test_module_entry_point():
+    # the child imports the same hypergon as this process, installed or not
+    src = os.path.dirname(os.path.dirname(hypergon.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "hypergon", "bounds", "--thm", "1.3",
          "--range", "0.8:0.8:1", "--format", "csv"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith(CSV_HEADER)

@@ -20,7 +20,6 @@ from hypergon.hmodel import (
     min_distance_from_origin,
     mink,
     point_at,
-    rotate_about_origin,
     sheet_error,
 )
 from hypergon.optimize import random_cyclic_polygon, random_tangential_polygon, trial_rng
@@ -98,16 +97,6 @@ def test_triangle_inequality_seeded():
         a1, a2, a3 = rng.uniform(0.0, 2 * math.pi, size=3)
         p, q, r = point_at(d1, a1), point_at(d2, a2), point_at(d3, a3)
         assert dist(p, r) <= dist(p, q) + dist(q, r) + 1e-11
-
-
-def test_rotation_is_isometry():
-    rng = trial_rng(0x7A2, 0)
-    pts = [point_at(d, a) for d, a in zip(rng.uniform(0, 5, 8), rng.uniform(0, 7, 8))]
-    phi = 0.91
-    rot = [rotate_about_origin(p, phi) for p in pts]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            assert abs(dist(pts[i], pts[j]) - dist(rot[i], rot[j])) <= 1e-11
 
 
 def test_geodesic_point_endpoints_and_midpoint():
