@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidPoint
+from .errors import InvalidPoint, OutOfRange
 from .hypmath import acosh1p, angle_from_sides, hyp_hypotenuse
 from .polygon import (
     CyclicPolygon,
@@ -42,7 +42,10 @@ def sheet_error(p: HPoint) -> float:
 
 
 def _validate(p: HPoint) -> None:
-    if p.x0 < 1.0 - SHEET_TOL or sheet_error(p) > SHEET_TOL * max(1.0, p.x0 * p.x0):
+    err = sheet_error(p)
+    if not math.isfinite(err):  # x0^2 overflows past a radius of about 355
+        raise OutOfRange(f"sheet residual overflows at {p}")
+    if p.x0 < 1.0 - SHEET_TOL or err > SHEET_TOL * max(1.0, p.x0 * p.x0):
         raise InvalidPoint(f"not on the unit sheet: {p}")
 
 
@@ -116,7 +119,6 @@ class Embedding:
     center: HPoint
     vertices: tuple[HPoint, ...]
     kind: str
-    tangency_points: tuple[HPoint, ...] | None = None
 
 
 def _bearings(thetas) -> list[float]:
@@ -134,7 +136,7 @@ def embed_cyclic(p: CyclicPolygon) -> Embedding:
 
 
 def embed_tangential(p: TangentialPolygon) -> Embedding:
-    """Vertex i on the bisector of sector i; tangency points on its edges.
+    """Vertex i on the bisector of sector i; each edge touches the incircle.
 
     The vertex distance comes from the right-triangle composition
     cosh d_i = cosh r * cosh b(theta_i).
@@ -145,8 +147,7 @@ def embed_tangential(p: TangentialPolygon) -> Embedding:
         b = tangential_tangent_length(t, p.r)
         d = hyp_hypotenuse(p.r, b)
         verts.append(point_at(d, cums[i] + 0.5 * t))
-    tang = tuple(point_at(p.r, a) for a in cums)
-    return Embedding(center=ORIGIN, vertices=tuple(verts), kind="tangential", tangency_points=tang)
+    return Embedding(center=ORIGIN, vertices=tuple(verts), kind="tangential")
 
 
 def embed(p: Polygon) -> Embedding:
@@ -162,21 +163,21 @@ def measured_perimeter(e: Embedding) -> float:
 
 
 def measured_area(e: Embedding) -> float:
-    """Area from the triangle fan at the center: sum of angle deficits."""
-    vs = e.vertices
-    n = len(vs)
+    """Area as a sum of sector triangles (center c, v_i, v_i+1).
+
+    Each is tan(A/2) = |det[c, p, q]| / (1 + <c, p> + <p, q> + <q, c>), the
+    hyperboloid form of Van Oosterom & Strackee's solid-angle formula; it
+    needs no side lengths, so tiny triangles lose no digits to cancellation.
+    """
+    c, vs = e.center, e.vertices
+    for v in (c, *vs):
+        _validate(v)
     total = 0.0
-    for i in range(n):
-        va, vb = vs[i], vs[(i + 1) % n]
-        sa = dist(e.center, va)
-        sb = dist(e.center, vb)
-        sc = dist(va, vb)
-        angles = (
-            angle_from_sides(sa, sb, sc)
-            + angle_from_sides(sb, sc, sa)
-            + angle_from_sides(sc, sa, sb)
-        )
-        total += math.pi - angles
+    for p, q in zip(vs, vs[1:] + vs[:1]):
+        det = (c.x0 * (p.x1 * q.x2 - p.x2 * q.x1)
+               - c.x1 * (p.x0 * q.x2 - p.x2 * q.x0)
+               + c.x2 * (p.x0 * q.x1 - p.x1 * q.x0))
+        total += 2.0 * math.atan2(abs(det), 1.0 + mink(c, p) + mink(p, q) + mink(q, c))
     return total
 
 

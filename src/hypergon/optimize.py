@@ -12,6 +12,7 @@ randomized per-theorem verification driver.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -212,25 +213,19 @@ def grid_oracle(problem: SeparableProblem, resolution: int) -> GridOracleResult:
     best = None
     best_pt = None
     evals = 0
-    if problem.k == 2:
-        for x1 in xs:
-            x2 = problem.c - x1
-            if not lo < x2 < hi:
-                continue
-            v = problem.f(x1) + problem.f(x2)
-            evals += 1
-            if best is None or flip * v < flip * best:
-                best, best_pt = v, (x1, x2)
-    else:
-        for x1 in xs:
-            for x2 in xs:
-                x3 = problem.c - x1 - x2
-                if not lo < x3 < hi:
-                    continue
-                v = problem.f(x1) + problem.f(x2) + problem.f(x3)
-                evals += 1
-                if best is None or flip * v < flip * best:
-                    best, best_pt = v, (x1, x2, x3)
+    for free in itertools.product(xs, repeat=problem.k - 1):
+        last = problem.c
+        for x in free:
+            last -= x
+        if not lo < last < hi:
+            continue
+        pt = (*free, last)
+        v = problem.f(pt[0])
+        for x in pt[1:]:
+            v += problem.f(x)
+        evals += 1
+        if best is None or flip * v < flip * best:
+            best, best_pt = v, pt
     if best is None:
         raise Infeasible("no feasible grid point; widen the interval or change c")
     return GridOracleResult(min_point=best_pt, min_value=best, step=step, evaluations=evals)

@@ -263,6 +263,7 @@ def test_overflowing_radius_exits_2(capsys):
         ("verify", "--thm", "1.2", "--range", "800:900"),
         ("verify", "--thm", "1.5", "--total", "1e300", "--trials", "3"),
         ("sample", "--range", "800:900"),
+        ("sample", "--range", "600:700"),  # below LEG_MAX, past the measurement's overflow
         ("sample", "--kind", "tangential", "--regular", "--range", "800:900"),
     ):
         code, _ = run_cli(capsys, *argv)

@@ -1,13 +1,15 @@
 import math
 
 import frozen
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hypergon.errors import InvalidPoint
+from hypergon.errors import InvalidPoint, OutOfRange
 from hypergon.hmodel import (
     ORIGIN,
+    Embedding,
     HPoint,
     dist,
     embed,
@@ -199,3 +201,49 @@ def test_fan_triangle_area_bounds():
     poly = CyclicPolygon.regular(3, 2.0)
     total = measured_area(embed(poly))
     assert 0.0 < total < 3 * math.pi
+
+
+def _reference_area(poly) -> float:
+    """Sum of sector areas at 40 digits from the polygon's own float data."""
+    with mpmath.workdps(40):
+        total = mpmath.mpf(0)
+        for t in map(mpmath.mpf, poly.thetas):
+            if isinstance(poly, CyclicPolygon):
+                base = mpmath.acot(mpmath.cosh(poly.R) * mpmath.tan(t / 2))
+            else:
+                base = mpmath.acos(mpmath.sin(t / 2) * mpmath.cosh(poly.r))
+            total += mpmath.pi - t - 2 * base
+        return float(total)
+
+
+@pytest.mark.parametrize("sampler, n, window", [
+    (random_cyclic_polygon, 3, (1e-3, 1e-2)),
+    (random_cyclic_polygon, 200, (1e-3, 1e-2)),
+    (random_cyclic_polygon, 3, (8.0, 15.0)),
+    (random_tangential_polygon, 3, (1e-3, 1e-2)),
+    (random_tangential_polygon, 200, (1e-3, 1e-2)),
+])
+def test_measured_area_relative_precision(sampler, n, window):
+    # tiny polygons and large circumradii, where formulas built on side
+    # lengths lose most of the area's digits to cancellation
+    for i in range(20):
+        poly = sampler(n, window, trial_rng(0x7A7, i))
+        want = _reference_area(poly)
+        assert abs(measured_area(embed(poly)) - want) <= 1e-12 * want
+
+
+def test_measurement_overflow_is_out_of_range():
+    # x0^2 overflows past a radius of about 355, well below LEG_MAX
+    emb = embed(CyclicPolygon.regular(3, 600.0))
+    with pytest.raises(OutOfRange):
+        measured_area(emb)
+    with pytest.raises(OutOfRange):
+        measured_perimeter(emb)
+
+
+def test_measured_area_rejects_off_sheet_points():
+    ring = embed_cyclic(CyclicPolygon.regular(4, 1.0)).vertices
+    with pytest.raises(InvalidPoint):
+        measured_area(Embedding(HPoint(1.5, 0.0, 0.0), ring, "cyclic"))
+    with pytest.raises(InvalidPoint):
+        measured_area(Embedding(ORIGIN, ring[:3] + (HPoint(2.0, 0.0, 0.0),), "cyclic"))
