@@ -205,8 +205,7 @@ def cmd_sample(args) -> int:
         raise SystemExit2("samples are JSON only")
     lo, hi, _ = _parse_range(args.range, steps_required=False) if args.range else (0.1, 2.0, 1)
     samples = []
-    for i in range(args.trials):
-        rng = _optimize.trial_rng(args.seed, i)
+    for rng in _optimize.trial_rngs(args.seed, args.trials):
         if args.regular:
             if args.kind == "tangential":
                 top = min(hi, 0.999 * tangential_radius_limit(args.n))
@@ -295,8 +294,7 @@ def _g12(x: float | None) -> str:
 
 def _crit1_equivalence(seed: int, count: int) -> tuple[bool, str]:
     worst_p = worst_a = 0.0
-    for i in range(count):
-        rng = _optimize.trial_rng(seed, i)
+    for i, rng in enumerate(_optimize.trial_rngs(seed, count)):
         n = int(rng.integers(3, 13))
         if i % 2 == 0:
             poly = _optimize.random_cyclic_polygon(n, (0.05, 3.0), rng)

@@ -15,7 +15,7 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -25,8 +25,10 @@ from .errors import EvaluationFailure, Infeasible, NotCertified, OracleTooLarge,
 from .hypmath import LEG_MAX, RegularNGonSpec, regular_convert, tangential_radius_limit
 from .polygon import CyclicPolygon, TangentialPolygon, TWO_PI
 
-# All randomness flows from one seed through counter-based Philox streams;
-# trial i uses an independent stream jumped i blocks ahead.
+# All randomness flows from one seed in [0, 2**128) through counter-based
+# Philox streams (Salmon et al., SC 2011): trial i reads the stream with key
+# [seed, 0] and counter [0, 0, i, 0], which is where jumping a Philox keyed
+# by seed i times lands.
 DEFAULT_SEED = 0x1509_0001
 
 FD_H_FRACTION = 1e-5  # certificate step, as a fraction of interval width
@@ -42,8 +44,49 @@ UNIFORM_TOL = 1e-6
 _UNIFORM_FRAC = 0.4371
 
 
+def _stream_state(seed: int, index: int) -> dict:
+    """Philox state at the start of stream `index` of `seed`.
+
+    The one place the stream layout is written: key [seed mod 2**64,
+    seed >> 64] and counter [0, 0, index, 0], with the output buffer empty
+    so that no word of a previous stream leaks into this one.  The counter
+    is a uint64 array because Philox(counter=...) turns a tuple holding an
+    int above 2**63 into float64 and lands on the wrong stream.
+    """
+    if not 0 <= seed < 1 << 128:
+        raise Infeasible(f"seed must be in [0, 2**128), got {seed}")
+    return {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.array([0, 0, index, 0], dtype=np.uint64),
+            "key": np.array([seed & 0xFFFF_FFFF_FFFF_FFFF, seed >> 64], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
 def trial_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed).jumped(index))
+    """A fresh, independent generator on stream `index` of `seed`."""
+    bit_gen = np.random.Philox()
+    bit_gen.state = _stream_state(seed, index)
+    return np.random.Generator(bit_gen)
+
+
+def trial_rngs(seed: int, count: int) -> Iterator[np.random.Generator]:
+    """The generators of streams 0 .. count-1 of `seed`, in order.
+
+    One Philox is re-pointed before each yield, so every yielded generator
+    is the same object and is valid only until the next one is drawn; use
+    trial_rng for a generator that must outlive its loop iteration.
+    """
+    bit_gen = np.random.Philox()
+    rng = np.random.Generator(bit_gen)
+    for i in range(count):
+        bit_gen.state = _stream_state(seed, i)
+        yield rng
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +396,7 @@ def solve_equal_sum(
     uc = problem.c / k
     uniform = np.full(k, uc)
     starts = [uniform]
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = trial_rng(seed, 0)
     for _ in range(8):
         u = rng.uniform(lo + margin, hi - margin, k)
         x = u + (problem.c - u.sum()) / k
@@ -637,8 +680,7 @@ def _verify_single(theorem_id: str, entry: dict, n: int, radius_range: tuple[flo
     worst = None
     eq_err = None
     counterexample = None
-    for i in range(trials):
-        rng = trial_rng(seed, i)
+    for rng in trial_rngs(seed, trials):
         r = rng.uniform(lo, hi)
         thetas = random_partition(n, rng)
         if tangential:
@@ -702,8 +744,7 @@ def _verify_total(theorem_id: str, entry: dict, n: int, k: int, total: float, tr
     asserted = violations = skipped = 0
     worst = None
     counterexample = None
-    for i in range(trials):
-        rng = trial_rng(seed, i)
+    for rng in trial_rngs(seed, trials):
         xs = random_split(total, k, rng)
         if not inside(xs):
             skipped += 1

@@ -1,8 +1,10 @@
-"""Frozen oracle constants.
+"""Frozen oracle constants and recorded verification outputs.
 
-Every value here was produced by a 60-digit mpmath evaluation and rounded
-to the nearest binary64; test_frozen.py re-derives each one and fails if a
-literal drifts.  Package code must never import this module.
+Every constant here was produced by a 60-digit mpmath evaluation and
+rounded to the nearest binary64; test_frozen.py re-derives each one and
+fails if a literal drifts.  The VERIFY_* records at the end are outputs of
+seeded verify_theorem runs; test_frozen.py re-runs them, so a change to the
+random streams fails there.  Package code must never import this module.
 """
 
 # plain inverse-function values
@@ -71,3 +73,7 @@ THM4_6_1 = 2.4499774582252702
 
 # sector-function anchor: asinh(sin(pi/6) sinh(asinh 2))
 CHS_PI3_ASINH2 = 0.881373587019543
+
+# verify_theorem(**args) outputs: (args, asserted, skipped, worst_margin hex)
+VERIFY_1_2 = (dict(theorem_id="1.2", n=12, trials=500, seed=7), 500, 0, "0x1.91044ffddea00p-9")
+VERIFY_1_8 = (dict(theorem_id="1.8", n=6, k=3, trials=500, seed=7), 480, 20, "0x1.022a87f38e000p-9")

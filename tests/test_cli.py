@@ -284,6 +284,21 @@ def test_bounds_all_never_raises(lo, hi, steps):
     assert code in (0, 2)
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+def test_seed_outside_the_key_range_exits_2(tmp_path, capsys, seed):
+    for argv in (
+        ("verify", "--thm", "1.2", "--trials", "3"),
+        ("sample", "--trials", "2"),
+        ("optimize", "--thm", "1.5"),
+        ("report", "--out", str(tmp_path / "bundle"), "--polygons", "1", "--trials", "1", "--splits", "1"),
+    ):
+        code = main([*argv, f"--seed={seed}"])
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert "Traceback" not in err
+        assert "seed must be in [0, 2**128)" in err
+
+
 def test_unknown_theorem(capsys):
     code, _ = run_cli(capsys, "bounds", "--thm", "9.9", "--range", "1:2:2")
     assert code == 2

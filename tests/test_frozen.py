@@ -1,6 +1,7 @@
 """Re-derive every frozen constant at 60 digits and pin the binary64 rounding."""
 
 import frozen
+from hypergon.optimize import verify_theorem
 from mpmath import mp, mpf, acosh, asinh, atanh, asin, atan, cos, cosh, log, pi, sin, sinh, sqrt, tan, tanh
 
 mp.dps = 60
@@ -78,3 +79,9 @@ def test_spot_values():
     t = tan(pi / 6)
     anchor("THM4_6_1", 12 * atan(t * (cosh(mpf(1)) - 1) / (1 + t * t * cosh(mpf(1)))))
     anchor("CHS_PI3_ASINH2", asinh(sin(pi / 6) * sinh(asinh(mpf(2)))))
+
+
+def test_seeded_verification_outputs():
+    for args, asserted, skipped, worst in (frozen.VERIFY_1_2, frozen.VERIFY_1_8):
+        rep = verify_theorem(**args)
+        assert (rep.asserted, rep.skipped, rep.worst_margin.hex()) == (asserted, skipped, worst), args

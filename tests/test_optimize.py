@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import frozen
@@ -25,6 +26,7 @@ from hypergon.optimize import (
     solve_equal_sum,
     thm9_theta_threshold,
     trial_rng,
+    trial_rngs,
     verify_theorem,
 )
 
@@ -282,6 +284,53 @@ def test_trial_rng_streams():
     c = trial_rng(7, 4).uniform(0, 1, 4)
     assert list(a) == list(b)
     assert list(a) != list(c)
+
+
+def jumped_rng(seed, index):
+    return np.random.Generator(np.random.Philox(key=seed).jumped(index))
+
+
+def draws(rng):
+    # doubles, bounded integers and normals read the stream in different ways
+    return (list(rng.uniform(0.1, 1.0, 5)), list(rng.integers(3, 13, 4)), list(rng.standard_normal(3)))
+
+
+@pytest.mark.parametrize("seed", [0, DEFAULT_SEED, 2**70 + 3, 2**128 - 1])
+def test_trial_rngs_match_jumped_streams(seed):
+    got = [draws(rng) for rng in trial_rngs(seed, 6)]
+    assert got == [draws(jumped_rng(seed, i)) for i in range(6)]
+
+
+@pytest.mark.parametrize("index", [0, 1, 2**53 + 1, 2**63 + 7, 2**64 - 1])
+def test_trial_rng_matches_jumped_stream(index):
+    # 2**53 + 1 is the first int float64 cannot hold; np.asarray turns a tuple
+    # holding 2**63 + 7 into float64, so Philox(counter=tuple) reads stream 2**63
+    assert draws(trial_rng(DEFAULT_SEED, index)) == draws(jumped_rng(DEFAULT_SEED, index))
+
+
+def test_trial_rngs_reset_the_output_buffer():
+    streams = trial_rngs(5, 2)
+    rng = next(streams)
+    rng.random()
+    rng.integers(0, 2**32, dtype=np.uint32)  # leaves half a 64-bit word buffered
+    assert rng.bit_generator.state["has_uint32"] == 1
+    rng, fresh = next(streams), jumped_rng(5, 1)
+    assert list(rng.integers(0, 2**32, 3, dtype=np.uint32)) == list(fresh.integers(0, 2**32, 3, dtype=np.uint32))
+    assert draws(rng) == draws(fresh)
+
+
+def test_trial_rng_generators_are_independent():
+    a, b = trial_rng(9, 1), trial_rng(9, 1)
+    a.random(10)
+    assert b.random() == jumped_rng(9, 1).random()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_seed_outside_the_key_range_is_infeasible(seed):
+    with pytest.raises(Infeasible):
+        trial_rng(seed, 0)
+    with pytest.raises(Infeasible):
+        next(trial_rngs(seed, 1))
 
 
 # ---------------------------------------------------------------------------
