@@ -64,17 +64,22 @@ def mink(p: HPoint, q: HPoint) -> float:
 def dist(p: HPoint, q: HPoint) -> float:
     """Geodesic distance acosh(<p, q>), organised to avoid cancellation.
 
-    For nearby points the direct bilinear form wipes out the digits that
-    matter, so the argument is rebuilt from coordinate differences:
-    <p, q> - 1 = ((dx1^2 + dx2^2) - dx0^2) / 2 exactly on the sheet.
+    The bilinear form rounds on the scale of p0*q0, which wipes out the
+    digits that matter when <p, q> - 1 is much smaller than that: for nearby
+    points, and for points far out at similar radii a moderate distance
+    apart (at radius 13 and bearings 1e-5 apart it is off by 1e-6).  There
+    the argument is rebuilt from coordinate differences, which round on the
+    scale of |p - q|^2:  <p, q> - 1 = ((dx1^2 + dx2^2) - dx0^2) / 2 exactly
+    on the sheet.  They are used when t <= 1/2 or when their scale is below
+    p0*q0 / 2^10, that is, where the bilinear form has cancelled ten bits.
     """
     _validate(p)
     _validate(q)
     t = mink(p, q) - 1.0
-    if t <= 0.5:
-        dx0 = p.x0 - q.x0
-        dx1 = p.x1 - q.x1
-        dx2 = p.x2 - q.x2
+    dx0 = p.x0 - q.x0
+    dx1 = p.x1 - q.x1
+    dx2 = p.x2 - q.x2
+    if t <= 0.5 or 1024.0 * (dx0 * dx0 + dx1 * dx1 + dx2 * dx2) < p.x0 * q.x0:
         t = 0.5 * ((dx1 * dx1 + dx2 * dx2) - dx0 * dx0)
     return acosh1p(t)
 
