@@ -1,8 +1,8 @@
 """Sharp perimeter and area bounds for hyperbolic cyclic and tangential polygons.
 
 The package has three layers.  hypmath and hmodel provide the metric
-substrate: right-triangle solving on stable formulas, regular polygon
-conversions, and a hyperboloid-model measurement oracle.  polygon and
+substrate: cancellation-free scalar kernels, regular polygon conversions,
+and a hyperboloid-model measurement oracle.  polygon and
 bounds carry the content: polygon families parameterized by central angle
 partitions, and the ten closed-form bounds with their feasibility guards
 and equality configurations.  optimize certifies the convexity facts the
@@ -27,14 +27,11 @@ from .hypmath import (
     EPS_REL,
     RegularNGonSpec,
     RegularPolygonMetrics,
-    RightTriangle,
     acosh1p,
     angle_from_sides,
     coshm1,
     hyp_hypotenuse,
     regular_convert,
-    right_triangle_residuals,
-    solve_right_triangle,
     stable_asinh,
     stable_atanh,
     tangential_radius_limit,
@@ -46,9 +43,7 @@ from .polygon import (
     area,
     cyclic_half_angle,
     cyclic_half_side,
-    from_json_dict,
     interior_angles,
-    is_regular,
     perimeter,
     tangential_interior_angle,
     tangential_tangent_length,
@@ -59,11 +54,9 @@ from .hmodel import (
     ORIGIN,
     dist,
     embed,
-    geodesic_point,
     measured_area,
     measured_interior_angles,
     measured_perimeter,
-    min_distance_from_origin,
     point_at,
 )
 from .bounds import (

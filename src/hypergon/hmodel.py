@@ -23,9 +23,6 @@ from .polygon import (
 # A point whose sheet residual exceeds this is rejected outright.
 SHEET_TOL = 1e-9
 
-GOLDEN_TOL = 1e-10
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass(frozen=True)
 class HPoint:
@@ -82,39 +79,6 @@ def dist(p: HPoint, q: HPoint) -> float:
     if t <= 0.5 or 1024.0 * (dx0 * dx0 + dx1 * dx1 + dx2 * dx2) < p.x0 * q.x0:
         t = 0.5 * ((dx1 * dx1 + dx2 * dx2) - dx0 * dx0)
     return acosh1p(t)
-
-
-def geodesic_point(p: HPoint, q: HPoint, t: float) -> HPoint:
-    """Point at parameter t in [0, 1] along the geodesic from p to q."""
-    d = dist(p, q)
-    if d == 0.0:
-        return p
-    sd = math.sinh(d)
-    wp = math.sinh((1.0 - t) * d) / sd
-    wq = math.sinh(t * d) / sd
-    return HPoint(wp * p.x0 + wq * q.x0, wp * p.x1 + wq * q.x1, wp * p.x2 + wq * q.x2)
-
-
-def min_distance_from_origin(p: HPoint, q: HPoint) -> float:
-    """Distance from the origin to the segment [p, q], by golden-section search."""
-    a, b = 0.0, 1.0
-
-    def g(t: float) -> float:
-        return dist(ORIGIN, geodesic_point(p, q, t))
-
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    g1, g2 = g(x1), g(x2)
-    while b - a > GOLDEN_TOL:
-        if g1 <= g2:
-            b, x2, g2 = x2, x1, g1
-            x1 = b - _INVPHI * (b - a)
-            g1 = g(x1)
-        else:
-            a, x1, g1 = x1, x2, g2
-            x2 = a + _INVPHI * (b - a)
-            g2 = g(x2)
-    return min(g1, g2, g(a), g(b))
 
 
 @dataclass(frozen=True)

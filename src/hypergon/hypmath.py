@@ -1,18 +1,11 @@
-"""Hyperbolic right-triangle relations and regular-polygon conversions.
+"""Stable scalar kernels, triangle relations and regular-polygon conversions.
 
-Everything here works in the hyperbolic plane of curvature -1.  Right
-triangles follow the labelling: right angle at A, hypotenuse a opposite it,
-legs b and c opposite the acute angles B and C.  The six identities
-
-    (i)   cosh a = cosh b * cosh c
-    (ii)  cosh a = cot B * cot C
-    (iii) sinh b = sin B * sinh a
-    (iv)  sinh c = cot B * tanh b
-    (v)   cos C  = cosh c * sin B
-    (vi)  cos B  = tanh c * coth a
-
-are mutually consistent: (iv) follows from (i), (iii) and (vi) by
-eliminating B, so any two of {a, b, c, B, C} determine the rest.
+Everything here works in the hyperbolic plane of curvature -1.  The
+kernels evaluate asinh, atanh, acosh(1 + t), cosh - 1 and acos without the
+cancellation of their textbook forms.  On top of them sit the hypotenuse of
+a right triangle from its legs (cosh a = cosh b * cosh c), an angle from
+three sides by the law of cosines, and the conversions between the
+quantities of a regular n-gon.
 """
 
 from __future__ import annotations
@@ -109,128 +102,6 @@ def hyp_hypotenuse(b: float, c: float) -> float:
     # cosh b * cosh c - 1 assembled from nonnegative terms only
     t = coshm1(b) * math.cosh(c) + coshm1(c)
     return acosh1p(t)
-
-
-@dataclass(frozen=True)
-class RightTriangle:
-    """Fully solved right triangle: right angle at A, hypotenuse a."""
-
-    a: float
-    b: float
-    c: float
-    B: float
-    C: float
-
-
-def right_triangle_residuals(t: RightTriangle) -> tuple[float, ...]:
-    """Relative residuals of the six defining identities, for checking."""
-
-    def rel(lhs: float, rhs: float) -> float:
-        return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-
-    return (
-        rel(math.cosh(t.a), math.cosh(t.b) * math.cosh(t.c)),
-        rel(math.cosh(t.a), 1.0 / (math.tan(t.B) * math.tan(t.C))),
-        rel(math.sinh(t.b), math.sin(t.B) * math.sinh(t.a)),
-        rel(math.sinh(t.c), math.tanh(t.b) / math.tan(t.B)),
-        rel(math.cos(t.C), math.cosh(t.c) * math.sin(t.B)),
-        rel(math.cos(t.B), math.tanh(t.c) / math.tanh(t.a)),
-    )
-
-
-def _check_side(name: str, v: float) -> None:
-    if not v > 0.0:
-        raise Infeasible(f"side {name} must be positive, got {v!r}")
-    if v > LEG_MAX:
-        raise OutOfRange(f"side {name} beyond {LEG_MAX}")
-
-
-def _check_angle(name: str, v: float) -> None:
-    if not 0.0 < v < 0.5 * math.pi:
-        raise Infeasible(f"angle {name} must lie in (0, pi/2), got {v!r}")
-
-
-def solve_right_triangle(
-    a: float | None = None,
-    b: float | None = None,
-    c: float | None = None,
-    B: float | None = None,
-    C: float | None = None,
-) -> RightTriangle:
-    """Solve the right triangle from exactly two of {a, b, c, B, C}.
-
-    Supplied values are returned unchanged; the rest are recovered through
-    the stable closed forms.  Raises Infeasible when no nondegenerate
-    triangle matches (e.g. B + C >= pi/2, or a leg at least as long as the
-    hypotenuse), AmbiguousInput unless exactly two quantities are given.
-    """
-    known = {k: v for k, v in (("a", a), ("b", b), ("c", c), ("B", B), ("C", C)) if v is not None}
-    if len(known) != 2:
-        raise AmbiguousInput(f"need exactly two known quantities, got {sorted(known)}")
-    names = frozenset(known)
-
-    for s in ("a", "b", "c"):
-        if s in known:
-            _check_side(s, known[s])
-    for g in ("B", "C"):
-        if g in known:
-            _check_angle(g, known[g])
-
-    if names == {"b", "c"}:
-        a = hyp_hypotenuse(b, c)
-    elif names == {"a", "b"} or names == {"a", "c"}:
-        leg = b if b is not None else c
-        if leg >= a:
-            raise Infeasible("a leg must be strictly shorter than the hypotenuse")
-        # cosh(other) = cosh a / cosh b, with the difference in product form
-        t = 2.0 * math.sinh(0.5 * (a + leg)) * math.sinh(0.5 * (a - leg)) / math.cosh(leg)
-        other = acosh1p(t)
-        if b is not None:
-            c = other
-        else:
-            b = other
-    elif names == {"a", "B"} or names == {"a", "C"}:
-        if B is not None:
-            b = stable_asinh(math.sin(B) * math.sinh(a))
-            c = stable_atanh(math.cos(B) * math.tanh(a))
-        else:
-            c = stable_asinh(math.sin(C) * math.sinh(a))
-            b = stable_atanh(math.cos(C) * math.tanh(a))
-    elif names == {"b", "B"}:
-        c = stable_asinh(math.tanh(b) / math.tan(B))
-        a = hyp_hypotenuse(b, c)
-    elif names == {"c", "C"}:
-        b = stable_asinh(math.tanh(c) / math.tan(C))
-        a = hyp_hypotenuse(b, c)
-    elif names == {"b", "C"}:
-        x = math.sinh(b) * math.tan(C)
-        if x >= 1.0:
-            raise Infeasible("sinh b * tan C >= 1: the third vertex is ideal")
-        c = stable_atanh(x)
-        a = hyp_hypotenuse(b, c)
-    elif names == {"c", "B"}:
-        x = math.sinh(c) * math.tan(B)
-        if x >= 1.0:
-            raise Infeasible("sinh c * tan B >= 1: the third vertex is ideal")
-        b = stable_atanh(x)
-        a = hyp_hypotenuse(b, c)
-    elif names == {"B", "C"}:
-        gap = 0.5 * math.pi - (B + C)
-        if gap <= 0.0:
-            raise Infeasible("need B + C < pi/2")
-        # cosh a = cot B cot C, cosh b = cos B / sin C, cosh c = cos C / sin B,
-        # each written as 1 + (positive product) to stay exact near the limit
-        a = acosh1p(math.sin(gap) / (math.sin(B) * math.sin(C)))
-        b = acosh1p(2.0 * math.sin(B + 0.5 * gap) * math.sin(0.5 * gap) / math.sin(C))
-        c = acosh1p(2.0 * math.sin(C + 0.5 * gap) * math.sin(0.5 * gap) / math.sin(B))
-    else:  # pragma: no cover - the ten cases above are exhaustive
-        raise AmbiguousInput(f"unsupported combination {sorted(names)}")
-
-    if B is None:
-        B = math.atan2(math.tanh(b), math.sinh(c))
-    if C is None:
-        C = math.atan2(math.tanh(c), math.sinh(b))
-    return RightTriangle(a=a, b=b, c=c, B=B, C=C)
 
 
 def angle_from_sides(a: float, b: float, c: float) -> float:

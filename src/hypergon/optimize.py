@@ -44,6 +44,12 @@ UNIFORM_TOL = 1e-6
 _UNIFORM_FRAC = 0.4371
 
 
+def check_seed(seed: int) -> None:
+    """Raise Infeasible unless seed is a Philox key, an int in [0, 2**128)."""
+    if not 0 <= seed < 1 << 128:
+        raise Infeasible(f"seed must be in [0, 2**128), got {seed}")
+
+
 def _stream_state(seed: int, index: int) -> dict:
     """Philox state at the start of stream `index` of `seed`.
 
@@ -53,8 +59,7 @@ def _stream_state(seed: int, index: int) -> dict:
     is a uint64 array because Philox(counter=...) turns a tuple holding an
     int above 2**63 into float64 and lands on the wrong stream.
     """
-    if not 0 <= seed < 1 << 128:
-        raise Infeasible(f"seed must be in [0, 2**128), got {seed}")
+    check_seed(seed)
     return {
         "bit_generator": "Philox",
         "state": {
@@ -616,8 +621,9 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        """No violation, and at least one draw was asserted."""
-        return self.violations == 0 and self.asserted > 0
+        """No violation, at least one draw asserted, and equality reproduced."""
+        return (self.violations == 0 and self.asserted > 0
+                and (self.equality_abs_error is None or self.equality_abs_error <= self.equality_tolerance))
 
     def to_json_dict(self) -> dict:
         return {

@@ -183,11 +183,6 @@ def area(p: Polygon) -> float:
     return (p.n - 2) * math.pi - math.fsum(interior_angles(p))
 
 
-def is_regular(p: Polygon, tol: float = 1e-10) -> bool:
-    u = TWO_PI / p.n
-    return max(abs(t - u) for t in p.thetas) <= tol
-
-
 def to_json_dict(p: Polygon) -> dict:
     return {
         "kind": p.kind,
@@ -196,11 +191,3 @@ def to_json_dict(p: Polygon) -> dict:
         "thetas": list(p.thetas),
     }
 
-
-def from_json_dict(d: dict) -> Polygon:
-    kind = d.get("kind")
-    if kind == "cyclic":
-        return CyclicPolygon(n=int(d["n"]), R=float(d["radius"]), thetas=tuple(d["thetas"]))
-    if kind == "tangential":
-        return TangentialPolygon(n=int(d["n"]), r=float(d["radius"]), thetas=tuple(d["thetas"]))
-    raise Infeasible(f"unknown polygon kind {kind!r}")

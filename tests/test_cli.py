@@ -1,5 +1,6 @@
 """End-to-end tests of the command line front end, in process."""
 
+import dataclasses
 import json
 import math
 import os
@@ -154,9 +155,14 @@ def test_verify_all_small(capsys):
 
 
 def test_verify_rejects_runs_that_check_nothing(capsys):
-    for trials in ("0", "-5"):
-        code, out = run_cli(capsys, "verify", "--thm", "1.2", "--trials", trials)
-        assert code == 2
+    for argv in (
+        ("verify", "--thm", "1.2", "--trials", "0"),
+        ("verify", "--thm", "1.2", "--trials", "-5"),
+        ("sample", "--trials", "0"),
+        ("sample", "--trials", "-3", "--seed", "-1"),
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2, argv
         assert out == ""
     # every split of this total puts a circumradius past the 1.7 guard, so
     # nothing is asserted; the reports are still written
@@ -164,6 +170,24 @@ def test_verify_rejects_runs_that_check_nothing(capsys):
     assert code == 2
     rep = json.loads(out)["reports"][0]
     assert rep["asserted"] == 0
+    assert rep["passed"] is False
+
+
+def test_verify_fails_a_bound_false_at_its_equality_case(capsys, monkeypatch):
+    # 1.2 lowered by a relative 1e-6: the regular polygon now exceeds it, but
+    # random draws stay clear of equality, so only the equality check sees it
+    thm2 = bounds.THEOREMS["1.2"]["func"]
+
+    def tightened(n, R):
+        res = thm2(n, R)
+        return dataclasses.replace(res, value=res.value * (1.0 - 1e-6))
+
+    monkeypatch.setitem(bounds.THEOREMS["1.2"], "func", tightened)
+    code, out = run_cli(capsys, "verify", "--thm", "1.2", "--trials", "200")
+    assert code == 1
+    rep = json.loads(out)["reports"][0]
+    assert rep["violations"] == 0
+    assert rep["equality_abs_error"] > rep["equality_tolerance"]
     assert rep["passed"] is False
 
 
@@ -190,9 +214,11 @@ def test_sample_regular_tangential(capsys):
     doc = json.loads(out)
     assert len(doc["samples"]) == 3
     for s in doc["samples"]:
-        poly = polygon.from_json_dict(s["polygon"])
-        assert poly.kind == "tangential"
-        assert len(set(s["polygon"]["thetas"])) == 1
+        d = s["polygon"]
+        assert d["kind"] == "tangential"
+        assert len(set(d["thetas"])) == 1
+        poly = polygon.TangentialPolygon(n=d["n"], r=d["radius"], thetas=d["thetas"])
+        assert math.isclose(polygon.perimeter(poly), s["perimeter"], rel_tol=1e-14)
         assert s["perimeter_route_gap"] <= 1e-9
         assert s["area_route_gap"] <= 1e-8
 
@@ -252,6 +278,13 @@ def test_report_rejects_empty_batteries(tmp_path, capsys):
         code, out = run_cli(capsys, "report", "--out", str(tmp_path / "bundle"), flag, "0")
         assert code == 2, flag
         assert out == ""
+    assert not (tmp_path / "bundle").exists()
+
+
+def test_report_with_a_bad_seed_writes_nothing(tmp_path, capsys):
+    code, out = run_cli(capsys, "report", "--out", str(tmp_path / "bundle"), "--seed", "-1")
+    assert code == 2
+    assert out == ""
     assert not (tmp_path / "bundle").exists()
 
 

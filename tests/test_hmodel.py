@@ -15,11 +15,9 @@ from hypergon.hmodel import (
     embed,
     embed_cyclic,
     embed_tangential,
-    geodesic_point,
     measured_area,
     measured_interior_angles,
     measured_perimeter,
-    min_distance_from_origin,
     mink,
     point_at,
     sheet_error,
@@ -102,15 +100,6 @@ def test_triangle_inequality_seeded():
         assert dist(p, r) <= dist(p, q) + dist(q, r) + 1e-11
 
 
-def test_geodesic_point_endpoints_and_midpoint():
-    p, q = point_at(1.0, 0.2), point_at(2.0, 1.5)
-    assert dist(geodesic_point(p, q, 0.0), p) <= 1e-12
-    assert dist(geodesic_point(p, q, 1.0), q) <= 1e-12
-    m = geodesic_point(p, q, 0.5)
-    assert abs(dist(p, m) - dist(m, q)) <= 1e-11
-    assert abs(dist(p, m) + dist(m, q) - dist(p, q)) <= 1e-11
-
-
 # embeddings
 
 def test_embed_cyclic_structure():
@@ -157,18 +146,28 @@ def test_embed_tangential_side_decomposition():
         assert math.isclose(side, want, rel_tol=1e-9, abs_tol=1e-11)
 
 
+def _distance_to_geodesic(p, q):
+    """Distance from the origin to the geodesic through p and q.
+
+    The geodesic is the sheet cut by the plane through 0, p and q.  With
+    w = p x q (the Euclidean cross product), sinh d = |w0| / sqrt(w1^2 + w2^2 - w0^2).
+    """
+    w0 = p.x1 * q.x2 - p.x2 * q.x1
+    w1 = p.x2 * q.x0 - p.x0 * q.x2
+    w2 = p.x0 * q.x1 - p.x1 * q.x0
+    return math.asinh(abs(w0) / math.sqrt(w1 * w1 + w2 * w2 - w0 * w0))
+
+
 def test_embed_tangential_incircle_tangency():
     # the perpendicular foot from the incenter to every side sits at distance r
-    poly = TangentialPolygon.regular(6, 0.8)
-    emb = embed_tangential(poly)
-    for i in range(poly.n):
-        foot = min_distance_from_origin(emb.vertices[i], emb.vertices[(i + 1) % poly.n])
-        assert abs(foot - poly.r) <= 1e-9
-    irregular = TangentialPolygon(6, 0.5, (1.2, 0.9, 1.1, 1.0, 1.05, 2 * math.pi - 5.25))
-    emb = embed_tangential(irregular)
-    for i in range(6):
-        foot = min_distance_from_origin(emb.vertices[i], emb.vertices[(i + 1) % 6])
-        assert abs(foot - irregular.r) <= 1e-9
+    for poly in (
+        TangentialPolygon.regular(6, 0.8),
+        TangentialPolygon(6, 0.5, (1.2, 0.9, 1.1, 1.0, 1.05, 2 * math.pi - 5.25)),
+    ):
+        vs = embed_tangential(poly).vertices
+        for i in range(poly.n):
+            foot = _distance_to_geodesic(vs[i], vs[(i + 1) % poly.n])
+            assert abs(foot - poly.r) <= 1e-9
 
 
 def test_embed_dispatch():

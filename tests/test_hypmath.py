@@ -15,8 +15,6 @@ from hypergon.hypmath import (
     coshm1,
     hyp_hypotenuse,
     regular_convert,
-    right_triangle_residuals,
-    solve_right_triangle,
     stable_asinh,
     stable_atanh,
     tangential_radius_limit,
@@ -98,70 +96,6 @@ def test_hyp_hypotenuse_dominates_legs(b, c):
     assert a >= max(b, c)
 
 
-# right triangle solver
-
-def _close_triangle(t, u, tol=1e-11):
-    for name in ("a", "b", "c", "B", "C"):
-        x, y = getattr(t, name), getattr(u, name)
-        assert math.isclose(x, y, rel_tol=tol, abs_tol=tol), (name, x, y)
-
-
-def test_solver_all_ten_pairs_agree():
-    base = solve_right_triangle(b=1.25, c=0.75)
-    assert math.isclose(base.a, frozen.TRI_A, rel_tol=1e-14)
-    assert math.isclose(base.B, frozen.TRI_B, rel_tol=1e-13)
-    assert math.isclose(base.C, frozen.TRI_C, rel_tol=1e-13)
-    fields = {"a": base.a, "b": base.b, "c": base.c, "B": base.B, "C": base.C}
-    names = list(fields)
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            kw = {names[i]: fields[names[i]], names[j]: fields[names[j]]}
-            _close_triangle(base, solve_right_triangle(**kw))
-
-
-@given(st.floats(min_value=0.05, max_value=20.0), st.floats(min_value=0.05, max_value=20.0))
-def test_solver_residuals_from_legs(b, c):
-    t = solve_right_triangle(b=b, c=c)
-    assert max(right_triangle_residuals(t)) <= 1e-11
-
-
-def test_solver_symmetric_legs():
-    t = solve_right_triangle(b=0.9, c=0.9)
-    assert math.isclose(t.B, t.C, rel_tol=1e-13)
-    assert math.isclose(math.cosh(t.a), math.cosh(0.9) ** 2, rel_tol=1e-13)
-
-
-def test_solver_angle_pair_boundary():
-    # cot(pi/6) cot(pi/3) = 1 exactly: no hyperbolic triangle
-    with pytest.raises(Infeasible):
-        solve_right_triangle(B=math.pi / 6, C=math.pi / 3)
-    t = solve_right_triangle(B=math.pi / 6, C=math.pi / 3 - 0.01)
-    assert max(right_triangle_residuals(t)) <= 1e-11
-
-
-def test_solver_hypotenuse_angle_projection():
-    # leg adjacent to B satisfies tanh c = cos(B) tanh a
-    for n in (3, 5, 8):
-        t = solve_right_triangle(a=1.2, B=math.pi / n)
-        assert math.isclose(math.tanh(t.c), math.cos(math.pi / n) * math.tanh(1.2), rel_tol=1e-12)
-
-
-def test_solver_known_count_enforced():
-    with pytest.raises(AmbiguousInput):
-        solve_right_triangle(a=1.0)
-    with pytest.raises(AmbiguousInput):
-        solve_right_triangle(a=1.0, b=0.5, c=0.5)
-    with pytest.raises(AmbiguousInput):
-        solve_right_triangle()
-
-
-def test_solver_leg_must_be_shorter_than_hypotenuse():
-    with pytest.raises(Infeasible):
-        solve_right_triangle(a=1.0, b=1.0)
-    with pytest.raises(Infeasible):
-        solve_right_triangle(a=1.0, b=1.5)
-
-
 # law of cosines
 
 def test_angle_from_sides_equilateral():
@@ -184,10 +118,13 @@ def test_angle_from_sides_right_angle_small_legs():
 
 
 def test_angle_from_sides_recovers_solved_angles():
-    t = solve_right_triangle(b=1.25, c=0.75)
+    # frozen.TRI_A/B/C: hypotenuse a and acute angles B, C of the right
+    # triangle with legs b = 1.25, c = 0.75
+    b, c = 1.25, 0.75
+    assert math.isclose(hyp_hypotenuse(b, c), frozen.TRI_A, rel_tol=1e-14)
     # B is opposite side b, between sides c and a
-    assert abs(angle_from_sides(t.c, t.a, t.b) - t.B) <= 1e-10
-    assert abs(angle_from_sides(t.b, t.a, t.c) - t.C) <= 1e-10
+    assert abs(angle_from_sides(c, frozen.TRI_A, b) - frozen.TRI_B) <= 1e-10
+    assert abs(angle_from_sides(b, frozen.TRI_A, c) - frozen.TRI_C) <= 1e-10
 
 
 def test_angle_from_sides_rejects_degenerate():

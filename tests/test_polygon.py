@@ -16,13 +16,10 @@ from hypergon.polygon import (
     area,
     cyclic_half_angle,
     cyclic_half_side,
-    from_json_dict,
     interior_angles,
-    is_regular,
     perimeter,
     tangential_interior_angle,
     tangential_tangent_length,
-    to_json_dict,
 )
 
 
@@ -140,15 +137,6 @@ def test_tangential_ideal_vertex_guard():
     assert p.thetas == (TWO_PI / 3,) * 3
 
 
-def test_regular_constructors_and_is_regular():
-    c = CyclicPolygon.regular(8, 1.5)
-    assert is_regular(c)
-    t = TangentialPolygon.regular(5, 0.3)
-    assert is_regular(t)
-    skew = CyclicPolygon(4, 1.0, [1.4, 1.8, 1.5, TWO_PI - 4.7])
-    assert not is_regular(skew)
-
-
 # metrics
 
 def test_regular_metrics_match_regular_convert():
@@ -220,13 +208,3 @@ def test_inequality_margin_grows_with_deviation():
         last = margin
     assert last > 1e-3  # clearly strict once the deviation is macroscopic
 
-
-def test_json_round_trip():
-    p = CyclicPolygon(5, 1.7, [1.0, 1.2, 1.3, 1.4, TWO_PI - 4.9])
-    q = from_json_dict(to_json_dict(p))
-    assert q == p
-    t = TangentialPolygon.regular(6, 0.7)
-    u = from_json_dict(to_json_dict(t))
-    assert u == t
-    with pytest.raises(Infeasible):
-        from_json_dict({"kind": "spherical", "n": 3, "radius": 1.0, "thetas": [2.1, 2.1, 2.1]})
