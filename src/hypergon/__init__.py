@@ -18,7 +18,6 @@ from .errors import (
     Infeasible,
     InvalidPoint,
     InvalidTotal,
-    NotCertified,
     OracleTooLarge,
     OutOfRange,
 )

@@ -35,7 +35,7 @@ saturates (atanh to +inf, the acos term to 0) so parameter sweeps stay total.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import Infeasible, InvalidTotal, OutOfRange
 from .hypmath import (
@@ -74,22 +74,7 @@ class BoundResult:
     equality_spec: RegularNGonSpec | None
 
     def to_json_dict(self) -> dict:
-        eq = None
-        if self.equality_spec is not None:
-            s = self.equality_spec
-            eq = {"n": s.n, "R": s.R, "r": s.r, "theta": s.theta, "side": s.side}
-        return {
-            "theorem": self.theorem,
-            "quantity": self.quantity,
-            "kind": self.kind,
-            "n": self.n,
-            "k": self.k,
-            "param": self.param,
-            "value": self.value,
-            "feasible": self.feasible,
-            "guard_margin": self.guard_margin,
-            "equality_spec": eq,
-        }
+        return asdict(self)
 
 
 def _check_nk(n: int, k: int = 1) -> None:

@@ -30,7 +30,7 @@ from . import hmodel as _hmodel
 from . import optimize as _optimize
 from . import polygon as _polygon
 from .errors import HypergonError
-from .hypmath import RegularNGonSpec, regular_convert, tangential_radius_limit
+from .hypmath import RegularNGonSpec, regular_convert
 
 SCHEMA_VERSION = 1
 CSV_HEADER = "theorem,n,k,param,value,feasible,guard_margin"
@@ -124,7 +124,7 @@ class SystemExit2(Exception):
 
 
 def _check_degrees(args, theorem_ids) -> None:
-    if not getattr(args, "degrees", False):
+    if not args.degrees:
         return
     bad = [t for t in theorem_ids if _bounds.THEOREMS[t]["param"] != "total_area"]
     if bad:
@@ -165,8 +165,6 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.format == "csv":
-        raise SystemExit2("verify reports are JSON only")
     if args.trials < 1:
         raise SystemExit2(f"--trials must be at least 1, got {args.trials}")
     if args.thm == "all":
@@ -201,21 +199,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    if args.format == "csv":
-        raise SystemExit2("samples are JSON only")
     if args.trials < 1:
         raise SystemExit2(f"--trials must be at least 1, got {args.trials}")
     lo, hi, _ = _parse_range(args.range, steps_required=False) if args.range else (0.1, 2.0, 1)
+    if args.regular and args.kind == "tangential":
+        lo, hi = _optimize.tangential_window(args.n, (lo, hi))
+    family = _polygon.TangentialPolygon if args.kind == "tangential" else _polygon.CyclicPolygon
     samples = []
     for rng in _optimize.trial_rngs(args.seed, args.trials):
         if args.regular:
-            if args.kind == "tangential":
-                top = min(hi, 0.999 * tangential_radius_limit(args.n))
-                if lo > top:
-                    raise SystemExit2(f"radius window {lo!r}:{hi!r} holds no tangential {args.n}-gon")
-                poly = _polygon.TangentialPolygon.regular(args.n, rng.uniform(lo, top))
-            else:
-                poly = _polygon.CyclicPolygon.regular(args.n, rng.uniform(lo, hi))
+            poly = family.regular(args.n, rng.uniform(lo, hi))
         elif args.kind == "tangential":
             poly = _optimize.random_tangential_polygon(args.n, (lo, hi), rng)
         else:
@@ -239,8 +232,6 @@ def cmd_sample(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    if args.format == "csv":
-        raise SystemExit2("optimizer reports are JSON only")
     if args.objective:
         name = args.objective
     elif args.thm:
@@ -341,12 +332,12 @@ def _crit4_certificates(n: int) -> tuple[bool, str]:
     thr9 = _optimize.thm9_theta_threshold(n)
     theta_max = math.pi - 2.0 * math.pi / n
     f9 = _optimize.make_problem("thm9_theta", n=n).f
-    inside9 = _optimize.certify_convexity(f9, (1e-3, 0.999 * thr9), 64)
-    straddle9 = _optimize.certify_convexity(f9, (0.9 * thr9, 0.5 * (thr9 + theta_max)), 64)
+    inside9 = _optimize.certify_convexity(f9, (1e-3, 0.999 * thr9))
+    straddle9 = _optimize.certify_convexity(f9, (0.9 * thr9, 0.5 * (thr9 + theta_max)))
     thr10 = _bounds.thm10_peri_threshold(n)
     f10 = _optimize.make_problem("thm10_perimeter", n=n).f
-    inside10 = _optimize.certify_convexity(f10, (1.001 * thr10, 3.0 * thr10), 64)
-    straddle10 = _optimize.certify_convexity(f10, (0.5 * thr10, 1.5 * thr10), 64)
+    inside10 = _optimize.certify_convexity(f10, (1.001 * thr10, 3.0 * thr10))
+    straddle10 = _optimize.certify_convexity(f10, (0.5 * thr10, 1.5 * thr10))
     ok = (inside9.sign == "positive" and straddle9.sign == "mixed"
           and inside10.sign == "positive" and straddle10.sign == "mixed")
     return ok, (f"inside windows {inside9.sign}/{inside10.sign}, "
@@ -440,36 +431,31 @@ def _crit8_audit(n: int, radii=_COR1_RADII) -> tuple[bool, list[list[str]], floa
     return worst <= 1e-12, rows, worst
 
 
-def cmd_report(args) -> int:
-    for flag in ("polygons", "trials", "splits"):
-        if getattr(args, flag) < 1:
-            raise SystemExit2(f"--{flag} must be at least 1, got {getattr(args, flag)}")
-    _optimize.check_seed(args.seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    n, k, seed = args.n, args.k, args.seed
+def render_bundle(n: int, k: int, seed: int, polygons: int, trials: int, splits: int) -> tuple[dict[str, str], int]:
+    """The audit bundle as {file name: text}, and its count of failed battery lines.
 
-    (out_dir / "criteria.csv").write_text(_csv_text(_report_criteria_rows(n, k)))
+    Pure: the same arguments give the same bytes, and nothing is written.
+    """
+    criteria = _csv_text(_report_criteria_rows(n, k))
 
     cor_csv_rows: list[dict] = []
     for R in _COR1_RADII:
         cor_csv_rows.extend(_result_rows(_bounds.cor1_inradius_lower(n, float(R))))
-    (out_dir / "cor1_divergence.csv").write_text(_csv_text(cor_csv_rows))
 
     results: list[tuple[str, bool | None, str]] = []
 
-    ok1, note1 = _crit1_equivalence(seed, args.polygons)
+    ok1, note1 = _crit1_equivalence(seed, polygons)
     results.append(("1. closed-form vs measured metrics", ok1, note1))
 
-    ok2, reps2 = _crit2_single(n, args.trials, seed)
+    ok2, reps2 = _crit2_single(n, trials, seed)
     results.append(("2. single-polygon bounds on random polygons", ok2,
-                    f"{args.trials} trials each, tolerance {_optimize.INEQ_TOL:g}"))
+                    f"{trials} trials each, tolerance {_optimize.INEQ_TOL:g}"))
 
-    ok3, reps3 = _crit3_radius_totals(n, args.splits, seed)
+    ok3, reps3 = _crit3_radius_totals(n, splits, seed)
     results.append(("3. fixed-total-radius bounds on random splits", ok3,
-                    f"{args.splits} splits per (theorem, k)"))
+                    f"{splits} splits per (theorem, k)"))
 
-    ok4, reps4, note4 = _crit4_guarded(n, args.splits, seed)
+    ok4, reps4, note4 = _crit4_guarded(n, splits, seed)
     results.append(("4. guarded total-area/total-perimeter bounds", ok4, note4))
 
     ok5, oracle_rows = _crit5_oracles(n, seed)
@@ -489,7 +475,7 @@ def cmd_report(args) -> int:
     rep_a = _optimize.verify_theorem("1.3", n=n, trials=200, seed=seed)
     rep_b = _optimize.verify_theorem("1.3", n=n, trials=200, seed=seed)
     ok9 = (json.dumps(rep_a.to_json_dict()) == json.dumps(rep_b.to_json_dict())
-           and _csv_text(_report_criteria_rows(n, k)) == (out_dir / "criteria.csv").read_text())
+           and _csv_text(_report_criteria_rows(n, k)) == criteria)
     results.append(("9. deterministic bundle", ok9,
                     "a seeded re-run of verify 1.3 and a re-rendered criteria.csv are bitwise identical"))
 
@@ -591,8 +577,24 @@ def cmd_report(args) -> int:
         f"Battery failures: {failures}.",
         "",
     ]
-    (out_dir / "report.md").write_text("\n".join(lines))
-    sys.stdout.write(f"wrote {out_dir / 'report.md'}, {out_dir / 'criteria.csv'}, {out_dir / 'cor1_divergence.csv'}\n")
+    files = {"report.md": "\n".join(lines), "criteria.csv": criteria,
+             "cor1_divergence.csv": _csv_text(cor_csv_rows)}
+    return files, failures
+
+
+def cmd_report(args) -> int:
+    """Check the inputs, render the whole bundle, and only then write it."""
+    for flag in ("polygons", "trials", "splits"):
+        if getattr(args, flag) < 1:
+            raise SystemExit2(f"--{flag} must be at least 1, got {getattr(args, flag)}")
+    _bounds._check_nk(args.n, args.k)
+    _optimize.check_seed(args.seed)
+    files, failures = render_bundle(args.n, args.k, args.seed, args.polygons, args.trials, args.splits)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out_dir / name).write_text(text)
+    sys.stdout.write("wrote " + ", ".join(str(out_dir / name) for name in files) + "\n")
     return 1 if failures else 0
 
 
@@ -605,20 +607,25 @@ def _build_parser() -> argparse.ArgumentParser:
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, fmt_default="json"):
-        sp.add_argument("--n", type=int, default=6, help="polygon side count")
-        sp.add_argument("--k", type=int, default=2, help="number of polygons for totals")
-        sp.add_argument("--seed", type=lambda s: int(s, 0), default=_optimize.DEFAULT_SEED,
-                        help="RNG seed (default 0x15090001)")
-        sp.add_argument("--format", choices=("json", "csv"), default=fmt_default)
-        sp.add_argument("--out", help="write output to this file instead of stdout")
-        sp.add_argument("--degrees", action="store_true",
-                        help="interpret angle-typed parameters in degrees")
+    # the options several subcommands share; each subcommand takes only those it reads
+    common = {
+        "n": {"type": int, "default": 6, "help": "polygon side count"},
+        "k": {"type": int, "default": 2, "help": "number of polygons for totals"},
+        "seed": {"type": lambda s: int(s, 0), "default": _optimize.DEFAULT_SEED,
+                 "help": "RNG seed (default 0x15090001)"},
+        "out": {"help": "write output to this file instead of stdout"},
+        "degrees": {"action": "store_true", "help": "interpret angle-typed parameters in degrees"},
+    }
+
+    def add_common(sp, *names):
+        for name in names:
+            sp.add_argument(f"--{name}", **common[name])
 
     b = sub.add_parser("bounds", help="evaluate closed-form bounds over a range")
     b.add_argument("--thm", required=True, help="theorem id (1.1..1.10, cor1) or all")
     b.add_argument("--range", required=True, help="parameter sweep as lo:hi:steps")
-    common(b, fmt_default="csv")
+    b.add_argument("--format", choices=("json", "csv"), default="csv")
+    add_common(b, "n", "k", "out", "degrees")
     b.set_defaults(func=cmd_bounds)
 
     v = sub.add_parser("verify", help="randomized verification of one bound")
@@ -626,7 +633,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--range", help="radius sampling window as lo:hi")
     v.add_argument("--total", type=float, help="fixed total for the k-polygon bounds")
     v.add_argument("--trials", type=int, default=1000)
-    common(v)
+    add_common(v, "n", "k", "seed", "out", "degrees")
     v.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("sample", help="draw random polygons, cross-check measurements")
@@ -634,7 +641,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--regular", action="store_true", help="sample regular polygons only")
     s.add_argument("--range", help="radius window as lo:hi")
     s.add_argument("--trials", type=int, default=10)
-    common(s)
+    add_common(s, "n", "seed", "out")
     s.set_defaults(func=cmd_sample)
 
     o = sub.add_parser("optimize", help="certify an equal-sum allocation optimum")
@@ -643,7 +650,7 @@ def _build_parser() -> argparse.ArgumentParser:
     o.add_argument("--radius", type=float, help="frozen radius for sector objectives")
     o.add_argument("--total", type=float, help="constraint level c (default: off-grid interior point)")
     o.add_argument("--resolution", type=int, help="also run the grid oracle at this resolution")
-    common(o)
+    add_common(o, "n", "k", "seed", "out", "degrees")
     o.set_defaults(func=cmd_optimize)
 
     r = sub.add_parser("report", help="write the markdown + CSV audit bundle")
@@ -652,9 +659,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="random polygons for the metric-equivalence battery")
     r.add_argument("--trials", type=int, default=10_000, help="verification trials per bound")
     r.add_argument("--splits", type=int, default=1000, help="random splits per (bound, k)")
-    r.add_argument("--n", type=int, default=6)
-    r.add_argument("--k", type=int, default=2)
-    r.add_argument("--seed", type=lambda s: int(s, 0), default=_optimize.DEFAULT_SEED)
+    add_common(r, "n", "k", "seed")
     r.set_defaults(func=cmd_report)
 
     return p

@@ -39,7 +39,3 @@ class EvaluationFailure(HypergonError):
 
 class OracleTooLarge(HypergonError):
     """Exhaustive grid search was requested for too many variables."""
-
-
-class NotCertified(HypergonError):
-    """A convexity certificate came back mixed; equal-split claims are not asserted."""

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bounds as _bounds
 from . import polygon as _polygon
-from .errors import EvaluationFailure, Infeasible, NotCertified, OracleTooLarge, OutOfRange
+from .errors import EvaluationFailure, Infeasible, OracleTooLarge, OutOfRange
 from .hypmath import LEG_MAX, RegularNGonSpec, regular_convert, tangential_radius_limit
 from .polygon import CyclicPolygon, TangentialPolygon, TWO_PI
 
@@ -32,6 +32,7 @@ from .polygon import CyclicPolygon, TangentialPolygon, TWO_PI
 DEFAULT_SEED = 0x1509_0001
 
 FD_H_FRACTION = 1e-5  # certificate step, as a fraction of interval width
+GRID_POINTS = 64  # interior points of the certificate grid
 GRAD_H = 1e-6  # gradient step for projected descent
 STEP_FLOOR = 1e-12
 MAX_ITERATIONS = 100_000
@@ -115,13 +116,19 @@ def random_cyclic_polygon(n: int, radius_range: tuple[float, float], rng: np.ran
     return CyclicPolygon(n=n, R=R, thetas=random_partition(n, rng))
 
 
-def random_tangential_polygon(n: int, radius_range: tuple[float, float], rng: np.random.Generator) -> TangentialPolygon:
-    """A valid tangential polygon; the radius window is capped below the
-    ideal-vertex limit and draws violating the per-sector guard are redrawn."""
+def tangential_window(n: int, radius_range: tuple[float, float]) -> tuple[float, float]:
+    """The inradius window of radius_range capped just below the ideal-vertex limit."""
     lo, hi = radius_range
     hi = min(hi, 0.999 * tangential_radius_limit(n))
     if not 0.0 <= lo < hi:
-        raise Infeasible(f"no tangential inradius window inside {radius_range} for n={n}")
+        raise Infeasible(f"radius range {radius_range} has no tangential window for n={n}")
+    return lo, hi
+
+
+def random_tangential_polygon(n: int, radius_range: tuple[float, float], rng: np.random.Generator) -> TangentialPolygon:
+    """A valid tangential polygon in tangential_window(n, radius_range); draws
+    violating the per-sector guard are redrawn."""
+    lo, hi = tangential_window(n, radius_range)
     for _ in range(1000):
         r = rng.uniform(lo, hi)
         thetas = random_partition(n, rng)
@@ -164,21 +171,19 @@ class ConvexityCertificate:
         }
 
 
-def certify_convexity(f: Callable[[float], float], interval: tuple[float, float], grid_points: int = 64) -> ConvexityCertificate:
+def certify_convexity(f: Callable[[float], float], interval: tuple[float, float]) -> ConvexityCertificate:
     """Classify the sign of f'' on the open interval by second differences.
 
-    Uses h = 1e-5 times the interval width at grid_points interior points.
+    Uses h = 1e-5 times the interval width at GRID_POINTS interior points.
     The certificate is consistent only if every second difference has the
     same strict sign.
     """
     lo, hi = interval
     if not lo < hi:
         raise Infeasible(f"empty interval {interval}")
-    if grid_points < 16:
-        raise Infeasible("need at least 16 grid points")
     width = hi - lo
     h = FD_H_FRACTION * width
-    xs = [lo + width * (j + 1) / (grid_points + 1) for j in range(grid_points)]
+    xs = [lo + width * (j + 1) / (GRID_POINTS + 1) for j in range(GRID_POINTS)]
     d2s = []
     for x in xs:
         try:
@@ -301,14 +306,6 @@ class OptimizationReport:
     oracle_value: float | None = None
     oracle_step: float | None = None
 
-    def require_certified(self) -> "OptimizationReport":
-        if not self.certified:
-            raise NotCertified(
-                f"{self.problem_name}: second differences are {self.certificate.sign}, "
-                f"first violation near {self.certificate.first_violation!r}"
-            )
-        return self
-
     def to_json_dict(self) -> dict:
         return {
             "problem": self.problem_name,
@@ -375,20 +372,19 @@ def _descend(s: Callable, x0: np.ndarray, lo: float, hi: float) -> tuple[np.ndar
 def solve_equal_sum(
     problem: SeparableProblem,
     seed: int = DEFAULT_SEED,
-    grid_points: int = 64,
     oracle_resolution: int | None = None,
 ) -> OptimizationReport:
     """Locate the constrained optimum from the uniform start plus 8 random starts.
 
-    Always runs, even with a mixed certificate; call require_certified() on
-    the report to turn a mixed certificate into NotCertified.  When
+    Always runs, even with a mixed certificate; the report's certified flag
+    says whether the certificate has the sign the sense needs.  When
     oracle_resolution is given and k <= 3, the grid oracle runs too and
     oracle_agreement records whether both optima match within the value
     change across one grid cell.
     """
     lo, hi = problem.interval
     k = problem.k
-    cert = certify_convexity(problem.f, problem.interval, grid_points)
+    cert = certify_convexity(problem.f, problem.interval)
     needed = "positive" if problem.sense == "minimize" else "negative"
     certified = cert.sign == needed
     flip = 1.0 if problem.sense == "minimize" else -1.0
@@ -577,7 +573,6 @@ def make_problem(
     n: int = 6,
     radius: float | None = None,
     c: float | None = None,
-    interval: tuple[float, float] | None = None,
 ) -> SeparableProblem:
     """Instantiate a registered objective as a SeparableProblem.
 
@@ -589,9 +584,7 @@ def make_problem(
     spec = _OBJECTIVE_SPECS[name]
     if radius is None:
         radius = spec["radius_default"]
-    f, natural = spec["make"](n, radius)
-    if interval is None:
-        interval = natural
+    f, interval = spec["make"](n, radius)
     lo, hi = interval
     if c is None:
         c = k * (lo + _UNIFORM_FRAC * (hi - lo))
@@ -626,23 +619,7 @@ class VerificationReport:
                 and (self.equality_abs_error is None or self.equality_abs_error <= self.equality_tolerance))
 
     def to_json_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "n": self.n,
-            "k": self.k,
-            "trials": self.trials,
-            "asserted": self.asserted,
-            "violations": self.violations,
-            "skipped": self.skipped,
-            "worst_margin": self.worst_margin,
-            "equality_abs_error": self.equality_abs_error,
-            "tolerance": self.tolerance,
-            "equality_tolerance": self.equality_tolerance,
-            "seed": self.seed,
-            "params": self.params,
-            "counterexample": self.counterexample,
-            "passed": self.passed,
-        }
+        return {**dataclasses.asdict(self), "passed": self.passed}
 
 
 def verify_theorem(
@@ -674,11 +651,7 @@ def _verify_single(theorem_id: str, entry: dict, n: int, radius_range: tuple[flo
                    seed: int) -> VerificationReport:
     tangential = entry["family"] == "tangential"
     func = entry["func"]
-    lo, hi = radius_range
-    if tangential:
-        hi = min(hi, 0.999 * tangential_radius_limit(n))
-        if not 0.0 <= lo < hi:
-            raise Infeasible(f"radius range {radius_range} has no tangential window for n={n}")
+    lo, hi = tangential_window(n, radius_range) if tangential else radius_range
     if hi > LEG_MAX:
         raise OutOfRange(f"radius range {radius_range} reaches beyond {LEG_MAX}; cosh would overflow")
 

@@ -2,8 +2,9 @@
 
 Each test runs the report's own battery criterion (`cli._crit*`) at the
 sample size stated inline and asserts on its results, so `pytest -v`
-renders exactly one pass/fail line per criterion.  The report bundle used
-by the last two criteria is rendered twice into session temp directories.
+renders exactly one pass/fail line per criterion.  The last two criteria
+use the report bundle at default sizes rendered twice: once in memory by
+`cli.render_bundle`, once to a session temp directory by `hypergon report`.
 """
 
 import time
@@ -18,9 +19,10 @@ SEED = 7
 
 @pytest.fixture(scope="session")
 def report_bundles(tmp_path_factory):
-    dirs = [tmp_path_factory.mktemp("bundle_a"), tmp_path_factory.mktemp("bundle_b")]
-    codes = [cli.main(["report", "--out", str(d), "--seed", str(SEED)]) for d in dirs]
-    return codes, dirs
+    files, failures = cli.render_bundle(6, 2, SEED, 10_000, 10_000, 1000)
+    out = tmp_path_factory.mktemp("bundle")
+    code = cli.main(["report", "--out", str(out), "--seed", str(SEED)])
+    return (failures, code), files, out
 
 
 def test_criterion_1_closed_forms_match_measured_metrics():
@@ -101,11 +103,11 @@ def test_criterion_7_euclidean_limits():
 
 
 def test_criterion_8_report_audits_expression_divergences(report_bundles):
-    _, dirs = report_bundles
-    text = (dirs[0] / "report.md").read_text()
+    _, files, _ = report_bundles
+    text = files["report.md"]
     assert "## Inradius expression audit" in text
     assert "cosh, not cos" in text
-    div = (dirs[0] / "cor1_divergence.csv").read_text().strip().split("\n")
+    div = files["cor1_divergence.csv"].strip().split("\n")
     assert div[0] == "theorem,n,k,param,value,feasible,guard_margin"
     assert len(div) > 1
     # the reference conversion itself is exact on regular polygons
@@ -115,7 +117,9 @@ def test_criterion_8_report_audits_expression_divergences(report_bundles):
 
 
 def test_criterion_9_report_bundle_is_deterministic(report_bundles):
-    codes, dirs = report_bundles
-    assert codes == [0, 0]
+    # the in-memory render and the written bundle agree byte for byte
+    (failures, code), files, out = report_bundles
+    assert (failures, code) == (0, 0)
+    assert sorted(files) == sorted(p.name for p in out.iterdir())
     for name in ("report.md", "criteria.csv", "cor1_divergence.csv"):
-        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+        assert (out / name).read_bytes() == files[name].encode(), name

@@ -1,12 +1,14 @@
 """End-to-end tests of the command line front end, in process."""
 
 import dataclasses
+import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 import frozen
 import hypergon
-from hypergon import bounds, polygon
+from hypergon import bounds, optimize, polygon
 from hypergon.cli import CSV_HEADER, main
 
 
@@ -196,9 +198,23 @@ def test_verify_rejects_cor1(capsys):
     assert code == 2
 
 
-def test_verify_rejects_csv(capsys):
-    code, _ = run_cli(capsys, "verify", "--thm", "1.1", "--format", "csv")
-    assert code == 2
+def test_verify_rejects_csv():
+    # --format belongs to bounds alone, so argparse rejects it (exit status 2)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--thm", "1.1", "--format", "csv"])
+    assert exc.value.code == 2
+
+
+def test_each_subcommand_rejects_the_options_it_does_not_read():
+    for argv in (
+        ("verify", "--thm", "1.1", "--format", "json"),
+        ("sample", "--degrees"),
+        ("sample", "--k", "3"),  # a prefix of --kind, whose choices reject 3
+        ("bounds", "--thm", "1.2", "--range", "1:1:1", "--seed", "5"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2, argv
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +298,12 @@ def test_report_rejects_empty_batteries(tmp_path, capsys):
 
 
 def test_report_with_a_bad_seed_writes_nothing(tmp_path, capsys):
-    code, out = run_cli(capsys, "report", "--out", str(tmp_path / "bundle"), "--seed", "-1")
-    assert code == 2
-    assert out == ""
-    assert not (tmp_path / "bundle").exists()
+    # invalid input exits 2 before the output directory is made
+    for flag, value in (("--seed", "-1"), ("--n", "2"), ("--n", "0"), ("--k", "0")):
+        code, out = run_cli(capsys, "report", "--out", str(tmp_path / "bundle"), flag, value)
+        assert code == 2, flag
+        assert out == ""
+        assert not (tmp_path / "bundle").exists()
 
 
 def test_overflowing_radius_exits_2(capsys):
@@ -354,3 +372,25 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith(CSV_HEADER)
+
+
+def test_bench_tracer_wraps_and_restores_every_traced_name():
+    # bench/tracing.py looks up each traced name with getattr, so a deleted
+    # name fails here and not only under `bench/run.py --trace 1`
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("hypergon_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    import hypergon.cli  # noqa: F401  every module the tracer patches
+
+    modules = [m for name, m in sys.modules.items() if name == "hypergon" or name.startswith("hypergon.")]
+    before = [(m, dict(vars(m))) for m in modules]
+    funcs = {t: entry["func"] for t, entry in bounds.THEOREMS.items()}
+    verify_theorem = optimize.verify_theorem
+    with tracing.Tracer():
+        assert optimize.verify_theorem is not verify_theorem
+        assert bounds.THEOREMS["1.1"]["func"] is not funcs["1.1"]
+    changed = [f"{m.__name__}.{attr}" for m, attrs in before
+               for attr, value in attrs.items() if vars(m).get(attr) is not value]
+    assert changed == []
+    assert {t: entry["func"] for t, entry in bounds.THEOREMS.items()} == funcs
