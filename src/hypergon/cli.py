@@ -198,13 +198,22 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _both_routes(poly: _polygon.Polygon) -> dict:
+    """poly's perimeter and area in closed form and as measured on its embedding, and their gaps."""
+    emb = _hmodel.embed(poly)
+    peri, ar = _polygon.perimeter(poly), _polygon.area(poly)
+    mperi, mar = _hmodel.measured_perimeter(emb), _hmodel.measured_area(emb)
+    return {"perimeter": peri, "area": ar, "measured_perimeter": mperi, "measured_area": mar,
+            "perimeter_route_gap": abs(peri - mperi), "area_route_gap": abs(ar - mar)}
+
+
 def cmd_sample(args) -> int:
     if args.trials < 1:
         raise SystemExit2(f"--trials must be at least 1, got {args.trials}")
+    _bounds._check_nk(args.n)
     lo, hi, _ = _parse_range(args.range, steps_required=False) if args.range else (0.1, 2.0, 1)
-    if args.regular and args.kind == "tangential":
-        lo, hi = _optimize.tangential_window(args.n, (lo, hi))
     family = _polygon.TangentialPolygon if args.kind == "tangential" else _polygon.CyclicPolygon
+    lo, hi = _optimize._radius_window(family, args.n, (lo, hi))
     samples = []
     for rng in _optimize.trial_rngs(args.seed, args.trials):
         if args.regular:
@@ -213,20 +222,7 @@ def cmd_sample(args) -> int:
             poly = _optimize.random_tangential_polygon(args.n, (lo, hi), rng)
         else:
             poly = _optimize.random_cyclic_polygon(args.n, (lo, hi), rng)
-        emb = _hmodel.embed(poly)
-        peri = _polygon.perimeter(poly)
-        ar = _polygon.area(poly)
-        mperi = _hmodel.measured_perimeter(emb)
-        mar = _hmodel.measured_area(emb)
-        samples.append({
-            "polygon": _polygon.to_json_dict(poly),
-            "perimeter": peri,
-            "area": ar,
-            "measured_perimeter": mperi,
-            "measured_area": mar,
-            "perimeter_route_gap": abs(peri - mperi),
-            "area_route_gap": abs(ar - mar),
-        })
+        samples.append({"polygon": _polygon.to_json_dict(poly), **_both_routes(poly)})
     _emit_json({"samples": samples}, args.out)
     return 0
 
@@ -289,13 +285,10 @@ def _crit1_equivalence(seed: int, count: int) -> tuple[bool, str]:
     worst_p = worst_a = 0.0
     for i, rng in enumerate(_optimize.trial_rngs(seed, count)):
         n = int(rng.integers(3, 13))
-        if i % 2 == 0:
-            poly = _optimize.random_cyclic_polygon(n, (0.05, 3.0), rng)
-        else:
-            poly = _optimize.random_tangential_polygon(n, (0.05, 3.0), rng)
-        emb = _hmodel.embed(poly)
-        worst_p = max(worst_p, abs(_polygon.perimeter(poly) - _hmodel.measured_perimeter(emb)))
-        worst_a = max(worst_a, abs(_polygon.area(poly) - _hmodel.measured_area(emb)))
+        draw = _optimize.random_cyclic_polygon if i % 2 == 0 else _optimize.random_tangential_polygon
+        routes = _both_routes(draw(n, (0.05, 3.0), rng))
+        worst_p = max(worst_p, routes["perimeter_route_gap"])
+        worst_a = max(worst_a, routes["area_route_gap"])
     ok = worst_p <= 1e-9 and worst_a <= 1e-8
     return ok, f"{count} polygons, worst perimeter gap {_g12(worst_p)}, worst area gap {_g12(worst_a)}"
 

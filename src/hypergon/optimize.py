@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bounds as _bounds
 from . import polygon as _polygon
-from .errors import EvaluationFailure, Infeasible, OracleTooLarge, OutOfRange
+from .errors import EvaluationFailure, IdealVertex, Infeasible, OracleTooLarge, OutOfRange
 from .hypmath import LEG_MAX, RegularNGonSpec, regular_convert, tangential_radius_limit
 from .polygon import CyclicPolygon, TangentialPolygon, TWO_PI
 
@@ -111,30 +111,45 @@ def random_partition(n: int, rng: np.random.Generator) -> tuple[float, ...]:
             return tuple(u * (TWO_PI / u.sum()))
 
 
+def _draw_polygon(family: type, n: int, lo: float, hi: float, rng: np.random.Generator) -> _polygon.Polygon:
+    """A `family` polygon with radius uniform in [lo, hi] and a random_partition.
+
+    The radius is drawn first.  A tangential draw with a vertex at infinity
+    raises IdealVertex from the polygon's own check.
+    """
+    return family(n, rng.uniform(lo, hi), random_partition(n, rng))
+
+
 def random_cyclic_polygon(n: int, radius_range: tuple[float, float], rng: np.random.Generator) -> CyclicPolygon:
-    R = rng.uniform(*radius_range)
-    return CyclicPolygon(n=n, R=R, thetas=random_partition(n, rng))
+    return _draw_polygon(CyclicPolygon, n, *radius_range, rng)
 
 
-def tangential_window(n: int, radius_range: tuple[float, float]) -> tuple[float, float]:
-    """The inradius window of radius_range capped just below the ideal-vertex limit."""
+def _radius_window(family: type, n: int, radius_range: tuple[float, float]) -> tuple[float, float]:
+    """The window `family` radii are drawn from, checked before the first draw.
+
+    A tangential window is capped just below the ideal-vertex limit.
+    """
     lo, hi = radius_range
-    hi = min(hi, 0.999 * tangential_radius_limit(n))
-    if not 0.0 <= lo < hi:
-        raise Infeasible(f"radius range {radius_range} has no tangential window for n={n}")
+    if family is TangentialPolygon:
+        hi = min(hi, 0.999 * tangential_radius_limit(n))
+        if not lo < hi:
+            raise Infeasible(f"radius range {radius_range} has no tangential window for n={n}")
+    if not lo >= 0.0:
+        raise Infeasible(f"radius range {radius_range} starts below 0")
+    if hi > LEG_MAX:
+        raise OutOfRange(f"radius range {radius_range} reaches beyond {LEG_MAX}; cosh would overflow")
     return lo, hi
 
 
 def random_tangential_polygon(n: int, radius_range: tuple[float, float], rng: np.random.Generator) -> TangentialPolygon:
-    """A valid tangential polygon in tangential_window(n, radius_range); draws
-    violating the per-sector guard are redrawn."""
-    lo, hi = tangential_window(n, radius_range)
+    """A valid tangential polygon in the tangential window of radius_range;
+    draws with an ideal vertex are redrawn."""
+    lo, hi = _radius_window(TangentialPolygon, n, radius_range)
     for _ in range(1000):
-        r = rng.uniform(lo, hi)
-        thetas = random_partition(n, rng)
-        sr = math.sinh(r)
-        if all(math.tan(0.5 * t) * sr < 1.0 for t in thetas):
-            return TangentialPolygon(n=n, r=r, thetas=thetas)
+        try:
+            return _draw_polygon(TangentialPolygon, n, lo, hi, rng)
+        except IdealVertex:
+            pass
     raise Infeasible(f"could not sample a tangential {n}-gon in {radius_range}")
 
 
@@ -631,8 +646,11 @@ def verify_theorem(
     trials: int = 1000,
     seed: int = DEFAULT_SEED,
 ) -> VerificationReport:
-    """Randomized check of one bound: sample, assert, and count.
+    """Randomized check of one bound: draw, assert, and count.
 
+    A single-polygon bound draws random polygons of its family from
+    radius_range and ignores k and total.  A fixed-total bound draws random
+    splits of total (default: the record's) into k >= 2 regular polygons.
     Draws that violate an admissibility guard are skipped, not resampled,
     so an out-of-region total shows up as skipped == trials.  Inequalities
     are asserted with 1e-12 slack and the equality configuration with 1e-9.
@@ -640,38 +658,25 @@ def verify_theorem(
     entry = _bounds.THEOREMS.get(theorem_id)
     if entry is None or entry["objective"] is None:
         raise Infeasible(f"unknown theorem id {theorem_id!r}")
-    if not entry["multi"]:
-        return _verify_single(theorem_id, entry, n, radius_range, trials, seed)
-    if total is None:
-        total = entry["total"](n, k)
-    return _verify_total(theorem_id, entry, n, k, total, trials, seed)
-
-
-def _verify_single(theorem_id: str, entry: dict, n: int, radius_range: tuple[float, float], trials: int,
-                   seed: int) -> VerificationReport:
-    tangential = entry["family"] == "tangential"
-    func = entry["func"]
-    lo, hi = tangential_window(n, radius_range) if tangential else radius_range
-    if hi > LEG_MAX:
-        raise OutOfRange(f"radius range {radius_range} reaches beyond {LEG_MAX}; cosh would overflow")
-
+    if entry["multi"]:
+        _bounds._check_nk(n, k)
+        if k < 2:
+            raise Infeasible(f"{theorem_id} bounds a total over k >= 2 polygons, got k={k}")
+        draw, eq_err, params = _split_draws(entry, n, k, entry["total"](n, k) if total is None else total)
+    else:
+        _bounds._check_nk(n)
+        k = 1
+        draw, eq_err, params = _polygon_draws(entry, n, radius_range)
+    # draw(rng) is None for a skipped draw, else (bound, actual value, witness,
+    # equality error or None); witness() gives a counterexample's leading keys
     asserted = violations = skipped = 0
-    worst = None
-    eq_err = None
-    counterexample = None
+    worst = counterexample = None
     for rng in trial_rngs(seed, trials):
-        r = rng.uniform(lo, hi)
-        thetas = random_partition(n, rng)
-        if tangential:
-            sr = math.sinh(r)
-            if any(math.tan(0.5 * t) * sr >= 1.0 for t in thetas):
-                skipped += 1
-                continue
-            poly = TangentialPolygon(n=n, r=r, thetas=thetas)
-        else:
-            poly = CyclicPolygon(n=n, R=r, thetas=thetas)
-        res = func(n, r)
-        actual = _polygon.perimeter(poly) if res.quantity == "perimeter" else _polygon.area(poly)
+        drawn = draw(rng)
+        if drawn is None:
+            skipped += 1
+            continue
+        res, actual, witness, err = drawn
         margin = (actual - res.value) if res.kind == "lower" else (res.value - actual)
         asserted += 1
         if worst is None or margin < worst:
@@ -679,32 +684,39 @@ def _verify_single(theorem_id: str, entry: dict, n: int, radius_range: tuple[flo
         if margin < -INEQ_TOL:
             violations += 1
             if counterexample is None:
-                counterexample = {"polygon": _polygon.to_json_dict(poly), "bound": res.to_json_dict(), "margin": margin}
-        if res.equality_spec is not None:
-            err = abs(_bounds.equality_value(res) - res.value)
-            if eq_err is None or err > eq_err:
-                eq_err = err
+                counterexample = {**witness(), "bound": res.to_json_dict(), "margin": margin}
+        if err is not None and (eq_err is None or err > eq_err):
+            eq_err = err
     return VerificationReport(
-        theorem=theorem_id,
-        n=n,
-        k=1,
-        trials=trials,
-        asserted=asserted,
-        violations=violations,
-        skipped=skipped,
-        worst_margin=worst,
-        equality_abs_error=eq_err,
-        tolerance=INEQ_TOL,
-        equality_tolerance=EQ_TOL,
-        seed=seed,
-        params={"radius_range": [lo, hi]},
-        counterexample=counterexample,
+        theorem=theorem_id, n=n, k=k, trials=trials, asserted=asserted, violations=violations,
+        skipped=skipped, worst_margin=worst, equality_abs_error=eq_err, tolerance=INEQ_TOL,
+        equality_tolerance=EQ_TOL, seed=seed, params=params, counterexample=counterexample,
     )
 
 
-def _verify_total(theorem_id: str, entry: dict, n: int, k: int, total: float, trials: int,
-                  seed: int) -> VerificationReport:
-    """Random splits of the total, each component a regular polygon spec(n, x)."""
+def _polygon_draws(entry: dict, n: int, radius_range: tuple[float, float]) -> tuple[Callable, None, dict]:
+    """One random polygon of the record's family per draw, checked against the
+    bound at its radius; the equality case is re-checked at every radius."""
+    family = TangentialPolygon if entry["family"] == "tangential" else CyclicPolygon
+    func = entry["func"]
+    lo, hi = _radius_window(family, n, radius_range)
+
+    def draw(rng):
+        try:
+            poly = _draw_polygon(family, n, lo, hi, rng)
+        except IdealVertex:
+            return None
+        res = func(n, poly.radius)
+        actual = _polygon.perimeter(poly) if res.quantity == "perimeter" else _polygon.area(poly)
+        err = None if res.equality_spec is None else abs(_bounds.equality_value(res) - res.value)
+        return res, actual, lambda: {"polygon": _polygon.to_json_dict(poly)}, err
+
+    return draw, None, {"radius_range": [lo, hi]}
+
+
+def _split_draws(entry: dict, n: int, k: int, total: float) -> tuple[Callable, float | None, dict]:
+    """One random split of the total per draw, each component a regular polygon
+    spec(n, x); the equality case is the uniform split, checked once here."""
     res = entry["func"](n, k, total)
     spec = entry["spec"]
     lo, hi = entry["window"](n)
@@ -720,49 +732,18 @@ def _verify_total(theorem_id: str, entry: dict, n: int, k: int, total: float, tr
             out += m.perimeter if res.quantity == "perimeter" else m.area
         return out
 
-    asserted = violations = skipped = 0
-    worst = None
-    counterexample = None
-    for rng in trial_rngs(seed, trials):
+    def witness(xs) -> dict:
+        return {"split": list(xs), "polygons": [_regular_polygon_json(spec(n, x)) for x in xs]}
+
+    def draw(rng):
         xs = random_split(total, k, rng)
         if not inside(xs):
-            skipped += 1
-            continue
-        actual = metric(xs)
-        margin = (actual - res.value) if res.kind == "lower" else (res.value - actual)
-        asserted += 1
-        if worst is None or margin < worst:
-            worst = margin
-        if margin < -INEQ_TOL:
-            violations += 1
-            if counterexample is None:
-                counterexample = {
-                    "split": list(xs),
-                    "polygons": [_regular_polygon_json(spec(n, x)) for x in xs],
-                    "bound": res.to_json_dict(),
-                    "margin": margin,
-                }
-    eq_err = None
-    if res.feasible and res.equality_spec is not None:
-        uniform = (total / k,) * k
-        if inside(uniform):
-            eq_err = abs(metric(uniform) - res.value)
-    return VerificationReport(
-        theorem=theorem_id,
-        n=n,
-        k=k,
-        trials=trials,
-        asserted=asserted,
-        violations=violations,
-        skipped=skipped,
-        worst_margin=worst,
-        equality_abs_error=eq_err,
-        tolerance=INEQ_TOL,
-        equality_tolerance=EQ_TOL,
-        seed=seed,
-        params={"total": total},
-        counterexample=counterexample,
-    )
+            return None
+        return res, metric(xs), lambda: witness(xs), None
+
+    uniform = (total / k,) * k
+    checked = res.feasible and res.equality_spec is not None and inside(uniform)
+    return draw, abs(metric(uniform) - res.value) if checked else None, {"total": total}
 
 
 def _regular_polygon_json(spec: RegularNGonSpec) -> dict:

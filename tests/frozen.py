@@ -77,3 +77,7 @@ CHS_PI3_ASINH2 = 0.881373587019543
 # verify_theorem(**args) outputs: (args, asserted, skipped, worst_margin hex)
 VERIFY_1_2 = (dict(theorem_id="1.2", n=12, trials=500, seed=7), 500, 0, "0x1.91044ffddea00p-9")
 VERIFY_1_8 = (dict(theorem_id="1.8", n=6, k=3, trials=500, seed=7), 480, 20, "0x1.022a87f38e000p-9")
+# a tangential bound at n=3, where most draws have an ideal vertex and are skipped
+VERIFY_1_1 = (dict(theorem_id="1.1", n=3, trials=500, seed=7), 154, 346, "0x1.8693c986a0400p-9")
+# a guarded split, where draws with a component below the area threshold are skipped
+VERIFY_1_9 = (dict(theorem_id="1.9", n=6, k=3, trials=500, seed=7), 285, 215, "0x1.2641c6e954800p-6")

@@ -5,7 +5,6 @@ import importlib.util
 import json
 import math
 import os
-import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -15,7 +14,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import frozen
-import hypergon
 from hypergon import bounds, optimize, polygon
 from hypergon.cli import CSV_HEADER, main
 
@@ -193,6 +191,60 @@ def test_verify_fails_a_bound_false_at_its_equality_case(capsys, monkeypatch):
     assert rep["passed"] is False
 
 
+@pytest.mark.parametrize("argv", [
+    ("sample", "--n", "2", "--trials", "1"),
+    ("verify", "--thm", "1.2", "--n", "2", "--trials", "1"),
+])
+def test_too_few_sides_exit_2_before_the_first_draw(run_module, argv):
+    # random_partition never returns for n <= 2, so these ran until killed
+    # before n was checked; a child process keeps a hang from stalling the suite
+    proc = run_module(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "need integer n >= 3" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--thm", "1.1", "--n", "0"),
+    ("verify", "--thm", "1.2", "--n", "0"),
+    ("verify", "--thm", "1.6", "--n", "0"),
+    ("sample", "--n", "0"),
+    ("sample", "--kind", "tangential", "--n", "0"),
+])
+def test_zero_sides_exit_2_without_a_traceback(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+
+
+def test_fixed_total_verify_needs_two_polygons(capsys):
+    # every split of one polygon is the equal split, so k=1 would check nothing
+    code, out = run_cli(capsys, "verify", "--thm", "1.5", "--k", "1", "--trials", "20")
+    assert code == 2
+    assert out == ""
+    # the single-polygon bounds still ignore k
+    code, out = run_cli(capsys, "verify", "--thm", "1.2", "--k", "1", "--trials", "20")
+    assert code == 0
+    assert json.loads(out)["reports"][0]["k"] == 1
+
+
+def test_negative_cyclic_radius_exits_2_before_the_first_draw(capsys):
+    # at the default seed none of these draws lands below 0, so the run used
+    # to pass or fail by the luck of the draw
+    for argv in (
+        ("verify", "--thm", "1.2", "--range=-1:2", "--trials", "3"),
+        ("sample", "--range=-0.5:2", "--trials", "3"),
+        ("sample", "--regular", "--range=-0.5:2", "--trials", "3"),
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+    # a window of one radius stays allowed
+    code, out = run_cli(capsys, "verify", "--thm", "1.2", "--range", "1:1", "--trials", "3")
+    assert code == 0
+    assert json.loads(out)["reports"][0]["params"]["radius_range"] == [1.0, 1.0]
+
+
 def test_verify_rejects_cor1(capsys):
     code, _ = run_cli(capsys, "verify", "--thm", "cor1")
     assert code == 2
@@ -361,15 +413,8 @@ def test_missing_required_flag_exits_2():
     assert exc.value.code == 2
 
 
-def test_module_entry_point():
-    # the child imports the same hypergon as this process, installed or not
-    src = os.path.dirname(os.path.dirname(hypergon.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "hypergon", "bounds", "--thm", "1.3",
-         "--range", "0.8:0.8:1", "--format", "csv"],
-        capture_output=True, text=True, env=env,
-    )
+def test_module_entry_point(run_module):
+    proc = run_module("bounds", "--thm", "1.3", "--range", "0.8:0.8:1", "--format", "csv")
     assert proc.returncode == 0
     assert proc.stdout.startswith(CSV_HEADER)
 

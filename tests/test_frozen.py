@@ -82,6 +82,6 @@ def test_spot_values():
 
 
 def test_seeded_verification_outputs():
-    for args, asserted, skipped, worst in (frozen.VERIFY_1_2, frozen.VERIFY_1_8):
+    for args, asserted, skipped, worst in (frozen.VERIFY_1_2, frozen.VERIFY_1_8, frozen.VERIFY_1_1, frozen.VERIFY_1_9):
         rep = verify_theorem(**args)
         assert (rep.asserted, rep.skipped, rep.worst_margin.hex()) == (asserted, skipped, worst), args

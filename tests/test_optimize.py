@@ -1,5 +1,6 @@
 """Certificates, the grid oracle, projected descent, and the verify driver."""
 
+import dataclasses
 import json
 import math
 
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 
 import frozen
-from hypergon import bounds
+from hypergon import bounds, polygon
 from hypergon.errors import EvaluationFailure, Infeasible, OracleTooLarge
+from hypergon.hypmath import RegularNGonSpec, regular_convert
 from hypergon.optimize import (
     DEFAULT_SEED,
     EQ_TOL,
@@ -363,3 +365,60 @@ def test_verify_skips_out_of_region_total():
     assert rep.violations == 0
     # a run that asserted nothing checked nothing, so it does not pass
     assert not rep.passed
+
+
+def test_verify_checks_n_and_k_before_the_first_draw():
+    # n=0 used to fail inside the draw with an error from numpy or a division
+    # by zero; n=1 and 2 are checked the same way (test_cli runs them in a child)
+    for tid, n, k in (("1.2", 0, 2), ("1.1", 0, 2), ("1.6", 0, 2), ("1.5", 6, 1), ("1.9", 6, 0)):
+        with pytest.raises(Infeasible):
+            verify_theorem(tid, n=n, k=k, trials=1)
+
+
+def _tighten(monkeypatch, tid, factor):
+    """Scale bound tid's value by factor inside bounds.THEOREMS; returns the scaled bound."""
+    func = bounds.THEOREMS[tid]["func"]
+
+    def tightened(*args):
+        res = func(*args)
+        return dataclasses.replace(res, value=res.value * factor)
+
+    monkeypatch.setitem(bounds.THEOREMS[tid], "func", tightened)
+    return tightened
+
+
+def _failing_report(tid, **kwargs):
+    rep = verify_theorem(tid, trials=300, seed=7, **kwargs)
+    assert rep.violations > 0
+    assert not rep.passed
+    assert rep.worst_margin <= rep.counterexample["margin"] < -INEQ_TOL
+    return rep
+
+
+@pytest.mark.parametrize("tid, factor", [("1.2", 0.97), ("1.1", 1.03)])
+def test_verify_reports_a_polygon_counterexample(monkeypatch, tid, factor):
+    # 1.2 lowered and 1.1 raised by a few percent: random polygons now cross them
+    tightened = _tighten(monkeypatch, tid, factor)
+    ce = _failing_report(tid, n=6).counterexample
+    assert list(ce) == ["polygon", "bound", "margin"]
+    d = ce["polygon"]
+    family = polygon.TangentialPolygon if d["kind"] == "tangential" else polygon.CyclicPolygon
+    res = tightened(d["n"], d["radius"])
+    assert ce["bound"] == res.to_json_dict()
+    actual = polygon.perimeter(family(d["n"], d["radius"], d["thetas"]))
+    assert ce["margin"] == (actual - res.value if res.kind == "lower" else res.value - actual)
+
+
+def test_verify_reports_a_split_counterexample(monkeypatch):
+    # 1.6 raised by 3%: unequal splits of the total inradius now fall below it
+    tightened = _tighten(monkeypatch, "1.6", 1.03)
+    rep = _failing_report("1.6", n=6, k=3)
+    ce = rep.counterexample
+    assert list(ce) == ["split", "polygons", "bound", "margin"]
+    res = tightened(6, 3, rep.params["total"])
+    assert ce["bound"] == res.to_json_dict()
+    actual = 0.0
+    for x, d in zip(ce["split"], ce["polygons"], strict=True):
+        actual += regular_convert(RegularNGonSpec(n=6, r=x)).perimeter
+        assert d["kind"] == "tangential" and math.isclose(d["radius"], x, rel_tol=1e-14)
+    assert ce["margin"] == actual - res.value
