@@ -198,13 +198,14 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _both_routes(poly: _polygon.Polygon) -> dict:
-    """poly's perimeter and area in closed form and as measured on its embedding, and their gaps."""
-    emb = _hmodel.embed(poly)
-    peri, ar = _polygon.perimeter(poly), _polygon.area(poly)
-    mperi, mar = _hmodel.measured_perimeter(emb), _hmodel.measured_area(emb)
-    return {"perimeter": peri, "area": ar, "measured_perimeter": mperi, "measured_area": mar,
-            "perimeter_route_gap": abs(peri - mperi), "area_route_gap": abs(ar - mar)}
+def _both_routes(kind: str, radii: np.ndarray, ts: np.ndarray) -> dict[str, list[float]]:
+    """Each row's perimeter and area in closed form and as measured on its embedding, and their gaps."""
+    xs = _hmodel.embed_rows(kind, radii, ts)
+    peri, ar = _polygon.perimeter_rows(kind, radii, ts), _polygon.area_rows(kind, radii, ts)
+    mperi, mar = _hmodel.measured_perimeter_rows(*xs), _hmodel.measured_area_rows(*xs)
+    routes = {"perimeter": peri, "area": ar, "measured_perimeter": mperi, "measured_area": mar,
+              "perimeter_route_gap": np.abs(peri - mperi), "area_route_gap": np.abs(ar - mar)}
+    return {name: values.tolist() for name, values in routes.items()}
 
 
 def cmd_sample(args) -> int:
@@ -215,14 +216,11 @@ def cmd_sample(args) -> int:
     family = _polygon.TangentialPolygon if args.kind == "tangential" else _polygon.CyclicPolygon
     lo, hi = _optimize._radius_window(family, args.n, (lo, hi))
     samples = []
-    for rng in _optimize.trial_rngs(args.seed, args.trials):
-        if args.regular:
-            poly = family.regular(args.n, rng.uniform(lo, hi))
-        elif args.kind == "tangential":
-            poly = _optimize.random_tangential_polygon(args.n, (lo, hi), rng)
-        else:
-            poly = _optimize.random_cyclic_polygon(args.n, (lo, hi), rng)
-        samples.append({"polygon": _polygon.to_json_dict(poly), **_both_routes(poly)})
+    for radii, ts in _optimize.polygon_blocks(family, args.n, lo, hi, args.seed, args.trials, args.regular):
+        routes = _both_routes(family.kind, radii, ts)
+        for j, (radius, thetas) in enumerate(zip(radii.tolist(), ts.tolist())):
+            samples.append({"polygon": _polygon.row_json(family.kind, args.n, radius, thetas),
+                            **{name: values[j] for name, values in routes.items()}})
     _emit_json({"samples": samples}, args.out)
     return 0
 
@@ -281,14 +279,40 @@ def _g12(x: float | None) -> str:
     return "-" if x is None else format(float(x), ".12g")
 
 
+def _crit1_draw(i: int, rng: np.random.Generator) -> _polygon.Polygon:
+    """Polygon i of the metric-equivalence battery: n in [3, 13), cyclic at even i."""
+    n = int(rng.integers(3, 13))
+    draw = _optimize.random_cyclic_polygon if i % 2 == 0 else _optimize.random_tangential_polygon
+    return draw(n, (0.05, 3.0), rng)
+
+
+def _crit1_polygons(seed: int, count: int):
+    """_crit1_draw on streams 0 .. count-1 of seed, as (kind, radii, apex
+    angles) blocks of one family and one n."""
+    stream = _optimize._streams(seed)
+    for start, words in _optimize._word_blocks(stream, count, 14):  # n, radius, up to 12 angles
+        ns, plain = _optimize._integers(words[:, 0], 3, 13)
+        odd = (start + np.arange(len(words))) % 2 == 1
+        for family in (_polygon.CyclicPolygon, _polygon.TangentialPolygon):
+            of_family = plain & (odd == (family is _polygon.TangentialPolygon))
+            for n in range(3, 13):
+                rows = np.flatnonzero(of_family & (ns == n))
+                lo, hi = _optimize._radius_window(family, n, (0.05, 3.0))
+                radii, ts, ok, ideal = _optimize._polygon_rows(family, n, lo, hi, words[rows, 1:n + 2])
+                _optimize._redraw(np.flatnonzero(~ok | ideal),
+                                  lambda j: _crit1_draw(start + rows[j], stream(start + rows[j])), radii, ts)
+                yield family.kind, radii, ts
+        for j in np.flatnonzero(~plain).tolist():
+            poly = _crit1_draw(start + j, stream(start + j))
+            yield poly.kind, np.array([poly.radius]), np.array([poly.thetas])
+
+
 def _crit1_equivalence(seed: int, count: int) -> tuple[bool, str]:
     worst_p = worst_a = 0.0
-    for i, rng in enumerate(_optimize.trial_rngs(seed, count)):
-        n = int(rng.integers(3, 13))
-        draw = _optimize.random_cyclic_polygon if i % 2 == 0 else _optimize.random_tangential_polygon
-        routes = _both_routes(draw(n, (0.05, 3.0), rng))
-        worst_p = max(worst_p, routes["perimeter_route_gap"])
-        worst_a = max(worst_a, routes["area_route_gap"])
+    for kind, radii, ts in _crit1_polygons(seed, count):
+        routes = _both_routes(kind, radii, ts)
+        worst_p = max([worst_p, *routes["perimeter_route_gap"]])
+        worst_a = max([worst_a, *routes["area_route_gap"]])
     ok = worst_p <= 1e-9 and worst_a <= 1e-8
     return ok, f"{count} polygons, worst perimeter gap {_g12(worst_p)}, worst area gap {_g12(worst_a)}"
 
@@ -311,6 +335,10 @@ def _crit4_guarded(n: int, splits: int, seed: int) -> tuple[bool, list, str]:
     ok, reps = _crit_verify(("1.9", "1.10"), n, (2, 3), splits, seed)
     certified, note = _crit4_certificates(n)
     return ok and certified, reps, note
+
+
+def _bound_label(rep) -> str:
+    return f"{rep.theorem} at k={rep.k}" if _bounds.THEOREMS[rep.theorem]["multi"] else rep.theorem
 
 
 def _verify_row(rep) -> list[str]:
@@ -428,6 +456,8 @@ def render_bundle(n: int, k: int, seed: int, polygons: int, trials: int, splits:
     """The audit bundle as {file name: text}, and its count of failed battery lines.
 
     Pure: the same arguments give the same bytes, and nothing is written.
+    A verified bound that asserted no draw is no verdict at all, so it
+    raises SystemExit2 naming every such bound instead of counting a failure.
     """
     criteria = _csv_text(_report_criteria_rows(n, k))
 
@@ -450,6 +480,9 @@ def render_bundle(n: int, k: int, seed: int, polygons: int, trials: int, splits:
 
     ok4, reps4, note4 = _crit4_guarded(n, splits, seed)
     results.append(("4. guarded total-area/total-perimeter bounds", ok4, note4))
+    empty = [_bound_label(rep) for rep in reps2 + reps3 + reps4 if rep.asserted == 0]
+    if empty:
+        raise SystemExit2(f"nothing was asserted for {', '.join(empty)}: every draw fell outside the guard")
 
     ok5, oracle_rows = _crit5_oracles(n, seed)
     results.append(("5. equal-split optima vs grid oracle", ok5,

@@ -4,6 +4,11 @@ Points live on x0^2 - x1^2 - x2^2 = 1 with x0 >= 1; the metric comes from
 the restriction of the Minkowski form, so dist(p, q) = acosh(<p, q>) with
 <p, q> = p0*q0 - p1*q1 - p2*q2.  Everything a polygon claims in closed form
 can be re-measured here from raw coordinates.
+
+embed_rows, measured_perimeter_rows and measured_area_rows do the same for a
+block of polygons of one family and one n, with the coordinates as three
+(polygons, n) arrays, and give each row's values bit for bit as embed and
+the per-embedding measurements would.
 """
 
 from __future__ import annotations
@@ -11,8 +16,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidPoint, OutOfRange
-from .hypmath import acosh1p, angle_from_sides, hyp_hypotenuse
+from .hypmath import (
+    acosh1p,
+    acosh1p_rows,
+    angle_from_sides,
+    fsum_rows,
+    hyp_hypotenuse,
+    hyp_hypotenuse_rows,
+    libm,
+    stable_atanh_rows,
+)
 from .polygon import (
     CyclicPolygon,
     Polygon,
@@ -148,6 +164,56 @@ def measured_area(e: Embedding) -> float:
                + c.x2 * (p.x0 * q.x1 - p.x1 * q.x0))
         total += 2.0 * math.atan2(abs(det), 1.0 + mink(c, p) + mink(p, q) + mink(q, c))
     return total
+
+
+def embed_rows(kind: str, radii: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vertex coordinates (x0, x1, x2) embed gives every row's polygon."""
+    bearings = np.zeros_like(ts)
+    np.cumsum(ts[:, :-1], axis=1, out=bearings[:, 1:])
+    if kind == "cyclic":
+        d = radii[:, None]  # every vertex at distance R
+    else:
+        b = stable_atanh_rows(libm(math.tan, 0.5 * ts) * libm(math.sinh, radii)[:, None])
+        d = hyp_hypotenuse_rows(np.repeat(radii[:, None], ts.shape[1], axis=1), b)
+        bearings = bearings + 0.5 * ts
+    sh = libm(math.sinh, d)
+    x0 = np.broadcast_to(libm(math.cosh, d), ts.shape).copy()
+    return x0, sh * libm(math.cos, bearings), sh * libm(math.sin, bearings)
+
+
+def _validate_rows(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> None:
+    """_validate every vertex; the first one off the sheet raises its error."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is one of the errors
+        err = np.abs(x0 * x0 - x1 * x1 - x2 * x2 - 1.0)
+        bad = ~np.isfinite(err) | (x0 < 1.0 - SHEET_TOL) | (err > SHEET_TOL * np.maximum(1.0, x0 * x0))
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        _validate(HPoint(*(x.ravel()[i].item() for x in (x0, x1, x2))))
+
+
+def measured_perimeter_rows(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """measured_perimeter of every row's embedding, each side by dist."""
+    _validate_rows(x0, x1, x2)
+    q0, q1, q2 = (np.roll(x, -1, axis=1) for x in (x0, x1, x2))
+    t = x0 * q0 - x1 * q1 - x2 * q2 - 1.0
+    dx0, dx1, dx2 = x0 - q0, x1 - q1, x2 - q2
+    near = (t <= 0.5) | (1024.0 * (dx0 * dx0 + dx1 * dx1 + dx2 * dx2) < x0 * q0)
+    t = np.where(near, 0.5 * ((dx1 * dx1 + dx2 * dx2) - dx0 * dx0), t)
+    return fsum_rows(acosh1p_rows(t))
+
+
+def measured_area_rows(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """measured_area of every row's embedding about ORIGIN, summed in ring order."""
+    _validate_rows(x0, x1, x2)
+    c = ORIGIN  # its zero coordinates enter as in measured_area, so every bit matches
+    q0, q1, q2 = (np.roll(x, -1, axis=1) for x in (x0, x1, x2))
+    det = (c.x0 * (x1 * q2 - x2 * q1)
+           - c.x1 * (x0 * q2 - x2 * q0)
+           + c.x2 * (x0 * q1 - x1 * q0))
+    den = (1.0 + (c.x0 * x0 - c.x1 * x1 - c.x2 * x2) + (x0 * q0 - x1 * q1 - x2 * q2)
+           + (q0 * c.x0 - q1 * c.x1 - q2 * c.x2))
+    terms = 2.0 * libm(math.atan2, np.abs(det), den)
+    return np.cumsum(terms, axis=1)[:, -1]
 
 
 def measured_interior_angles(e: Embedding) -> tuple[float, ...]:

@@ -6,12 +6,21 @@ cancellation of their textbook forms.  On top of them sit the hypotenuse of
 a right triangle from its legs (cosh a = cosh b * cosh c), an angle from
 three sides by the law of cosines, and the conversions between the
 quantities of a regular n-gon.
+
+The *_rows kernels take float64 arrays and give each element's value bit
+for bit as the scalar kernel of the same name would: every transcendental
+function is one libm call per element (numpy's vectorized sinh, tan, log1p,
+atan2 and hypot differ from libm in the last bit on some inputs), and the
+rest is the same IEEE arithmetic in the same order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import AmbiguousInput, DegenerateTriangle, Infeasible, OutOfRange
 
@@ -85,6 +94,84 @@ def acos_snapped(x: float) -> float:
             raise OutOfRange(f"acos argument {x!r} below -1")
         return math.pi
     return math.acos(x)
+
+
+def libm(f, *args) -> np.ndarray:
+    """f, a function of the math module, at every element of the args:
+    arrays of one shape, or floats that stand for themselves everywhere."""
+    like = next(a for a in args if not isinstance(a, float))
+    cols = [itertools.repeat(a) if isinstance(a, float) else a.ravel().tolist() for a in args]
+    return np.fromiter(map(f, *cols), np.float64, like.size).reshape(like.shape)
+
+
+def fsum_rows(a: np.ndarray) -> np.ndarray:
+    """math.fsum of every row."""
+    return np.fromiter(map(math.fsum, a.tolist()), np.float64, len(a))
+
+
+def stable_asinh_rows(x: np.ndarray) -> np.ndarray:
+    """stable_asinh of every element."""
+    ax = np.abs(x)
+    big = ax > 1e150
+    a = np.where(big, 0.0, ax)
+    r = libm(math.log1p, a + a * a / (1.0 + libm(math.hypot, 1.0, a)))
+    r[big] = _LN2 + libm(math.log, ax[big])
+    return np.where(x < 0, -r, r)
+
+
+def stable_atanh_rows(x: np.ndarray) -> np.ndarray:
+    """stable_atanh of every element."""
+    ax = np.abs(x)
+    if (ax >= 1.0).any():
+        raise OutOfRange(f"atanh argument {float(x[ax >= 1.0][0])!r} outside (-1, 1)")
+    r = 0.5 * libm(math.log1p, 2.0 * ax / (1.0 - ax))
+    return np.where(x < 0, -r, r)
+
+
+def acosh1p_rows(t: np.ndarray) -> np.ndarray:
+    """acosh1p of every element."""
+    if (t < -EPS_GEOM).any():
+        raise OutOfRange(f"acosh argument 1 + {float(t[t < -EPS_GEOM][0])!r} below branch point")
+    big = t > 1e8
+    s = np.where(big | (t < 0.0), 0.0, t)
+    r = libm(math.log1p, s + np.sqrt(s * (s + 2.0)))
+    r[big] = _LN2 + libm(math.log1p, t[big])
+    return r
+
+
+def coshm1_rows(x: np.ndarray) -> np.ndarray:
+    """coshm1 of every element."""
+    s = libm(math.sinh, 0.5 * x)
+    return 2.0 * s * s
+
+
+def acos_snapped_rows(x: np.ndarray) -> np.ndarray:
+    """acos_snapped of every element."""
+    bad = (x > 1.0 + EPS_REL) | (x < -1.0 - EPS_REL)
+    if bad.any():
+        raise OutOfRange(f"acos argument {float(x[bad][0])!r} outside [-1, 1]")
+    top, bottom = x >= 1.0 - _BRANCH_SNAP, x <= -1.0
+    r = libm(math.acos, np.where(top | bottom, 0.0, x))
+    r[top] = 0.0
+    r[bottom] = math.pi
+    return r
+
+
+def hyp_hypotenuse_rows(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """hyp_hypotenuse of every pair of elements of b and c, of one shape."""
+    if (b < 0.0).any() or (c < 0.0).any():
+        raise OutOfRange("legs must be nonnegative")
+    if (b > LEG_MAX).any() or (c > LEG_MAX).any():
+        raise OutOfRange(f"leg beyond {LEG_MAX}; cosh would overflow")
+    far = b + c > 40.0
+    near = ~far
+    out = np.empty(b.shape)
+    bf, cf = b[far], c[far]
+    out[far] = (bf + cf - _LN2 + libm(math.log1p, libm(math.exp, -2.0 * bf))
+                + libm(math.log1p, libm(math.exp, -2.0 * cf)))
+    bn, cn = b[near], c[near]
+    out[near] = acosh1p_rows(coshm1_rows(bn) * libm(math.cosh, cn) + coshm1_rows(cn))
+    return out
 
 
 def hyp_hypotenuse(b: float, c: float) -> float:

@@ -12,6 +12,7 @@ randomized per-theorem verification driver.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -56,18 +57,16 @@ def _stream_state(seed: int, index: int) -> dict:
 
     The one place the stream layout is written: key [seed mod 2**64,
     seed >> 64] and counter [0, 0, index, 0], with the output buffer empty
-    so that no word of a previous stream leaks into this one.  The counter
-    is a uint64 array because Philox(counter=...) turns a tuple holding an
-    int above 2**63 into float64 and lands on the wrong stream.
+    so that no word of a previous stream leaks into this one.  The words
+    are Python ints, which the state setter takes whole up to 2**64 - 1
+    (Philox(counter=...) would turn an int above 2**63 into float64).
+    Setting counter[2] of the returned dict re-points it to another stream.
     """
     check_seed(seed)
     return {
         "bit_generator": "Philox",
-        "state": {
-            "counter": np.array([0, 0, index, 0], dtype=np.uint64),
-            "key": np.array([seed & 0xFFFF_FFFF_FFFF_FFFF, seed >> 64], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": [0, 0, index, 0], "key": [seed & 0xFFFF_FFFF_FFFF_FFFF, seed >> 64]},
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
@@ -81,6 +80,21 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(bit_gen)
 
 
+def _streams(seed: int) -> Callable[[int], np.random.Generator]:
+    """stream(i): one generator, re-pointed to stream i of seed at each call."""
+    state = _stream_state(seed, 0)
+    counter = state["state"]["counter"]
+    rng = np.random.Generator(np.random.Philox())
+    bit_gen = rng.bit_generator
+
+    def stream(i: int) -> np.random.Generator:
+        counter[2] = i
+        bit_gen.state = state
+        return rng
+
+    return stream
+
+
 def trial_rngs(seed: int, count: int) -> Iterator[np.random.Generator]:
     """The generators of streams 0 .. count-1 of `seed`, in order.
 
@@ -88,11 +102,91 @@ def trial_rngs(seed: int, count: int) -> Iterator[np.random.Generator]:
     is the same object and is valid only until the next one is drawn; use
     trial_rng for a generator that must outlive its loop iteration.
     """
-    bit_gen = np.random.Philox()
-    rng = np.random.Generator(bit_gen)
+    stream = _streams(seed)
     for i in range(count):
-        bit_gen.state = _stream_state(seed, i)
-        yield rng
+        yield stream(i)
+
+
+# ---------------------------------------------------------------------------
+# draws in blocks
+#
+# A block reads the first `width` words of each of its streams in one
+# random_raw call per stream and turns them into draws with numpy, exactly
+# as the Generator methods that the scalar draws call would: uniform(lo, hi)
+# is lo + (hi - lo) * (word >> 11) * 2**-53, and integers(lo, hi) on a range
+# below 2**32 is Lemire's multiply-shift of the word's low half.  A row whose
+# scalar draw reads on (a rejection, a redraw) is replayed by that scalar
+# draw on its own stream.
+
+# Words per block: a block's arrays stay this small whatever n is.
+BLOCK_WORDS = 1 << 13
+
+
+def _word_blocks(stream: Callable, count: int, width: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Blocks (start, words) covering streams 0 .. count-1, where row j of
+    words holds words 0 .. width-1 of stream(start + j)."""
+    size = max(1, BLOCK_WORDS // width)
+    for start in range(0, count, size):
+        words = np.empty((min(size, count - start), width), dtype=np.uint64)
+        for j in range(len(words)):
+            words[j] = stream(start + j).bit_generator.random_raw(width)
+        yield start, words
+
+
+def _uniform(words: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Generator.uniform(lo, hi) from each word."""
+    span = hi - lo
+    if not 0.0 <= span < math.inf:
+        raise Infeasible(f"need finite lo <= hi, got ({lo!r}, {hi!r})")
+    return lo + span * ((words >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0))
+
+
+def _integers(words: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Generator.integers(lo, hi) from each word, for 0 < hi - lo < 2**32, and
+    the rows where it certainly reads no further word."""
+    span = np.uint64(hi - lo)
+    m = (words & np.uint64(0xFFFF_FFFF)) * span
+    return lo + (m >> np.uint64(32)).astype(np.int64), (m & np.uint64(0xFFFF_FFFF)) >= span
+
+
+def _polygon_rows(family: type, n: int, lo: float, hi: float, words: np.ndarray) -> tuple[np.ndarray, ...]:
+    """_draw_polygon(family, n, lo, hi, rng) from each row of n + 1 words, as
+    (radii, apex angles, plain rows, rows with an ideal vertex).  A row is
+    plain when random_partition takes its first draw and the constructor
+    keeps it as it is; the ideal rows are the plain tangential rows that the
+    constructor rejects.  Other rows are garbage."""
+    radii = _uniform(words[:, 0], lo, hi)
+    u = _uniform(words[:, 1:], 0.1, 1.0)
+    sums = u.sum(axis=1)
+    ts, plain = _polygon.normalized_rows(u * (TWO_PI / sums)[:, None])
+    plain &= 2.0 * u.max(axis=1) < sums
+    ideal = plain & _polygon.ideal_rows(radii, ts) if family is TangentialPolygon else np.zeros_like(plain)
+    return radii, ts, plain, ideal
+
+
+def _redraw(rows, draw: Callable, radii: np.ndarray, ts: np.ndarray) -> None:
+    """Row j of radii and ts becomes the polygon draw(j), for each j in rows."""
+    for j in rows.tolist():
+        poly = draw(j)
+        radii[j], ts[j] = poly.radius, poly.thetas
+
+
+def polygon_blocks(family: type, n: int, lo: float, hi: float, seed: int, count: int,
+                   regular: bool = False) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The polygons of streams 0 .. count-1 of seed, as blocks of (radii,
+    apex angles) arrays.  Each is what random_cyclic_polygon or
+    random_tangential_polygon draws on its stream, or with regular
+    family.regular(n, rng.uniform(lo, hi)); (lo, hi) is a _radius_window."""
+    stream = _streams(seed)
+    draw = random_tangential_polygon if family is TangentialPolygon else random_cyclic_polygon
+    for start, words in _word_blocks(stream, count, 1 if regular else n + 1):
+        if regular:
+            polys = [family.regular(n, r) for r in _uniform(words[:, 0], lo, hi).tolist()]
+            yield np.array([p.radius for p in polys]), np.array([p.thetas for p in polys])
+            continue
+        radii, ts, plain, ideal = _polygon_rows(family, n, lo, hi, words)
+        _redraw(np.flatnonzero(~plain | ideal), lambda j: draw(n, (lo, hi), stream(start + j)), radii, ts)
+        yield radii, ts
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +357,13 @@ class GridOracleResult:
     evaluations: int
 
 
+def _check_oracle(k: int, resolution: int) -> None:
+    if k not in (2, 3):
+        raise OracleTooLarge(f"grid oracle supports k in {{2, 3}}, got {k}")
+    if resolution < 50:
+        raise Infeasible("need resolution >= 50")
+
+
 def grid_oracle(problem: SeparableProblem, resolution: int) -> GridOracleResult:
     """Exhaustive scan of the constrained simplex on a regular grid.
 
@@ -270,10 +371,7 @@ def grid_oracle(problem: SeparableProblem, resolution: int) -> GridOracleResult:
     own sense and is guaranteed within one grid cell of the true optimum
     when the objective carries a consistent certificate.
     """
-    if problem.k not in (2, 3):
-        raise OracleTooLarge(f"grid oracle supports k in {{2, 3}}, got {problem.k}")
-    if resolution < 50:
-        raise Infeasible("need resolution >= 50")
+    _check_oracle(problem.k, resolution)
     lo, hi = problem.interval
     step = (hi - lo) / resolution
     xs = [lo + j * step for j in range(1, resolution)]
@@ -393,12 +491,15 @@ def solve_equal_sum(
 
     Always runs, even with a mixed certificate; the report's certified flag
     says whether the certificate has the sign the sense needs.  When
-    oracle_resolution is given and k <= 3, the grid oracle runs too and
+    oracle_resolution is given, the grid oracle runs too and
     oracle_agreement records whether both optima match within the value
-    change across one grid cell.
+    change across one grid cell; an oracle it cannot run (k not in {2, 3},
+    resolution below 50) raises before the solve starts.
     """
     lo, hi = problem.interval
     k = problem.k
+    if oracle_resolution is not None:
+        _check_oracle(k, oracle_resolution)
     cert = certify_convexity(problem.f, problem.interval)
     needed = "positive" if problem.sense == "minimize" else "negative"
     certified = cert.sign == needed
@@ -451,7 +552,7 @@ def solve_equal_sum(
         iterations=total_iters,
     )
 
-    if oracle_resolution is not None and k in (2, 3):
+    if oracle_resolution is not None:
         oracle = grid_oracle(problem, oracle_resolution)
         gap = _one_cell_value_gap(problem, oracle)
         agree = abs(report.objective_at_argmin - oracle.min_value) <= gap
@@ -596,6 +697,7 @@ def make_problem(
     """
     if name not in _OBJECTIVE_SPECS:
         raise Infeasible(f"unknown objective {name!r}; known: {sorted(_OBJECTIVE_SPECS)}")
+    _bounds._check_nk(n, k)
     spec = _OBJECTIVE_SPECS[name]
     if radius is None:
         radius = spec["radius_default"]
@@ -662,17 +764,17 @@ def verify_theorem(
         _bounds._check_nk(n, k)
         if k < 2:
             raise Infeasible(f"{theorem_id} bounds a total over k >= 2 polygons, got k={k}")
-        draw, eq_err, params = _split_draws(entry, n, k, entry["total"](n, k) if total is None else total)
+        draws, eq_err, params = _split_draws(entry, n, k, entry["total"](n, k) if total is None else total)
     else:
         _bounds._check_nk(n)
         k = 1
-        draw, eq_err, params = _polygon_draws(entry, n, radius_range)
-    # draw(rng) is None for a skipped draw, else (bound, actual value, witness,
-    # equality error or None); witness() gives a counterexample's leading keys
+        draws, eq_err, params = _polygon_draws(entry, n, radius_range)
+    # draws(seed, trials) yields, stream by stream, None for a skipped draw,
+    # else (bound, actual value, witness, equality error or None); witness()
+    # gives a counterexample's leading keys
     asserted = violations = skipped = 0
     worst = counterexample = None
-    for rng in trial_rngs(seed, trials):
-        drawn = draw(rng)
+    for drawn in draws(seed, trials):
         if drawn is None:
             skipped += 1
             continue
@@ -696,27 +798,50 @@ def verify_theorem(
 
 def _polygon_draws(entry: dict, n: int, radius_range: tuple[float, float]) -> tuple[Callable, None, dict]:
     """One random polygon of the record's family per draw, checked against the
-    bound at its radius; the equality case is re-checked at every radius."""
+    bound at its radius; the equality case is re-checked at every radius.
+
+    The draws come in blocks; a row whose partition is redrawn is replayed
+    by _draw_polygon, and a tangential row with an ideal vertex is skipped."""
     family = TangentialPolygon if entry["family"] == "tangential" else CyclicPolygon
     func = entry["func"]
     lo, hi = _radius_window(family, n, radius_range)
 
-    def draw(rng):
-        try:
-            poly = _draw_polygon(family, n, lo, hi, rng)
-        except IdealVertex:
-            return None
-        res = func(n, poly.radius)
-        actual = _polygon.perimeter(poly) if res.quantity == "perimeter" else _polygon.area(poly)
-        err = None if res.equality_spec is None else abs(_bounds.equality_value(res) - res.value)
-        return res, actual, lambda: {"polygon": _polygon.to_json_dict(poly)}, err
+    def draws(seed, trials):
+        stream = _streams(seed)
+        for start, words in _word_blocks(stream, trials, n + 1):
+            radii, ts, plain, ideal = _polygon_rows(family, n, lo, hi, words)
+            keep = plain & ~ideal
+            for j in np.flatnonzero(~plain).tolist():
+                try:
+                    poly = _draw_polygon(family, n, lo, hi, stream(start + j))
+                except IdealVertex:
+                    continue
+                radii[j], ts[j], keep[j] = poly.radius, poly.thetas, True
+            actual = None  # the block's perimeters or areas, once a bound says which
+            for j, radius in enumerate(radii.tolist()):
+                if not keep[j]:
+                    yield None
+                    continue
+                res = func(n, radius)
+                if actual is None:
+                    measure = _polygon.perimeter_rows if res.quantity == "perimeter" else _polygon.area_rows
+                    actual = np.zeros(len(keep))
+                    actual[keep] = measure(family.kind, radii[keep], ts[keep])
+                    actual = actual.tolist()
+                err = None if res.equality_spec is None else abs(_bounds.equality_value(res) - res.value)
+                yield res, actual[j], functools.partial(_polygon_witness, family.kind, n, radius, ts[j]), err
 
-    return draw, None, {"radius_range": [lo, hi]}
+    return draws, None, {"radius_range": [lo, hi]}
+
+
+def _polygon_witness(kind: str, n: int, radius: float, ts: np.ndarray) -> dict:
+    return {"polygon": _polygon.row_json(kind, n, radius, ts.tolist())}
 
 
 def _split_draws(entry: dict, n: int, k: int, total: float) -> tuple[Callable, float | None, dict]:
-    """One random split of the total per draw, each component a regular polygon
-    spec(n, x); the equality case is the uniform split, checked once here."""
+    """One random split of the total per draw, as random_split draws it, each
+    component a regular polygon spec(n, x); the equality case is the uniform
+    split, checked once here."""
     res = entry["func"](n, k, total)
     spec = entry["spec"]
     lo, hi = entry["window"](n)
@@ -735,15 +860,15 @@ def _split_draws(entry: dict, n: int, k: int, total: float) -> tuple[Callable, f
     def witness(xs) -> dict:
         return {"split": list(xs), "polygons": [_regular_polygon_json(spec(n, x)) for x in xs]}
 
-    def draw(rng):
-        xs = random_split(total, k, rng)
-        if not inside(xs):
-            return None
-        return res, metric(xs), lambda: witness(xs), None
+    def draws(seed, trials):
+        for _, words in _word_blocks(_streams(seed), trials, k):
+            u = _uniform(words, 0.1, 1.0)
+            for xs in (u * (total / u.sum(axis=1))[:, None]).tolist():
+                yield (res, metric(xs), functools.partial(witness, xs), None) if inside(xs) else None
 
     uniform = (total / k,) * k
     checked = res.feasible and res.equality_spec is not None and inside(uniform)
-    return draw, abs(metric(uniform) - res.value) if checked else None, {"total": total}
+    return draws, abs(metric(uniform) - res.value) if checked else None, {"total": total}
 
 
 def _regular_polygon_json(spec: RegularNGonSpec) -> dict:

@@ -6,6 +6,11 @@ A tangential polygon has all sides tangent to a circle of radius r; sector i
 is spanned at the incenter by two consecutive tangency points, again with
 apex angle theta_i, and carries one vertex on its bisector.  In both cases
 the apex angles partition the full turn: sum(theta_i) = 2*pi.
+
+The *_rows functions take a block of polygons of one family and one n, as
+an array of radii and a (polygons, n) array of apex angles, and give each
+row's value bit for bit as the per-polygon function would: the sector
+kernels elementwise, and one math.fsum per row where it sums with fsum.
 """
 
 from __future__ import annotations
@@ -13,8 +18,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import IdealVertex, Infeasible, OutOfRange
-from .hypmath import LEG_MAX, acos_snapped, stable_asinh, stable_atanh
+from .hypmath import (
+    LEG_MAX,
+    acos_snapped,
+    acos_snapped_rows,
+    fsum_rows,
+    libm,
+    stable_asinh,
+    stable_asinh_rows,
+    stable_atanh,
+    stable_atanh_rows,
+)
 
 # Constructors renormalize partitions off by at most this and reject worse.
 PARTITION_TOL = 1e-10
@@ -101,6 +118,19 @@ def _normalized_partition(n: int, thetas) -> tuple[float, ...]:
     return ts
 
 
+def normalized_rows(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_normalized_partition of every row of ts, and the rows it accepts."""
+    totals = fsum_rows(ts)
+    ts = ts * (TWO_PI / totals)[:, None]
+    ok = (np.abs(totals - TWO_PI) <= PARTITION_TOL) & ((ts > 0.0) & (ts < math.pi)).all(axis=1)
+    return ts, ok
+
+
+def ideal_rows(r: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """The rows a TangentialPolygon with inradius r and apex angles ts rejects as ideal."""
+    return (libm(math.tan, 0.5 * ts) * libm(math.sinh, r)[:, None] >= 1.0).any(axis=1)
+
+
 @dataclass(frozen=True)
 class CyclicPolygon:
     """Polygon inscribed in a circle of radius R, given by its apex angles."""
@@ -166,6 +196,17 @@ def perimeter(p: Polygon) -> float:
     return 2.0 * math.fsum(tangential_tangent_length(t, p.r) for t in p.thetas)
 
 
+def perimeter_rows(kind: str, radii: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """perimeter of every row's polygon."""
+    half = 0.5 * ts
+    if kind == "cyclic":
+        return 2.0 * fsum_rows(stable_asinh_rows(libm(math.sin, half) * libm(math.sinh, radii)[:, None]))
+    x = libm(math.tan, half) * libm(math.sinh, radii)[:, None]
+    if (x >= 1.0).any():
+        raise IdealVertex(f"tan(theta/2)*sinh r = {float(x[x >= 1.0][0])!r} >= 1")
+    return 2.0 * fsum_rows(stable_atanh_rows(x))
+
+
 def interior_angles(p: Polygon) -> tuple[float, ...]:
     """Interior angle at each vertex, indexed to match the embedding order.
 
@@ -183,11 +224,25 @@ def area(p: Polygon) -> float:
     return (p.n - 2) * math.pi - math.fsum(interior_angles(p))
 
 
+def area_rows(kind: str, radii: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """area of every row's polygon."""
+    half = 0.5 * ts
+    if kind == "cyclic":
+        halves = libm(math.atan2, 1.0, libm(math.cosh, radii)[:, None] * libm(math.tan, half))
+        angles = np.roll(halves, 1, axis=1) + halves
+    else:
+        x = libm(math.sin, half) * libm(math.cosh, radii)[:, None]
+        if (x > 1.0 + 1e-12).any():
+            raise IdealVertex(f"sin(theta/2)*cosh r = {float(x[x > 1.0 + 1e-12][0])!r} > 1")
+        angles = 2.0 * acos_snapped_rows(np.minimum(x, 1.0))
+    return (ts.shape[1] - 2) * math.pi - fsum_rows(angles)
+
+
 def to_json_dict(p: Polygon) -> dict:
-    return {
-        "kind": p.kind,
-        "n": p.n,
-        "radius": p.radius,
-        "thetas": list(p.thetas),
-    }
+    return row_json(p.kind, p.n, p.radius, list(p.thetas))
+
+
+def row_json(kind: str, n: int, radius: float, thetas: list[float]) -> dict:
+    """to_json_dict of the polygon given by its fields."""
+    return {"kind": kind, "n": n, "radius": radius, "thetas": thetas}
 
