@@ -147,9 +147,9 @@ def coshm1_rows(x: np.ndarray) -> np.ndarray:
 
 def acos_snapped_rows(x: np.ndarray) -> np.ndarray:
     """acos_snapped of every element."""
-    bad = (x > 1.0 + EPS_REL) | (x < -1.0 - EPS_REL)
-    if bad.any():
-        raise OutOfRange(f"acos argument {float(x[bad][0])!r} outside [-1, 1]")
+    for bad, side in ((x > 1.0 + EPS_REL, "above 1"), (x < -1.0 - EPS_REL, "below -1")):
+        if bad.any():
+            raise OutOfRange(f"acos argument {float(x[bad][0])!r} {side}")
     top, bottom = x >= 1.0 - _BRANCH_SNAP, x <= -1.0
     r = libm(math.acos, np.where(top | bottom, 0.0, x))
     r[top] = 0.0
