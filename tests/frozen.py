@@ -4,7 +4,8 @@ Every constant here was produced by a 60-digit mpmath evaluation and
 rounded to the nearest binary64; test_frozen.py re-derives each one and
 fails if a literal drifts.  The VERIFY_* records at the end are outputs of
 seeded verify_theorem runs; test_frozen.py re-runs them, so a change to the
-random streams fails there.  Package code must never import this module.
+random streams, or to one bit of a VERIFY_BITS_* margin, fails there.
+Package code must never import this module.
 """
 
 # plain inverse-function values
@@ -81,3 +82,16 @@ VERIFY_1_8 = (dict(theorem_id="1.8", n=6, k=3, trials=500, seed=7), 480, 20, "0x
 VERIFY_1_1 = (dict(theorem_id="1.1", n=3, trials=500, seed=7), 154, 346, "0x1.8693c986a0400p-9")
 # a guarded split, where draws with a component below the area threshold are skipped
 VERIFY_1_9 = (dict(theorem_id="1.9", n=6, k=3, trials=500, seed=7), 285, 215, "0x1.2641c6e954800p-6")
+
+# verify_theorem(**args) outputs with every bit pinned: (args, asserted, skipped,
+# violations, worst_margin hex, equality_abs_error hex), recorded from the
+# per-draw implementation that the block evaluation replaced
+VERIFY_BITS_1_3 = (dict(theorem_id="1.3", n=192, radius_range=(1e-3, 15.0), trials=300, seed=7),
+                   262, 38, 0, "0x1.9078c00000000p-24", "0x0.0p+0")
+VERIFY_BITS_1_4 = (dict(theorem_id="1.4", n=192, radius_range=(1e-3, 15.0), trials=300, seed=7),
+                   300, 0, 0, "0x1.cf510d9f4c000p-20", "0x1.0000000000000p-43")
+# n=3, where 180 of the 500 partitions are redrawn on their own stream
+VERIFY_BITS_1_2 = (dict(theorem_id="1.2", n=3, trials=500, seed=7),
+                   500, 0, 0, "0x1.66883d7ae4000p-12", "0x0.0p+0")
+VERIFY_BITS_1_10 = (dict(theorem_id="1.10", n=12, k=5, trials=500, seed=7),
+                    60, 440, 0, "0x1.7f04f71181400p-4", "0x1.0000000000000p-46")

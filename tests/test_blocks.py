@@ -98,8 +98,9 @@ def test_split_draws_match_random_split(monkeypatch, theorem, k, seed):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_polygon_blocks_match_the_sample_draws(monkeypatch, family, n, window, regular):
     # the redrawing samplers of `hypergon sample`, which replay every
-    # tangential draw with an ideal vertex on its own stream
-    monkeypatch.setattr(optimize, "BLOCK_WORDS", SMALL_BLOCK)
+    # tangential draw with an ideal vertex on its own stream; a regular
+    # draw reads one word, so its blocks are cut at 50 streams
+    monkeypatch.setattr(optimize, "BLOCK_WORDS", 50 if regular else SMALL_BLOCK)
     lo, hi = optimize._radius_window(family, n, window)
     sampler = optimize.random_tangential_polygon if family is TangentialPolygon else optimize.random_cyclic_polygon
     for seed in SEEDS:

@@ -327,6 +327,30 @@ def test_optimize_unknown_objective(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("--objective", "thm6_radius", "--n", "2"),  # a numpy traceback before n was checked
+    ("--objective", "thm7_radius", "--n", "-3"),  # exit 0, on a problem that means nothing
+    ("--thm", "1.4", "--n", "2"),  # the sector objectives ignore n, yet n = 2 is no polygon
+    ("--objective", "thm5_radius", "--n", "0"),  # exit 2 only by a division by zero
+])
+def test_optimize_checks_n_before_building_the_objective(capsys, argv):
+    code = main(["optimize", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: Infeasible: need integer n >= 3, got {argv[-1]}"]
+
+
+def test_optimize_oracle_outside_k_2_or_3_exits_2_before_solving(capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the descent ran")
+
+    monkeypatch.setattr(optimize, "certify_convexity", no_solve)
+    code, out = run_cli(capsys, "optimize", "--objective", "thm5_radius", "--k", "4", "--resolution", "100")
+    assert code == 2
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # argument errors
 
@@ -347,6 +371,19 @@ def test_report_rejects_empty_batteries(tmp_path, capsys):
         assert code == 2, flag
         assert out == ""
     assert not (tmp_path / "bundle").exists()
+
+
+def test_report_where_a_bound_asserted_nothing_exits_2(tmp_path, capsys):
+    # one draw per bound at n=12: 1.1, 1.3 and 1.9 and 1.10 at k=3 draw
+    # nothing inside their guards, which is no verdict, not a violation
+    bundle = tmp_path / "bundle"
+    code = main(["report", "--out", str(bundle), "--n", "12", "--polygons", "1", "--trials", "1", "--splits", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: nothing was asserted for 1.1, 1.3, 1.9 at k=3, 1.10 at k=3: "
+                            "every draw fell outside the guard\n")
+    assert not bundle.exists()
 
 
 def test_report_with_a_bad_seed_writes_nothing(tmp_path, capsys):

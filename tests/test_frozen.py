@@ -85,3 +85,11 @@ def test_seeded_verification_outputs():
     for args, asserted, skipped, worst in (frozen.VERIFY_1_2, frozen.VERIFY_1_8, frozen.VERIFY_1_1, frozen.VERIFY_1_9):
         rep = verify_theorem(**args)
         assert (rep.asserted, rep.skipped, rep.worst_margin.hex()) == (asserted, skipped, worst), args
+
+
+def test_seeded_verification_bits():
+    for args, asserted, skipped, violations, worst, eq_err in (
+            frozen.VERIFY_BITS_1_3, frozen.VERIFY_BITS_1_4, frozen.VERIFY_BITS_1_2, frozen.VERIFY_BITS_1_10):
+        rep = verify_theorem(**args)
+        got = (rep.asserted, rep.skipped, rep.violations, rep.worst_margin.hex(), rep.equality_abs_error.hex())
+        assert got == (asserted, skipped, violations, worst, eq_err), args
