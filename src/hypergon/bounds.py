@@ -407,7 +407,8 @@ def _thm10_sweep(n: int) -> tuple[float, float]:
 #   family     "cyclic" or "tangential" for the single-polygon bounds
 #   objective  the registered optimize objective certifying the equal split
 #   spec       spec(n, x): the regular polygon one split component x defines
-#   window     window(n): the open admissibility window of one component
+#   window     window(n): the open admissibility window of one component,
+#              ended at the overflow guard of the quantity spec converts
 #   total      total(n, k): the default fixed total
 #   sweep      sweep(n): the report's per-polygon sweep window
 THEOREMS: dict[str, dict] = {
@@ -421,7 +422,7 @@ THEOREMS: dict[str, dict] = {
                    family="cyclic", objective="cyclic_half_angle"),
     "1.5": _record(thm5_total_peri_lower, "total_circumradius", lambda n: (0.25, 1.5),
                    objective="thm5_radius", spec=lambda n, x: RegularNGonSpec(n=n, R=x),
-                   window=lambda n: (0.0, math.inf), total=lambda n, k: k * 1.0),
+                   window=lambda n: (0.0, LEG_MAX), total=lambda n, k: k * 1.0),
     "1.6": _record(thm6_total_peri_lower, "total_inradius", lambda n: (0.1, 0.9 * tangential_radius_limit(n)),
                    objective="thm6_radius", spec=lambda n, x: RegularNGonSpec(n=n, r=x),
                    window=lambda n: (0.0, tangential_radius_limit(n)),
@@ -440,7 +441,7 @@ THEOREMS: dict[str, dict] = {
                    window=lambda n: (thm9_area_threshold(n), (n - 2) * math.pi), total=_thm9_total),
     "1.10": _record(thm10_total_area_upper, "total_perimeter", _thm10_sweep,
                     objective="thm10_perimeter", spec=lambda n, x: RegularNGonSpec(n=n, side=x / n),
-                    window=lambda n: (thm10_peri_threshold(n), math.inf),
+                    window=lambda n: (thm10_peri_threshold(n), n * LEG_MAX),
                     total=lambda n, k: k * 1.5 * thm10_peri_threshold(n)),
     "cor1": _record(cor1_inradius_lower, "R", lambda n: (0.25, 1.5)),
 }

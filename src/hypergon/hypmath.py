@@ -319,3 +319,62 @@ def regular_convert(spec: RegularNGonSpec) -> RegularPolygonMetrics:
         perimeter=n * side,
         area=(n - 2) * math.pi - n * theta,
     )
+
+
+def regular_convert_rows(n: int, name: str, value: np.ndarray) -> RegularPolygonMetrics:
+    """regular_convert of the n-gon that each element of value defines as
+    the quantity `name`, as metrics whose fields are arrays of value's shape."""
+    if not isinstance(n, int) or n < 3:
+        raise Infeasible(f"need integer n >= 3, got {n!r}")
+    cn = math.cos(math.pi / n)
+    sn = math.sin(math.pi / n)
+    theta_max = (n - 2) * math.pi / n
+
+    def check(ok: np.ndarray, message: str) -> None:
+        if not ok.all():
+            raise Infeasible(message)
+
+    if name == "theta":
+        theta = value
+        check((0.0 < theta) & (theta < theta_max), f"interior angle must lie in (0, {(n - 2)}pi/{n})")
+        half = 0.5 * theta
+        gap = 0.5 * math.pi - math.pi / n - half
+        sin_half, sin_gap = libm(math.sin, half), libm(math.sin, 0.5 * gap)
+        den = sn * sin_half
+        if not den.all():  # as the scalar's float division raises
+            raise ZeroDivisionError("float division by zero")
+        with np.errstate(over="ignore"):  # and overflows to inf without a warning
+            R = acosh1p_rows(libm(math.cos, math.pi / n + half) / den)
+            r = acosh1p_rows(2.0 * libm(math.sin, half + 0.5 * gap) * sin_gap / sn)
+            side = 2.0 * acosh1p_rows(2.0 * libm(math.sin, math.pi / n + 0.5 * gap) * sin_gap / sin_half)
+    elif name == "R":
+        R = value
+        check((0.0 < R) & (R <= LEG_MAX), f"circumradius must lie in (0, {LEG_MAX}]")
+        theta = 2.0 * libm(math.atan2, cn / sn, libm(math.cosh, R))
+        r = stable_atanh_rows(cn * libm(math.tanh, R))
+        side = 2.0 * stable_asinh_rows(sn * libm(math.sinh, R))
+    elif name == "r":
+        r = value
+        check((0.0 < r) & (r <= LEG_MAX), f"inradius must lie in (0, {LEG_MAX}]")
+        check(r < tangential_radius_limit(n), "inradius at or beyond asinh(cot(pi/n)): vertices are ideal")
+        R = stable_atanh_rows(libm(math.tanh, r) / cn)
+        theta = 2.0 * acos_snapped_rows(sn * libm(math.cosh, r))
+        side = 2.0 * stable_atanh_rows(libm(math.sinh, r) * sn / cn)
+    else:  # side
+        side = value
+        check((0.0 < side) & (side <= LEG_MAX), f"side must lie in (0, {LEG_MAX}]")
+        half_side = 0.5 * side
+        R = stable_asinh_rows(libm(math.sinh, half_side) / sn)
+        q = cn / libm(math.cosh, half_side)
+        theta = 2.0 * libm(math.asin, np.where(q < 1.0, q, 1.0))  # min(1.0, q)
+        r = stable_asinh_rows(libm(math.tanh, half_side) * cn / sn)
+
+    return RegularPolygonMetrics(
+        n=n,
+        R=R,
+        r=r,
+        theta=theta,
+        side=side,
+        perimeter=n * side,
+        area=(n - 2) * math.pi - n * theta,
+    )

@@ -23,7 +23,7 @@ import numpy as np
 from . import bounds as _bounds
 from . import polygon as _polygon
 from .errors import EvaluationFailure, IdealVertex, Infeasible, OracleTooLarge, OutOfRange
-from .hypmath import LEG_MAX, RegularNGonSpec, regular_convert, tangential_radius_limit
+from .hypmath import LEG_MAX, RegularNGonSpec, regular_convert, regular_convert_rows, tangential_radius_limit
 from .polygon import CyclicPolygon, TangentialPolygon, TWO_PI
 
 # All randomness flows from one seed in [0, 2**128) through counter-based
@@ -755,7 +755,9 @@ def verify_theorem(
     splits of total (default: the record's) into k >= 2 regular polygons.
     Draws that violate an admissibility guard are skipped, not resampled,
     so an out-of-region total shows up as skipped == trials.  Inequalities
-    are asserted with 1e-12 slack and the equality configuration with 1e-9.
+    are asserted with a slack of INEQ_TOL (1e-12) times the bound's size,
+    max(1, |bound|), so that a rounding error in a large bound is not a
+    violation; the equality configuration is asserted with EQ_TOL (1e-9).
     """
     entry = _bounds.THEOREMS.get(theorem_id)
     if entry is None or entry["objective"] is None:
@@ -783,7 +785,7 @@ def verify_theorem(
         asserted += 1
         if worst is None or margin < worst:
             worst = margin
-        if margin < -INEQ_TOL:
+        if margin < -INEQ_TOL * max(1.0, abs(res.value)):
             violations += 1
             if counterexample is None:
                 counterexample = {**witness(), "bound": res.to_json_dict(), "margin": margin}
@@ -817,19 +819,30 @@ def _polygon_draws(entry: dict, n: int, radius_range: tuple[float, float]) -> tu
                 except IdealVertex:
                     continue
                 radii[j], ts[j], keep[j] = poly.radius, poly.thetas, True
-            actual = None  # the block's perimeters or areas, once a bound says which
-            for j, radius in enumerate(radii.tolist()):
+            rs = radii.tolist()
+            results = [func(n, rs[j]) for j in np.flatnonzero(keep).tolist()]
+            if not results:
+                yield from itertools.repeat(None, len(rs))
+                continue
+            # the block's perimeters or areas, and the equality values of the
+            # rows whose bound has an equality configuration
+            quantity = results[0].quantity
+            measure = _polygon.perimeter_rows if quantity == "perimeter" else _polygon.area_rows
+            actual = measure(family.kind, radii[keep], ts[keep]).tolist()
+            specs = [res.equality_spec for res in results if res.equality_spec is not None]
+            equal = iter(())
+            if specs:
+                name = specs[0].defining()[0]
+                m = regular_convert_rows(n, name, np.array([getattr(s, name) for s in specs]))
+                equal = iter((m.perimeter if quantity == "perimeter" else m.area).tolist())
+            kept = iter(zip(results, actual))
+            for j, radius in enumerate(rs):
                 if not keep[j]:
                     yield None
                     continue
-                res = func(n, radius)
-                if actual is None:
-                    measure = _polygon.perimeter_rows if res.quantity == "perimeter" else _polygon.area_rows
-                    actual = np.zeros(len(keep))
-                    actual[keep] = measure(family.kind, radii[keep], ts[keep])
-                    actual = actual.tolist()
-                err = None if res.equality_spec is None else abs(_bounds.equality_value(res) - res.value)
-                yield res, actual[j], functools.partial(_polygon_witness, family.kind, n, radius, ts[j]), err
+                res, value = next(kept)
+                err = None if res.equality_spec is None else abs(res.k * next(equal) - res.value)
+                yield res, value, functools.partial(_polygon_witness, family.kind, n, radius, ts[j]), err
 
     return draws, None, {"radius_range": [lo, hi]}
 
@@ -863,8 +876,18 @@ def _split_draws(entry: dict, n: int, k: int, total: float) -> tuple[Callable, f
     def draws(seed, trials):
         for _, words in _word_blocks(_streams(seed), trials, k):
             u = _uniform(words, 0.1, 1.0)
-            for xs in (u * (total / u.sum(axis=1))[:, None]).tolist():
-                yield (res, metric(xs), functools.partial(witness, xs), None) if inside(xs) else None
+            splits = u * (total / u.sum(axis=1))[:, None]
+            keep = ((lo < splits) & (splits < hi)).all(axis=1)
+            # metric of every kept split: the components converted in one
+            # call, then summed left to right as metric sums them
+            m = regular_convert_rows(n, *spec(n, splits[keep]).defining())
+            values = m.perimeter if res.quantity == "perimeter" else m.area
+            sums = np.zeros(len(values))
+            for column in values.T:
+                sums += column
+            kept = iter(sums.tolist())
+            for xs, ok in zip(splits.tolist(), keep.tolist()):
+                yield (res, next(kept), functools.partial(witness, xs), None) if ok else None
 
     uniform = (total / k,) * k
     checked = res.feasible and res.equality_spec is not None and inside(uniform)

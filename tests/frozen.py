@@ -95,3 +95,11 @@ VERIFY_BITS_1_2 = (dict(theorem_id="1.2", n=3, trials=500, seed=7),
                    500, 0, 0, "0x1.66883d7ae4000p-12", "0x0.0p+0")
 VERIFY_BITS_1_10 = (dict(theorem_id="1.10", n=12, k=5, trials=500, seed=7),
                     60, 440, 0, "0x1.7f04f71181400p-4", "0x1.0000000000000p-46")
+# the split path through each defining quantity the kernel converts from:
+# circumradius (1.5), inradius (1.8) and interior angle (1.9); side is 1.10
+VERIFY_BITS_1_5 = (dict(theorem_id="1.5", n=192, k=5, trials=500, seed=7),
+                   500, 0, 0, "0x1.4483c302a4200p-3", "0x0.0p+0")
+VERIFY_BITS_1_8 = (dict(theorem_id="1.8", n=3, k=5, trials=500, seed=7),
+                   458, 42, 0, "0x1.a9d2e992f5e00p-6", "0x1.0000000000000p-51")
+VERIFY_BITS_1_9 = (dict(theorem_id="1.9", n=12, k=2, trials=500, seed=7),
+                   425, 75, 0, "0x1.a35f27f180000p-13", "0x0.0p+0")

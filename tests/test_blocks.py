@@ -215,3 +215,87 @@ def test_libm_calls_math_elementwise():
     got = hypmath.libm(math.atan2, 1.0, x)
     assert got.shape == (3, 4)
     assert hexes(got.ravel()) == hexes(math.atan2(1.0, v) for v in x.ravel().tolist())
+
+
+# ---------------------------------------------------------------------------
+# regular polygons
+
+METRIC_FIELDS = ("R", "r", "theta", "side", "perimeter", "area")
+
+
+def regular_domain(n, name):
+    """Values across the whole domain of the defining quantity `name`."""
+    rng = np.random.default_rng(n)
+    if name in ("R", "side"):
+        top = hypmath.LEG_MAX
+        return np.concatenate([np.geomspace(1e-300, top, 200), rng.uniform(0, top, 100), [5e-324, top]])
+    if name == "r":
+        top = hypmath.tangential_radius_limit(n)
+        near = top * (1.0 - np.geomspace(1e-8, 1e-1, 40))
+        return np.concatenate([np.geomspace(1e-300, top, 200)[:-1], rng.uniform(0, top, 100), near])
+    top = (n - 2) * math.pi / n
+    # below about 1e-8 acosh1p takes its t > 1e8 branch
+    return np.concatenate([np.geomspace(1e-300, top, 200)[:-1], rng.uniform(0, top, 100),
+                           [1e-320, 1e-9, 1e-8, 1e-7, np.nextafter(top, 0.0)]])
+
+
+@pytest.mark.parametrize("name", ["R", "r", "theta", "side"])
+@pytest.mark.parametrize("n", [3, 4, 6, 12, 50, 192])
+def test_regular_convert_rows_matches_regular_convert(n, name):
+    values = regular_domain(n, name)
+    got = hypmath.regular_convert_rows(n, name, values.reshape(-1, 1))
+    want = [hypmath.regular_convert(hypmath.RegularNGonSpec(n=n, **{name: v})) for v in values.tolist()]
+    for field in METRIC_FIELDS:
+        column = getattr(got, field)
+        assert column.shape == (len(values), 1)
+        assert hexes(column.ravel()) == hexes(getattr(m, field) for m in want), field
+
+
+@pytest.mark.parametrize("n, name, bad", [
+    (6, "R", 0.0), (6, "R", -1.0), (6, "R", 700.0000000001), (6, "R", math.nan),
+    (6, "side", 0.0), (6, "side", 701.0), (3, "side", math.inf),
+    (6, "r", 0.0), (6, "r", hypmath.tangential_radius_limit(6)), (12, "r", 701.0),
+    (3, "r", float(np.nextafter(hypmath.tangential_radius_limit(3), 0.0))),  # tanh r / cos(pi/n) rounds to 1
+    (6, "theta", 0.0), (6, "theta", 4 * math.pi / 6), (6, "theta", -1.0),
+    (6, "theta", 5e-324),  # half of it is 0
+    (2, "R", 1.0), (6.0, "R", 1.0),
+])
+def test_regular_convert_rows_raise_where_regular_convert_raises(n, name, bad):
+    with pytest.raises(Exception) as want:
+        hypmath.regular_convert(hypmath.RegularNGonSpec(n=n, **{name: bad}))
+    with pytest.raises(want.type, match=re.escape(str(want.value))):
+        hypmath.regular_convert_rows(n, name, np.array([0.5, bad]))
+
+
+def scalar_split_metric(entry, n, xs, quantity):
+    """The split metric as the per-component loop computes it."""
+    out = 0.0
+    for x in xs:
+        m = hypmath.regular_convert(entry["spec"](n, x))
+        out += m.perimeter if quantity == "perimeter" else m.area
+    return out
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 2**128 - 1])
+@pytest.mark.parametrize("k", [2, 3, 5])
+@pytest.mark.parametrize("theorem", ["1.5", "1.6", "1.7", "1.8", "1.9", "1.10"])
+def test_split_metrics_match_the_scalar_metric(monkeypatch, theorem, k, seed):
+    monkeypatch.setattr(optimize, "BLOCK_WORDS", 64 * k)
+    entry = bounds.THEOREMS[theorem]
+    n = 6
+    total = entry["total"](n, k)
+    draws, _, _ = optimize._split_draws(entry, n, k, total)
+    lo, hi = entry["window"](n)
+    for count in boundary_counts(k):
+        got = list(draws(seed, count))
+        assert len(got) == count
+        asserted = 0
+        for drawn, rng in zip(got, trial_rngs(seed, count)):
+            xs = optimize.random_split(total, k, rng)
+            if not all(lo < x < hi for x in xs):
+                assert drawn is None
+                continue
+            res, metric, _, _ = drawn
+            assert metric.hex() == scalar_split_metric(entry, n, xs, res.quantity).hex()
+            asserted += 1
+        assert asserted > 0

@@ -191,6 +191,31 @@ def test_verify_fails_a_bound_false_at_its_equality_case(capsys, monkeypatch):
     assert rep["passed"] is False
 
 
+def test_verify_slack_scales_with_the_bound(capsys):
+    # a bound of 9583 misses its split by one ulp, 1.8e-12: rounding, not a
+    # violation, though it is beyond the unscaled slack of 1e-12
+    code, out = run_cli(capsys, "verify", "--thm", "1.5", "--n", "6", "--k", "2", "--total", "800",
+                        "--trials", "3", "--seed", "3")
+    assert code == 0
+    rep = json.loads(out)["reports"][0]
+    assert -1e-11 < rep["worst_margin"] < -rep["tolerance"]
+    assert (rep["violations"], rep["tolerance"], rep["counterexample"]) == (0, optimize.INEQ_TOL, None)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--thm", "1.5", "--n", "6", "--k", "2", "--total", "800", "--trials", "20", "--seed", "7"),
+    ("--thm", "1.10", "--n", "3", "--k", "2", "--total", "4000", "--seed", "1"),
+])
+def test_verify_skips_split_components_past_the_overflow_guard(capsys, argv):
+    # some splits put one component past LEG_MAX; they used to end the whole
+    # run with exit 2, at some seeds and not at others
+    code, out = run_cli(capsys, "verify", *argv)
+    assert code == 0
+    rep = json.loads(out)["reports"][0]
+    assert rep["skipped"] > 0
+    assert rep["asserted"] > 0
+
+
 @pytest.mark.parametrize("argv", [
     ("sample", "--n", "2", "--trials", "1"),
     ("verify", "--thm", "1.2", "--n", "2", "--trials", "1"),

@@ -89,7 +89,8 @@ def test_seeded_verification_outputs():
 
 def test_seeded_verification_bits():
     for args, asserted, skipped, violations, worst, eq_err in (
-            frozen.VERIFY_BITS_1_3, frozen.VERIFY_BITS_1_4, frozen.VERIFY_BITS_1_2, frozen.VERIFY_BITS_1_10):
+            frozen.VERIFY_BITS_1_3, frozen.VERIFY_BITS_1_4, frozen.VERIFY_BITS_1_2, frozen.VERIFY_BITS_1_10,
+            frozen.VERIFY_BITS_1_5, frozen.VERIFY_BITS_1_8, frozen.VERIFY_BITS_1_9):
         rep = verify_theorem(**args)
         got = (rep.asserted, rep.skipped, rep.violations, rep.worst_margin.hex(), rep.equality_abs_error.hex())
         assert got == (asserted, skipped, violations, worst, eq_err), args
