@@ -340,13 +340,9 @@ def regular_convert_rows(n: int, name: str, value: np.ndarray) -> RegularPolygon
         half = 0.5 * theta
         gap = 0.5 * math.pi - math.pi / n - half
         sin_half, sin_gap = libm(math.sin, half), libm(math.sin, 0.5 * gap)
-        den = sn * sin_half
-        if not den.all():  # as the scalar's float division raises
-            raise ZeroDivisionError("float division by zero")
-        with np.errstate(over="ignore"):  # and overflows to inf without a warning
-            R = acosh1p_rows(libm(math.cos, math.pi / n + half) / den)
-            r = acosh1p_rows(2.0 * libm(math.sin, half + 0.5 * gap) * sin_gap / sn)
-            side = 2.0 * acosh1p_rows(2.0 * libm(math.sin, math.pi / n + 0.5 * gap) * sin_gap / sin_half)
+        R = acosh1p_rows(libm(math.cos, math.pi / n + half) / (sn * sin_half))
+        r = acosh1p_rows(2.0 * libm(math.sin, half + 0.5 * gap) * sin_gap / sn)
+        side = 2.0 * acosh1p_rows(2.0 * libm(math.sin, math.pi / n + 0.5 * gap) * sin_gap / sin_half)
     elif name == "R":
         R = value
         check((0.0 < R) & (R <= LEG_MAX), f"circumradius must lie in (0, {LEG_MAX}]")

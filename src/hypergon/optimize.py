@@ -859,16 +859,17 @@ def _split_draws(entry: dict, n: int, k: int, total: float) -> tuple[Callable, f
     spec = entry["spec"]
     lo, hi = entry["window"](n)
 
-    def inside(xs) -> bool:
-        return all(lo < x < hi for x in xs)
-
-    def metric(xs) -> float:
-        # the split metric is the bound's own quantity, summed per component
-        out = 0.0
-        for x in xs:
-            m = regular_convert(spec(n, x))
-            out += m.perimeter if res.quantity == "perimeter" else m.area
-        return out
+    def metrics(splits: np.ndarray) -> tuple[list[bool], list[float]]:
+        """Which rows of splits lie in the window, and the metric of each kept
+        row: the bound's own quantity of every component, converted in one
+        call and summed left to right."""
+        keep = ((lo < splits) & (splits < hi)).all(axis=1)
+        m = regular_convert_rows(n, *spec(n, splits[keep]).defining())
+        values = m.perimeter if res.quantity == "perimeter" else m.area
+        sums = np.zeros(len(values))
+        for column in values.T:
+            sums += column
+        return keep.tolist(), sums.tolist()
 
     def witness(xs) -> dict:
         return {"split": list(xs), "polygons": [_regular_polygon_json(spec(n, x)) for x in xs]}
@@ -877,21 +878,17 @@ def _split_draws(entry: dict, n: int, k: int, total: float) -> tuple[Callable, f
         for _, words in _word_blocks(_streams(seed), trials, k):
             u = _uniform(words, 0.1, 1.0)
             splits = u * (total / u.sum(axis=1))[:, None]
-            keep = ((lo < splits) & (splits < hi)).all(axis=1)
-            # metric of every kept split: the components converted in one
-            # call, then summed left to right as metric sums them
-            m = regular_convert_rows(n, *spec(n, splits[keep]).defining())
-            values = m.perimeter if res.quantity == "perimeter" else m.area
-            sums = np.zeros(len(values))
-            for column in values.T:
-                sums += column
-            kept = iter(sums.tolist())
-            for xs, ok in zip(splits.tolist(), keep.tolist()):
+            keep, sums = metrics(splits)
+            kept = iter(sums)
+            for xs, ok in zip(splits.tolist(), keep):
                 yield (res, next(kept), functools.partial(witness, xs), None) if ok else None
 
-    uniform = (total / k,) * k
-    checked = res.feasible and res.equality_spec is not None and inside(uniform)
-    return draws, abs(metric(uniform) - res.value) if checked else None, {"total": total}
+    eq_err = None
+    if res.feasible and res.equality_spec is not None:
+        keep, sums = metrics(np.full((1, k), total / k))
+        if keep[0]:
+            eq_err = abs(sums[0] - res.value)
+    return draws, eq_err, {"total": total}
 
 
 def _regular_polygon_json(spec: RegularNGonSpec) -> dict:
