@@ -253,6 +253,14 @@ def tangential_radius_limit(n: int) -> float:
     return stable_asinh(1.0 / math.tan(math.pi / n))
 
 
+def _check_theta_floor(n: int, theta) -> None:
+    """Raise OutOfRange if an interior angle in theta (a float or an array)
+    is below that of the regular n-gon with circumradius LEG_MAX: a smaller
+    angle has a larger circumradius."""
+    if np.any(theta < 2.0 * math.atan2(1.0 / math.tan(math.pi / n), math.cosh(LEG_MAX))):
+        raise OutOfRange(f"interior angle too small: the circumradius would pass {LEG_MAX}; cosh would overflow")
+
+
 def regular_convert(spec: RegularNGonSpec) -> RegularPolygonMetrics:
     """Convert one defining quantity of a regular n-gon into all of them.
 
@@ -280,6 +288,7 @@ def regular_convert(spec: RegularNGonSpec) -> RegularPolygonMetrics:
         theta = value
         if not 0.0 < theta < theta_max:
             raise Infeasible(f"interior angle must lie in (0, {(n - 2)}pi/{n})")
+        _check_theta_floor(n, theta)
         half = 0.5 * theta
         gap = 0.5 * math.pi - math.pi / n - half
         R = acosh1p(math.cos(math.pi / n + half) / (sn * math.sin(half)))
@@ -337,6 +346,7 @@ def regular_convert_rows(n: int, name: str, value: np.ndarray) -> RegularPolygon
     if name == "theta":
         theta = value
         check((0.0 < theta) & (theta < theta_max), f"interior angle must lie in (0, {(n - 2)}pi/{n})")
+        _check_theta_floor(n, theta)
         half = 0.5 * theta
         gap = 0.5 * math.pi - math.pi / n - half
         sin_half, sin_gap = libm(math.sin, half), libm(math.sin, 0.5 * gap)

@@ -272,6 +272,7 @@ def test_regular_convert_rows_matches_regular_convert(n, name):
     (6, "r", 0.0), (6, "r", hypmath.tangential_radius_limit(6)), (12, "r", 701.0),
     (3, "r", float(np.nextafter(hypmath.tangential_radius_limit(3), 0.0))),  # tanh r / cos(pi/n) rounds to 1
     (6, "theta", 0.0), (6, "theta", 4 * math.pi / 6), (6, "theta", -1.0),
+    (6, "theta", 5e-324), (6, "theta", 1e-320), (6, "theta", 1e-309),  # the circumradius would pass LEG_MAX
     (2, "R", 1.0), (6.0, "R", 1.0),
 ])
 def test_regular_convert_rows_raise_where_regular_convert_raises(n, name, bad):

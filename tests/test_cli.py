@@ -95,7 +95,7 @@ def test_bounds_json_format(capsys):
                         "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert len(doc["rows"]) == 3
     assert set(doc["rows"][0]) == {
         "theorem", "n", "k", "param", "value", "feasible", "guard_margin"
@@ -148,7 +148,7 @@ def test_verify_all_small(capsys):
     code, out = run_cli(capsys, "verify", "--thm", "all", "--trials", "20")
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert len(doc["reports"]) == 10
     assert all(r["violations"] == 0 for r in doc["reports"])
     assert all(r["passed"] for r in doc["reports"])
@@ -288,6 +288,7 @@ def test_each_subcommand_rejects_the_options_it_does_not_read():
         ("sample", "--degrees"),
         ("sample", "--k", "3"),  # a prefix of --kind, whose choices reject 3
         ("bounds", "--thm", "1.2", "--range", "1:1:1", "--seed", "5"),
+        ("optimize", "--thm", "1.5", "--seed", "5"),  # the scan draws nothing
     ):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
@@ -368,7 +369,7 @@ def test_optimize_checks_n_before_building_the_objective(capsys, argv):
 
 def test_optimize_oracle_outside_k_2_or_3_exits_2_before_solving(capsys, monkeypatch):
     def no_solve(*args, **kwargs):
-        raise AssertionError("the descent ran")
+        raise AssertionError("the solve ran")
 
     monkeypatch.setattr(optimize, "certify_convexity", no_solve)
     code, out = run_cli(capsys, "optimize", "--objective", "thm5_radius", "--k", "4", "--resolution", "100")
@@ -454,7 +455,6 @@ def test_seed_outside_the_key_range_exits_2(tmp_path, capsys, seed):
     for argv in (
         ("verify", "--thm", "1.2", "--trials", "3"),
         ("sample", "--trials", "2"),
-        ("optimize", "--thm", "1.5"),
         ("report", "--out", str(tmp_path / "bundle"), "--polygons", "1", "--trials", "1", "--splits", "1"),
     ):
         code = main([*argv, f"--seed={seed}"])
@@ -501,3 +501,18 @@ def test_bench_tracer_wraps_and_restores_every_traced_name():
                for attr, value in attrs.items() if vars(m).get(attr) is not value]
     assert changed == []
     assert {t: entry["func"] for t, entry in bounds.THEOREMS.items()} == funcs
+
+
+def test_bench_checker_counts_every_injected_bad_verdict(monkeypatch):
+    # bench/checker.py reads fields of OptimizationReport and
+    # VerificationReport, so a renamed or deleted field fails here and not
+    # only under `bench/run.py`
+    path = Path(__file__).resolve().parent.parent / "bench" / "checker.py"
+    spec = importlib.util.spec_from_file_location("hypergon_bench_checker", path)
+    checker = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, checker)  # dataclasses look their module up
+    spec.loader.exec_module(checker)
+    cases = checker.self_test(optimize)
+    assert "baseline" in cases
+    assert {name: counted for name, (counted, _) in cases.items()} == {
+        name: injected for name, (_, injected) in cases.items()}

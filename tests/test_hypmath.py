@@ -199,6 +199,9 @@ def test_regular_convert_rejects_bad_specs():
         regular_convert(RegularNGonSpec(n=4, theta=0.5 * math.pi))
     with pytest.raises(Infeasible):
         regular_convert(RegularNGonSpec(n=6, r=frozen.RMAX_6 + 0.1))
+    for theta in (5e-324, 1e-320, 1e-309):  # the circumradius would pass LEG_MAX
+        with pytest.raises(OutOfRange):
+            regular_convert(RegularNGonSpec(n=6, theta=theta))
 
 
 def test_tangential_radius_limit_values():

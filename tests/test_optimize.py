@@ -1,4 +1,4 @@
-"""Certificates, the grid oracle, projected descent, and the verify driver."""
+"""Certificates, the grid oracle, the two-value scan, and the verify driver."""
 
 import dataclasses
 import json
@@ -14,6 +14,7 @@ from hypergon.hypmath import RegularNGonSpec, regular_convert
 from hypergon.optimize import (
     DEFAULT_SEED,
     EQ_TOL,
+    GRID_POINTS,
     INEQ_TOL,
     OBJECTIVES,
     UNIFORM_TOL,
@@ -149,7 +150,7 @@ def test_grid_oracle_guards():
 
 
 # ---------------------------------------------------------------------------
-# projected descent
+# the two-value scan
 
 
 def test_solve_quadratic_full_stack():
@@ -170,22 +171,41 @@ def test_solve_requires_certificate_on_mixed_window():
     rep = solve_equal_sum(prob)
     assert not rep.certified
     assert rep.certificate.sign == "mixed"
+    # thm7_radius is concave only below its inflection radius; with the
+    # uniform point past it, the scan finds an unequal split with a larger total
+    thr = bounds.thm7_radius_threshold(6)
+    prob = SeparableProblem(name="thm7_radius", f=make_problem("thm7_radius", k=3, n=6).f, k=3,
+                            c=1.05 * 3 * thr, interval=(0.0, 3.0 * thr), sense="maximize")
+    rep = solve_equal_sum(prob)
+    assert not rep.certified
+    assert rep.objective_at_argmin > rep.uniform_point_objective
+    assert math.isclose(rep.objective_at_argmin, 2.134, abs_tol=1e-3)
+    assert math.isclose(rep.uniform_point_objective, 1.884, abs_tol=1e-3)
+    assert math.isclose(math.fsum(rep.argmin), prob.c, rel_tol=1e-12)
 
 
 def test_solve_is_deterministic():
-    a = solve_equal_sum(quadratic_problem(), seed=17, oracle_resolution=120)
-    b = solve_equal_sum(quadratic_problem(), seed=17, oracle_resolution=120)
+    # x^2 on (0, 2) at k=2: the scan scores at most (k - 1) * GRID_POINTS
+    # points, and none of them beats the uniform split
+    a = solve_equal_sum(quadratic_problem(), oracle_resolution=120)
+    b = solve_equal_sum(quadratic_problem(), oracle_resolution=120)
     assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
         b.to_json_dict(), sort_keys=True
     )
+    assert a.argmin == (1.0, 1.0)
+    assert 0 < a.iterations <= (a.k - 1) * GRID_POINTS
 
 
 def test_every_registered_objective_certifies():
-    for name in OBJECTIVES:
-        prob = make_problem(name, k=2, n=6)
-        rep = solve_equal_sum(prob)
-        assert rep.certified, name
-        assert rep.max_deviation_from_uniform <= UNIFORM_TOL, name
+    # no two-value split beats the uniform one, so the uniform point is the
+    # reported optimum itself
+    for k in (2, 3, 5, 8):
+        for n in (3, 4, 6, 12, 50):
+            for name in OBJECTIVES:
+                rep = solve_equal_sum(make_problem(name, k=k, n=n))
+                assert rep.certified, (name, k, n)
+                assert rep.max_deviation_from_uniform == 0.0, (name, k, n)
+                assert rep.objective_at_argmin == rep.uniform_point_objective, (name, k, n)
 
 
 def test_solve_maximize_sense():
