@@ -37,17 +37,22 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from .errors import Infeasible, InvalidTotal, OutOfRange
 from .hypmath import (
     EPS_REL,
     LEG_MAX,
     RegularNGonSpec,
-    acos_snapped,
+    acos_snapped_rows,
     acosh1p,
-    coshm1,
+    coshm1_rows,
+    libm,
     regular_convert,
     stable_asinh,
+    stable_asinh_rows,
     stable_atanh,
+    stable_atanh_rows,
     tangential_radius_limit,
 )
 
@@ -121,106 +126,118 @@ def thm7_radius_threshold(n: int) -> float:
     return acosh1p((1.0 + c2) / (math.sqrt(2.0 + c2) + 1.0))
 
 
-def _tangential_peri(n: int, k: int, x: float, theorem: str, T: float) -> BoundResult:
+@dataclass(frozen=True)
+class BoundRows:
+    """A bound at every element of an array x of per-polygon radii: the
+    BoundResult fields that vary with x, as arrays of x's shape.  equality
+    marks the elements with an equality configuration, the regular polygon
+    whose `defining` quantity ("R" or "r") is x."""
+
+    quantity: str
+    kind: str
+    value: np.ndarray
+    feasible: np.ndarray
+    guard_margin: np.ndarray
+    equality: np.ndarray
+    defining: str
+
+
+def _tangential_peri_rows(n: int, k: int, x: np.ndarray) -> BoundRows:
     limit = tangential_radius_limit(n)
-    arg = math.tan(math.pi / n) * math.sinh(x)
+    arg = math.tan(math.pi / n) * libm(math.sinh, x)
+    finite = arg < 1.0
+    value = 2.0 * n * k * stable_atanh_rows(np.where(finite, arg, 0.0))
+    value[~finite] = math.inf
     feasible = x < limit
-    value = 2.0 * n * k * stable_atanh(arg) if arg < 1.0 else math.inf
-    return BoundResult(
-        theorem=theorem,
-        quantity="perimeter",
-        kind="lower",
-        n=n,
-        k=k,
-        param=T,
-        value=value,
-        feasible=feasible,
-        guard_margin=limit - x,
-        equality_spec=RegularNGonSpec(n=n, r=x) if feasible else None,
-    )
+    return BoundRows("perimeter", "lower", value, feasible, limit - x, feasible, "r")
 
 
-def _cyclic_peri(n: int, k: int, x: float, theorem: str, T: float, kind: str) -> BoundResult:
-    value = 2.0 * n * k * stable_asinh(math.sin(math.pi / n) * math.sinh(x))
-    return BoundResult(
-        theorem=theorem,
-        quantity="perimeter",
-        kind=kind,
-        n=n,
-        k=k,
-        param=T,
-        value=value,
-        feasible=True,
-        guard_margin=math.inf,
-        equality_spec=RegularNGonSpec(n=n, R=x),
-    )
+def _cyclic_peri_rows(n: int, k: int, x: np.ndarray, kind: str) -> BoundRows:
+    value = 2.0 * n * k * stable_asinh_rows(math.sin(math.pi / n) * libm(math.sinh, x))
+    return BoundRows("perimeter", kind, value, np.ones(x.shape, bool), np.full(x.shape, math.inf),
+                     np.ones(x.shape, bool), "R")
 
 
-def _tangential_area(n: int, k: int, x: float, theorem: str, T: float) -> BoundResult:
-    arg = math.sin(math.pi / n) * math.cosh(x)
+def _tangential_area_rows(n: int, k: int, x: np.ndarray) -> BoundRows:
+    arg = math.sin(math.pi / n) * libm(math.cosh, x)
     feasible = arg <= 1.0 + EPS_REL
-    acos_term = acos_snapped(arg) if feasible else 0.0
-    value = k * (n - 2) * math.pi - 2.0 * n * k * acos_term
-    return BoundResult(
-        theorem=theorem,
-        quantity="area",
-        kind="lower",
-        n=n,
-        k=k,
-        param=T,
-        value=value,
-        feasible=feasible,
-        guard_margin=area_radius_limit(n) - x,
-        equality_spec=RegularNGonSpec(n=n, r=x) if feasible and x < tangential_radius_limit(n) else None,
-    )
+    # an infeasible row's acos term is 0, the value acos_snapped gives at 1
+    value = k * (n - 2) * math.pi - 2.0 * n * k * acos_snapped_rows(np.where(feasible, arg, 1.0))
+    return BoundRows("area", "lower", value, feasible, area_radius_limit(n) - x,
+                     feasible & (x < tangential_radius_limit(n)), "r")
 
 
-def _cyclic_area(n: int, k: int, x: float, theorem: str, T: float, kind: str, guarded: bool) -> BoundResult:
+def _cyclic_area_rows(n: int, k: int, x: np.ndarray, kind: str, guarded: bool) -> BoundRows:
     # Angle-deficit form (n-2) pi - 2 n acot(tan(pi/n) cosh x) cancels
     # catastrophically as x -> 0; the atan-difference rewrite below is exact
     # and keeps the quadratic small-x behaviour to full precision.
     t = math.tan(math.pi / n)
-    value = 2.0 * n * k * math.atan2(t * coshm1(x), 1.0 + t * t * math.cosh(x))
+    value = 2.0 * n * k * libm(math.atan2, t * coshm1_rows(x), 1.0 + t * t * libm(math.cosh, x))
     if guarded:
         threshold = thm7_radius_threshold(n)
-        feasible = x < threshold
-        guard_margin = threshold - x
+        feasible, guard_margin = x < threshold, threshold - x
     else:
-        feasible = True
-        guard_margin = math.inf
+        feasible, guard_margin = np.ones(x.shape, bool), np.full(x.shape, math.inf)
+    return BoundRows("area", kind, value, feasible, guard_margin, np.ones(x.shape, bool), "R")
+
+
+def _one(x: float) -> np.ndarray:
+    return np.array([x], dtype=np.float64)
+
+
+def _at(b: BoundRows, theorem: str, n: int, k: int, x: float, T: float) -> BoundResult:
+    """The BoundResult of the one-element b, evaluated at radius x; T is the param."""
     return BoundResult(
         theorem=theorem,
-        quantity="area",
-        kind=kind,
+        quantity=b.quantity,
+        kind=b.kind,
         n=n,
         k=k,
         param=T,
-        value=value,
-        feasible=feasible,
-        guard_margin=guard_margin,
-        equality_spec=RegularNGonSpec(n=n, R=x),
+        value=float(b.value[0]),
+        feasible=bool(b.feasible[0]),
+        guard_margin=float(b.guard_margin[0]),
+        equality_spec=RegularNGonSpec(n=n, **{b.defining: x}) if b.equality[0] else None,
     )
+
+
+# The single-polygon bounds at every radius of an array; the THEOREMS
+# records give them to verify_theorem as `rows`.
+def _thm1_rows(n: int, r: np.ndarray) -> BoundRows:
+    return _tangential_peri_rows(n, 1, r)
+
+
+def _thm2_rows(n: int, R: np.ndarray) -> BoundRows:
+    return _cyclic_peri_rows(n, 1, R, "upper")
+
+
+def _thm3_rows(n: int, r: np.ndarray) -> BoundRows:
+    return _tangential_area_rows(n, 1, r)
+
+
+def _thm4_rows(n: int, R: np.ndarray) -> BoundRows:
+    return _cyclic_area_rows(n, 1, R, "upper", guarded=False)
 
 
 def thm1_peri_lower(n: int, r: float) -> BoundResult:
     """Perimeter of a tangential n-gon with inradius r; feasible iff tan(pi/n) sinh r < 1."""
     _check_nk(n)
     _check_radius(r)
-    return _tangential_peri(n, 1, r, "1.1", r)
+    return _at(_thm1_rows(n, _one(r)), "1.1", n, 1, r, r)
 
 
 def thm2_peri_upper(n: int, R: float) -> BoundResult:
     """Perimeter of a cyclic n-gon with circumradius R; always feasible."""
     _check_nk(n)
     _check_radius(R)
-    return _cyclic_peri(n, 1, R, "1.2", R, kind="upper")
+    return _at(_thm2_rows(n, _one(R)), "1.2", n, 1, R, R)
 
 
 def thm3_area_lower(n: int, r: float) -> BoundResult:
     """Area of a tangential n-gon with inradius r; feasible iff sin(pi/n) cosh r <= 1."""
     _check_nk(n)
     _check_radius(r)
-    return _tangential_area(n, 1, r, "1.3", r)
+    return _at(_thm3_rows(n, _one(r)), "1.3", n, 1, r, r)
 
 
 def thm4_area_upper(n: int, R: float) -> BoundResult:
@@ -234,21 +251,21 @@ def thm4_area_upper(n: int, R: float) -> BoundResult:
     """
     _check_nk(n)
     _check_radius(R)
-    return _cyclic_area(n, 1, R, "1.4", R, kind="upper", guarded=False)
+    return _at(_thm4_rows(n, _one(R)), "1.4", n, 1, R, R)
 
 
 def thm5_total_peri_lower(n: int, k: int, T: float) -> BoundResult:
     """Total perimeter of k regular cyclic n-gons with circumradii summing to T."""
     _check_nk(n, k)
     _check_radius(T, k)
-    return _cyclic_peri(n, k, T / k, "1.5", T, kind="lower")
+    return _at(_cyclic_peri_rows(n, k, _one(T / k), "lower"), "1.5", n, k, T / k, T)
 
 
 def thm6_total_peri_lower(n: int, k: int, T: float) -> BoundResult:
     """Total perimeter of k regular tangential n-gons with inradii summing to T."""
     _check_nk(n, k)
     _check_radius(T, k)
-    return _tangential_peri(n, k, T / k, "1.6", T)
+    return _at(_tangential_peri_rows(n, k, _one(T / k)), "1.6", n, k, T / k, T)
 
 
 def thm7_total_area_lower(n: int, k: int, T: float) -> BoundResult:
@@ -261,14 +278,14 @@ def thm7_total_area_lower(n: int, k: int, T: float) -> BoundResult:
     """
     _check_nk(n, k)
     _check_radius(T, k)
-    return _cyclic_area(n, k, T / k, "1.7", T, kind="lower", guarded=True)
+    return _at(_cyclic_area_rows(n, k, _one(T / k), "lower", guarded=True), "1.7", n, k, T / k, T)
 
 
 def thm8_total_area_lower(n: int, k: int, T: float) -> BoundResult:
     """Total area of k regular tangential n-gons with inradii summing to T."""
     _check_nk(n, k)
     _check_radius(T, k)
-    return _tangential_area(n, k, T / k, "1.8", T)
+    return _at(_tangential_area_rows(n, k, _one(T / k)), "1.8", n, k, T / k, T)
 
 
 def thm9_total_peri_lower(n: int, k: int, T: float) -> BoundResult:
@@ -378,9 +395,11 @@ def equality_value(res: BoundResult) -> float:
     return res.k * metric
 
 
-def _record(func, param, sweep, family=None, objective=None, spec=None, window=None, total=None) -> dict:
+def _record(func, param, sweep, family=None, objective=None, rows=None, spec=None, window=None,
+            total=None) -> dict:
     return {"func": func, "param": param, "multi": total is not None, "family": family,
-            "objective": objective, "spec": spec, "window": window, "total": total, "sweep": sweep}
+            "objective": objective, "rows": rows, "spec": spec, "window": window, "total": total,
+            "sweep": sweep}
 
 
 def _thm9_sweep(n: int) -> tuple[float, float]:
@@ -406,6 +425,8 @@ def _thm10_sweep(n: int) -> tuple[float, float]:
 #   multi      the fixed-total family: k polygons share the total p
 #   family     "cyclic" or "tangential" for the single-polygon bounds
 #   objective  the registered optimize objective certifying the equal split
+#   rows       rows(n, x): func at every radius of the array x, as BoundRows,
+#              for the single-polygon bounds
 #   spec       spec(n, x): the regular polygon one split component x defines
 #   window     window(n): the open admissibility window of one component,
 #              ended at the overflow guard of the quantity spec converts
@@ -413,13 +434,13 @@ def _thm10_sweep(n: int) -> tuple[float, float]:
 #   sweep      sweep(n): the report's per-polygon sweep window
 THEOREMS: dict[str, dict] = {
     "1.1": _record(thm1_peri_lower, "r", lambda n: (0.1, 0.95 * tangential_radius_limit(n)),
-                   family="tangential", objective="tangential_tangent_length"),
+                   family="tangential", objective="tangential_tangent_length", rows=_thm1_rows),
     "1.2": _record(thm2_peri_upper, "R", lambda n: (0.1, 2.0),
-                   family="cyclic", objective="cyclic_half_side"),
+                   family="cyclic", objective="cyclic_half_side", rows=_thm2_rows),
     "1.3": _record(thm3_area_lower, "r", lambda n: (0.1, 0.95 * tangential_radius_limit(n)),
-                   family="tangential", objective="tangential_interior_angle"),
+                   family="tangential", objective="tangential_interior_angle", rows=_thm3_rows),
     "1.4": _record(thm4_area_upper, "R", lambda n: (0.1, 2.0),
-                   family="cyclic", objective="cyclic_half_angle"),
+                   family="cyclic", objective="cyclic_half_angle", rows=_thm4_rows),
     "1.5": _record(thm5_total_peri_lower, "total_circumradius", lambda n: (0.25, 1.5),
                    objective="thm5_radius", spec=lambda n, x: RegularNGonSpec(n=n, R=x),
                    window=lambda n: (0.0, LEG_MAX), total=lambda n, k: k * 1.0),

@@ -12,7 +12,6 @@ randomized per-theorem verification driver.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -112,8 +111,8 @@ def trial_rngs(seed: int, count: int) -> Iterator[np.random.Generator]:
 # as the Generator methods that the scalar draws call would: uniform(lo, hi)
 # is lo + (hi - lo) * (word >> 11) * 2**-53, and integers(lo, hi) on a range
 # below 2**32 is Lemire's multiply-shift of the word's low half.  A row whose
-# scalar draw reads on (a rejection, a redraw) is replayed by that scalar
-# draw on its own stream.
+# scalar draw reads past the row's words (a rejection, a redraw), or raises,
+# is replayed by that scalar draw on its own stream.
 
 # Words per block: a block's arrays stay this small whatever n is.
 BLOCK_WORDS = 1 << 13
@@ -147,16 +146,27 @@ def _integers(words: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarr
 
 
 def _polygon_rows(family: type, n: int, lo: float, hi: float, words: np.ndarray) -> tuple[np.ndarray, ...]:
-    """_draw_polygon(family, n, lo, hi, rng) from each row of n + 1 words, as
-    (radii, apex angles, plain rows, rows with an ideal vertex).  A row is
-    plain when random_partition takes its first draw and the constructor
-    keeps it as it is; the ideal rows are the plain tangential rows that the
+    """_draw_polygon(family, n, lo, hi, rng) from each row of words, as
+    (radii, apex angles, plain rows, rows with an ideal vertex).  A row holds
+    the radius word and the n words of each of up to 3 random_partition
+    attempts.  A row is plain when random_partition takes one of those
+    attempts, the radius is positive and the constructor keeps the polygon
+    as it is; the ideal rows are the plain tangential rows that the
     constructor rejects.  Other rows are garbage."""
     radii = _uniform(words[:, 0], lo, hi)
-    u = _uniform(words[:, 1:], 0.1, 1.0)
-    sums = u.sum(axis=1)
-    ts, plain = _polygon.normalized_rows(u * (TWO_PI / sums)[:, None])
-    plain &= 2.0 * u.max(axis=1) < sums
+    taken = np.zeros(len(words), dtype=bool)
+    for a in range(min(3, (words.shape[1] - 1) // n)):
+        u = _uniform(words[:, 1 + a * n:1 + (a + 1) * n], 0.1, 1.0)
+        sums = u.sum(axis=1)
+        attempt = u * (TWO_PI / sums)[:, None]
+        accept = ~taken & (2.0 * u.max(axis=1) < sums)
+        if a == 0:
+            partitions = attempt
+        else:
+            partitions[accept] = attempt[accept]
+        taken |= accept
+    ts, plain = _polygon.normalized_rows(partitions)
+    plain &= taken & (radii > 0.0)
     ideal = plain & _polygon.ideal_rows(radii, ts) if family is TangentialPolygon else np.zeros_like(plain)
     return radii, ts, plain, ideal
 
@@ -658,6 +668,9 @@ def make_problem(
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """slack_at_worst is the slack the worst-margin draw was asserted with,
+    INEQ_TOL * max(1, |bound|); tolerance is INEQ_TOL itself."""
+
     theorem: str
     n: int
     k: int
@@ -666,6 +679,7 @@ class VerificationReport:
     violations: int
     skipped: int
     worst_margin: float | None
+    slack_at_worst: float | None
     equality_abs_error: float | None
     tolerance: float
     equality_tolerance: float
@@ -681,6 +695,28 @@ class VerificationReport:
 
     def to_json_dict(self) -> dict:
         return {**dataclasses.asdict(self), "passed": self.passed}
+
+
+def _slack(bound):
+    """The slack a margin against bound (a float or an array) is asserted with."""
+    return INEQ_TOL * np.fmax(1.0, np.abs(bound))
+
+
+def _first_extreme(best: float | None, values: np.ndarray, better) -> int | None:
+    """The index of values that `for v in values: if best is None or
+    better(v, best): best = v` leaves in best, or None if it keeps best;
+    better is np.less or np.greater.  That is the first strict extreme,
+    and a NaN only when it is the very first value."""
+    pick = None
+    if best is None and len(values):
+        pick, best = 0, values[0]
+    numbers = values[~np.isnan(values)]
+    if len(numbers):
+        top = numbers.min() if better is np.less else numbers.max()
+        i = int(np.argmax(values == top))  # first of the values equal to top, +0.0 and -0.0 alike
+        if better(values[i], best):
+            pick = i
+    return pick
 
 
 def verify_theorem(
@@ -702,6 +738,8 @@ def verify_theorem(
     are asserted with a slack of INEQ_TOL (1e-12) times the bound's size,
     max(1, |bound|), so that a rounding error in a large bound is not a
     violation; the equality configuration is asserted with EQ_TOL (1e-9).
+    The draws come in blocks, and each block's verdicts are reduced with
+    numpy exactly as a loop over its draws in stream order would.
     """
     entry = _bounds.THEOREMS.get(theorem_id)
     if entry is None or entry["objective"] is None:
@@ -710,51 +748,55 @@ def verify_theorem(
         _bounds._check_nk(n, k)
         if k < 2:
             raise Infeasible(f"{theorem_id} bounds a total over k >= 2 polygons, got k={k}")
-        draws, eq_err, params = _split_draws(entry, n, k, entry["total"](n, k) if total is None else total)
+        blocks, eq_err, params = _split_draws(entry, n, k, entry["total"](n, k) if total is None else total)
     else:
         _bounds._check_nk(n)
         k = 1
-        draws, eq_err, params = _polygon_draws(entry, n, radius_range)
-    # draws(seed, trials) yields, stream by stream, None for a skipped draw,
-    # else (bound, actual value, witness, equality error or None); witness()
-    # gives a counterexample's leading keys
+        blocks, eq_err, params = _polygon_draws(entry, n, radius_range)
+    # blocks(seed, trials) yields, block by block, (skipped draws, margins
+    # and bounds of the kept draws, equality errors, witness); witness(i)
+    # gives the leading keys of kept draw i's counterexample
     asserted = violations = skipped = 0
-    worst = counterexample = None
-    for drawn in draws(seed, trials):
-        if drawn is None:
-            skipped += 1
-            continue
-        res, actual, witness, err = drawn
-        margin = (actual - res.value) if res.kind == "lower" else (res.value - actual)
-        asserted += 1
-        if worst is None or margin < worst:
-            worst = margin
-        if margin < -INEQ_TOL * max(1.0, abs(res.value)):
-            violations += 1
-            if counterexample is None:
-                counterexample = {**witness(), "bound": res.to_json_dict(), "margin": margin}
-        if err is not None and (eq_err is None or err > eq_err):
-            eq_err = err
+    worst = slack_at_worst = counterexample = None
+    for skips, margins, bound, errors, witness in blocks(seed, trials):
+        skipped += skips
+        asserted += len(margins)
+        i = _first_extreme(worst, margins, np.less)
+        if i is not None:
+            worst, slack_at_worst = float(margins[i]), float(_slack(bound[i]))
+        bad = np.flatnonzero(margins < -_slack(bound))
+        violations += len(bad)
+        if len(bad) and counterexample is None:
+            counterexample = {**witness(bad[0]), "margin": float(margins[bad[0]])}
+        i = _first_extreme(eq_err, errors, np.greater)
+        if i is not None:
+            eq_err = float(errors[i])
     return VerificationReport(
         theorem=theorem_id, n=n, k=k, trials=trials, asserted=asserted, violations=violations,
-        skipped=skipped, worst_margin=worst, equality_abs_error=eq_err, tolerance=INEQ_TOL,
-        equality_tolerance=EQ_TOL, seed=seed, params=params, counterexample=counterexample,
+        skipped=skipped, worst_margin=worst, slack_at_worst=slack_at_worst, equality_abs_error=eq_err,
+        tolerance=INEQ_TOL, equality_tolerance=EQ_TOL, seed=seed, params=params, counterexample=counterexample,
     )
+
+
+def _margins(kind: str, actual: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """How far each actual value clears a lower or upper bound."""
+    return actual - bound if kind == "lower" else bound - actual
 
 
 def _polygon_draws(entry: dict, n: int, radius_range: tuple[float, float]) -> tuple[Callable, None, dict]:
     """One random polygon of the record's family per draw, checked against the
     bound at its radius; the equality case is re-checked at every radius.
 
-    The draws come in blocks; a row whose partition is redrawn is replayed
-    by _draw_polygon, and a tangential row with an ideal vertex is skipped."""
+    A block reads three partition attempts per stream below n = 12, where
+    random_partition can reject one; a row all of whose attempts it rejects
+    is replayed by _draw_polygon, and a tangential row with an ideal vertex
+    is skipped."""
     family = TangentialPolygon if entry["family"] == "tangential" else CyclicPolygon
-    func = entry["func"]
     lo, hi = _radius_window(family, n, radius_range)
 
-    def draws(seed, trials):
+    def blocks(seed, trials):
         stream = _streams(seed)
-        for start, words in _word_blocks(stream, trials, n + 1):
+        for start, words in _word_blocks(stream, trials, 1 + (3 if n < 12 else 1) * n):
             radii, ts, plain, ideal = _polygon_rows(family, n, lo, hi, words)
             keep = plain & ~ideal
             for j in np.flatnonzero(~plain).tolist():
@@ -763,36 +805,22 @@ def _polygon_draws(entry: dict, n: int, radius_range: tuple[float, float]) -> tu
                 except IdealVertex:
                     continue
                 radii[j], ts[j], keep[j] = poly.radius, poly.thetas, True
-            rs = radii.tolist()
-            results = [func(n, rs[j]) for j in np.flatnonzero(keep).tolist()]
-            if not results:
-                yield from itertools.repeat(None, len(rs))
-                continue
-            # the block's perimeters or areas, and the equality values of the
-            # rows whose bound has an equality configuration
-            quantity = results[0].quantity
-            measure = _polygon.perimeter_rows if quantity == "perimeter" else _polygon.area_rows
-            actual = measure(family.kind, radii[keep], ts[keep]).tolist()
-            specs = [res.equality_spec for res in results if res.equality_spec is not None]
-            equal = iter(())
-            if specs:
-                name = specs[0].defining()[0]
-                m = regular_convert_rows(n, name, np.array([getattr(s, name) for s in specs]))
-                equal = iter((m.perimeter if quantity == "perimeter" else m.area).tolist())
-            kept = iter(zip(results, actual))
-            for j, radius in enumerate(rs):
-                if not keep[j]:
-                    yield None
-                    continue
-                res, value = next(kept)
-                err = None if res.equality_spec is None else abs(res.k * next(equal) - res.value)
-                yield res, value, functools.partial(_polygon_witness, family.kind, n, radius, ts[j]), err
+            rows = np.flatnonzero(keep)
+            r, t = radii[rows], ts[rows]
+            bound = entry["rows"](n, r)
+            metric = _polygon.perimeter_rows if bound.quantity == "perimeter" else _polygon.area_rows
+            equal = regular_convert_rows(n, bound.defining, r[bound.equality])
+            equal = equal.perimeter if bound.quantity == "perimeter" else equal.area
 
-    return draws, None, {"radius_range": [lo, hi]}
+            def witness(i: int) -> dict:
+                radius = float(r[i])
+                return {"polygon": _polygon.row_json(family.kind, n, radius, t[i].tolist()),
+                        "bound": entry["func"](n, radius).to_json_dict()}
 
+            yield (len(keep) - len(rows), _margins(bound.kind, metric(family.kind, r, t), bound.value),
+                   bound.value, np.abs(equal - bound.value[bound.equality]), witness)
 
-def _polygon_witness(kind: str, n: int, radius: float, ts: np.ndarray) -> dict:
-    return {"polygon": _polygon.row_json(kind, n, radius, ts.tolist())}
+    return blocks, None, {"radius_range": [lo, hi]}
 
 
 def _split_draws(entry: dict, n: int, k: int, total: float) -> tuple[Callable, float | None, dict]:
@@ -803,36 +831,38 @@ def _split_draws(entry: dict, n: int, k: int, total: float) -> tuple[Callable, f
     spec = entry["spec"]
     lo, hi = entry["window"](n)
 
-    def metrics(splits: np.ndarray) -> tuple[list[bool], list[float]]:
-        """Which rows of splits lie in the window, and the metric of each kept
-        row: the bound's own quantity of every component, converted in one
-        call and summed left to right."""
-        keep = ((lo < splits) & (splits < hi)).all(axis=1)
-        m = regular_convert_rows(n, *spec(n, splits[keep]).defining())
+    def metrics(splits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of splits that lie in the window, and the metric of each:
+        the bound's own quantity of every component, converted in one call
+        and summed left to right."""
+        rows = np.flatnonzero(((lo < splits) & (splits < hi)).all(axis=1))
+        m = regular_convert_rows(n, *spec(n, splits[rows]).defining())
         values = m.perimeter if res.quantity == "perimeter" else m.area
         sums = np.zeros(len(values))
         for column in values.T:
             sums += column
-        return keep.tolist(), sums.tolist()
+        return rows, sums
 
-    def witness(xs) -> dict:
-        return {"split": list(xs), "polygons": [_regular_polygon_json(spec(n, x)) for x in xs]}
-
-    def draws(seed, trials):
+    def blocks(seed, trials):
         for _, words in _word_blocks(_streams(seed), trials, k):
             u = _uniform(words, 0.1, 1.0)
             splits = u * (total / u.sum(axis=1))[:, None]
-            keep, sums = metrics(splits)
-            kept = iter(sums)
-            for xs, ok in zip(splits.tolist(), keep):
-                yield (res, next(kept), functools.partial(witness, xs), None) if ok else None
+            rows, sums = metrics(splits)
+
+            def witness(i: int) -> dict:
+                xs = splits[rows[i]].tolist()
+                return {"split": xs, "polygons": [_regular_polygon_json(spec(n, x)) for x in xs],
+                        "bound": res.to_json_dict()}
+
+            yield (len(splits) - len(rows), _margins(res.kind, sums, res.value),
+                   np.full(len(rows), res.value), np.empty(0), witness)
 
     eq_err = None
     if res.feasible and res.equality_spec is not None:
-        keep, sums = metrics(np.full((1, k), total / k))
-        if keep[0]:
-            eq_err = abs(sums[0] - res.value)
-    return draws, eq_err, {"total": total}
+        rows, sums = metrics(np.full((1, k), total / k))
+        if len(rows):
+            eq_err = abs(float(sums[0]) - res.value)
+    return blocks, eq_err, {"total": total}
 
 
 def _regular_polygon_json(spec: RegularNGonSpec) -> dict:

@@ -7,6 +7,9 @@ _draw_polygon, random_*_polygon or random_split for the draws, and
 polygon.perimeter/area and hmodel.measured_*(embed(p)) for the math.
 """
 
+import collections
+import dataclasses
+import itertools
 import math
 import re
 
@@ -46,30 +49,48 @@ def scalar_polygon(family, n, lo, hi, rng):
 # draws
 
 
+def verify_width(n):
+    """Words per stream of a verify polygon block: three partition attempts below n = 12."""
+    return 1 + (3 if n < 12 else 1) * n
+
+
+def scalar_margin(res, actual):
+    return actual - res.value if res.kind == "lower" else res.value - actual
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("window", WINDOWS)
 @pytest.mark.parametrize("n", [3, 6, 12, 192])
-@pytest.mark.parametrize("theorem", ["1.3", "1.2"])  # tangential area, cyclic perimeter
+@pytest.mark.parametrize("theorem", ["1.1", "1.2", "1.3", "1.4"])
 def test_verify_polygon_draws_match_scalar_draws(monkeypatch, theorem, n, window, seed):
     monkeypatch.setattr(optimize, "BLOCK_WORDS", SMALL_BLOCK)
     entry = bounds.THEOREMS[theorem]
     family = TangentialPolygon if entry["family"] == "tangential" else CyclicPolygon
     lo, hi = optimize._radius_window(family, n, window)
-    draws, _, _ = optimize._polygon_draws(entry, n, window)
-    for count in boundary_counts(n + 1):
-        got = list(draws(seed, count))
-        assert len(got) == count
-        for drawn, rng in zip(got, trial_rngs(seed, count)):
-            poly = scalar_polygon(family, n, lo, hi, rng)
-            if poly is None:
-                assert drawn is None
-                continue
-            res, actual, witness, err = drawn
-            want = polygon.perimeter(poly) if res.quantity == "perimeter" else polygon.area(poly)
-            assert res == entry["func"](n, poly.radius)
-            assert actual.hex() == want.hex()
-            assert witness() == {"polygon": polygon.to_json_dict(poly)}
-            assert err == abs(bounds.equality_value(res) - res.value)
+    blocks, _, _ = optimize._polygon_draws(entry, n, window)
+    for count in boundary_counts(verify_width(n)):
+        scalar = [scalar_polygon(family, n, lo, hi, rng) for rng in trial_rngs(seed, count)]
+        errors = []
+        kept = []
+        rest = iter(scalar)
+        for skips, margins, bound, errs, witness in blocks(seed, count):
+            mine = [next(rest) for _ in range(skips + len(margins))]
+            assert mine.count(None) == skips
+            polys = [p for p in mine if p is not None]
+            assert len(bound) == len(margins) == len(polys)
+            kept += [(p, m, b, witness(i)) for i, (p, m, b) in enumerate(zip(polys, margins, bound))]
+            errors += errs.tolist()
+        assert next(rest, "end") == "end"
+        want_errors = []
+        for poly, margin, bound, witness in kept:
+            res = entry["func"](n, poly.radius)
+            actual = polygon.perimeter(poly) if res.quantity == "perimeter" else polygon.area(poly)
+            assert bound.hex() == res.value.hex()
+            assert margin.hex() == scalar_margin(res, actual).hex()
+            assert witness == {"polygon": polygon.to_json_dict(poly), "bound": res.to_json_dict()}
+            if res.equality_spec is not None:
+                want_errors.append(abs(bounds.equality_value(res) - res.value))
+        assert hexes(errors) == hexes(want_errors)
 
 
 def scalar_split_metric(entry, n, xs, quantity):
@@ -88,23 +109,199 @@ def test_split_draws_match_random_split(monkeypatch, theorem, k, seed):
     monkeypatch.setattr(optimize, "BLOCK_WORDS", 64 * k)
     entry = bounds.THEOREMS[theorem]
     total = entry["total"](12, k)
-    draws, eq_err, _ = optimize._split_draws(entry, 12, k, total)
+    blocks, eq_err, _ = optimize._split_draws(entry, 12, k, total)
     lo, hi = entry["window"](12)
     res = entry["func"](12, k, total)
     assert eq_err == abs(scalar_split_metric(entry, 12, [total / k] * k, res.quantity) - res.value)
     for count in boundary_counts(k):
-        got = list(draws(seed, count))
-        assert len(got) == count
+        splits = [optimize.random_split(total, k, rng) for rng in trial_rngs(seed, count)]
+        rest = iter(xs if all(lo < x < hi for x in xs) else None for xs in splits)
         asserted = 0
-        for drawn, rng in zip(got, trial_rngs(seed, count)):
+        for skips, margins, bound, errors, witness in blocks(seed, count):
+            mine = [next(rest) for _ in range(skips + len(margins))]
+            assert mine.count(None) == skips
+            kept = [xs for xs in mine if xs is not None]
+            assert len(bound) == len(margins) == len(kept)
+            assert len(errors) == 0
+            for i, xs in enumerate(kept):
+                metric = scalar_split_metric(entry, 12, xs, res.quantity)
+                assert margins[i].hex() == scalar_margin(res, metric).hex()
+                assert bound[i] == res.value
+                got = witness(i)
+                assert hexes(got["split"]) == hexes(xs)
+                assert got["bound"] == res.to_json_dict()
+            asserted += len(kept)
+        assert next(rest, "end") == "end"
+        assert asserted > 0
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n", range(3, 12))
+def test_partition_attempts_match_random_partition(monkeypatch, n, seed):
+    # below n = 12 a verify block reads three random_partition attempts per
+    # stream; blocks of 37 rows cut the run mid-way.  Rows that need a fourth
+    # attempt are not plain: verify replays them, which the draw test above
+    # compares at n = 3.
+    width = 1 + 3 * n
+    monkeypatch.setattr(optimize, "BLOCK_WORDS", 37 * width + 5)
+    attempts = collections.Counter()
+    for family in FAMILIES:
+        lo, hi = optimize._radius_window(family, n, (0.1, 2.0))
+        rows = [row for _, words in optimize._word_blocks(optimize._streams(seed), 300, width)
+                for row in zip(*optimize._polygon_rows(family, n, lo, hi, words))]
+        assert len(rows) == 300
+        for i, (radius, ts, plain, ideal) in enumerate(rows):
+            rng = optimize.trial_rng(seed, i)
+            rng.uniform(lo, hi)
+            for attempt in itertools.count(1):
+                u = rng.uniform(0.1, 1.0, n)
+                if 2.0 * u.max() < u.sum():
+                    break
+            attempts[min(attempt, 4)] += 1
+            assert plain == (attempt <= 3)
+            if not plain:
+                continue
+            want = scalar_polygon(family, n, lo, hi, optimize.trial_rng(seed, i))
+            assert ideal == (want is None)
+            if want is not None:
+                assert radius.hex() == want.radius.hex()
+                assert hexes(ts) == hexes(want.thetas)
+    if n == 3:
+        assert set(attempts) == {1, 2, 3, 4}
+
+
+INEQ_TOL = optimize.INEQ_TOL
+
+
+def h(x):
+    return None if x is None else float(x).hex()
+
+
+def scalar_verdicts(draws, eq_err=None):
+    """verify_theorem's verdicts as its per-draw loop reduced them, from
+    draws in stream order: None for a skipped draw, else (margin, bound,
+    witness, equality error or None)."""
+    asserted = violations = skipped = 0
+    worst = slack = counterexample = None
+    for drawn in draws:
+        if drawn is None:
+            skipped += 1
+            continue
+        margin, bound, witness, err = drawn
+        asserted += 1
+        if worst is None or margin < worst:
+            worst, slack = margin, INEQ_TOL * max(1.0, abs(bound))
+        if margin < -INEQ_TOL * max(1.0, abs(bound)):
+            violations += 1
+            if counterexample is None:
+                counterexample = {**witness, "margin": margin}
+        if err is not None and (eq_err is None or err > eq_err):
+            eq_err = err
+    return {"asserted": asserted, "skipped": skipped, "violations": violations, "worst": h(worst),
+            "slack": h(slack), "equality": h(eq_err), "counterexample": counterexample}
+
+
+def verdicts(rep):
+    return {"asserted": rep.asserted, "skipped": rep.skipped, "violations": rep.violations,
+            "worst": h(rep.worst_margin), "slack": h(rep.slack_at_worst), "equality": h(rep.equality_abs_error),
+            "counterexample": rep.counterexample}
+
+
+def scalar_verify(theorem, n, k, trials, seed):
+    """verify_theorem from the scalar draws, bounds and metrics."""
+    entry = bounds.THEOREMS[theorem]
+    draws, eq_err = [], None
+    if entry["multi"]:
+        total = entry["total"](n, k)
+        res = entry["func"](n, k, total)
+        lo, hi = entry["window"](n)
+        if res.feasible and res.equality_spec is not None and lo < total / k < hi:
+            eq_err = abs(scalar_split_metric(entry, n, [total / k] * k, res.quantity) - res.value)
+        for rng in trial_rngs(seed, trials):
             xs = optimize.random_split(total, k, rng)
             if not all(lo < x < hi for x in xs):
-                assert drawn is None
+                draws.append(None)
                 continue
-            assert hexes(drawn[2]()["split"]) == hexes(xs)
-            assert drawn[1].hex() == scalar_split_metric(entry, 12, xs, drawn[0].quantity).hex()
-            asserted += 1
-        assert asserted > 0
+            witness = {"split": list(xs), "polygons": [optimize._regular_polygon_json(entry["spec"](n, x)) for x in xs],
+                       "bound": res.to_json_dict()}
+            margin = scalar_margin(res, scalar_split_metric(entry, n, xs, res.quantity))
+            draws.append((margin, res.value, witness, None))
+    else:
+        family = TangentialPolygon if entry["family"] == "tangential" else CyclicPolygon
+        lo, hi = optimize._radius_window(family, n, (0.1, 2.0))
+        for rng in trial_rngs(seed, trials):
+            poly = scalar_polygon(family, n, lo, hi, rng)
+            if poly is None:
+                draws.append(None)
+                continue
+            res = entry["func"](n, poly.radius)
+            actual = polygon.perimeter(poly) if res.quantity == "perimeter" else polygon.area(poly)
+            err = None if res.equality_spec is None else abs(bounds.equality_value(res) - res.value)
+            witness = {"polygon": polygon.to_json_dict(poly), "bound": res.to_json_dict()}
+            draws.append((scalar_margin(res, actual), res.value, witness, err))
+    return scalar_verdicts(draws, eq_err)
+
+
+def tighten(monkeypatch, theorem):
+    """Move bound theorem 3% into its polygons, in func and in rows."""
+    entry = bounds.THEOREMS[theorem]
+    func, rows = entry["func"], entry["rows"]
+    probe = func(3, 2, entry["total"](3, 2)) if entry["multi"] else func(3, 0.5)
+    factor = 1.03 if probe.kind == "lower" else 0.97
+    monkeypatch.setitem(entry, "func", lambda *a: dataclasses.replace(func(*a), value=func(*a).value * factor))
+    if rows is not None:
+        monkeypatch.setitem(entry, "rows", lambda *a: dataclasses.replace(rows(*a), value=rows(*a).value * factor))
+
+
+@pytest.mark.parametrize("tightened", [False, True])
+@pytest.mark.parametrize("theorem", [f"1.{i}" for i in range(1, 11)])
+def test_verify_theorem_matches_the_scalar_loop(monkeypatch, theorem, tightened):
+    # n = 3, where partitions are redrawn and tangential draws skipped most;
+    # the tightened bounds make violations and counterexamples to compare
+    monkeypatch.setattr(optimize, "BLOCK_WORDS", SMALL_BLOCK)
+    if tightened:
+        tighten(monkeypatch, theorem)
+    k = 2 if bounds.THEOREMS[theorem]["multi"] else 1
+    violated = False
+    for count in boundary_counts(k if k > 1 else verify_width(3)):
+        rep = optimize.verify_theorem(theorem, n=3, k=2, trials=count, seed=DEFAULT_SEED)
+        assert verdicts(rep) == scalar_verify(theorem, 3, k, count, DEFAULT_SEED)
+        violated |= rep.violations > 0
+    assert violated == tightened
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("blocks", [
+    [[(0.0, 1.0), (5.0, 1.0), (-0.0, 1.0)], [(-0.0, 1.0), (0.0, 1.0)]],  # the first of +0 and -0 stays
+    [[(-0.0, 1.0)], [(0.0, 1.0), (-0.0, 1.0)]],
+    [[(1.0, 1.0), (0.0, 1.0), (-0.0, 1.0)]],
+    [[(NAN, 1.0), (-1.0, 1.0)], [(-2.0, 1.0)]],  # a NaN first stays worst
+    [[(1.0, 1.0), (NAN, 1.0), (0.5, 1.0)], [(NAN, NAN), (0.25, 1.0)]],  # a later NaN never is
+    [[], [(NAN, 1.0)], [(3.0, 1.0)]],
+    # tied violations: the first is worst and the counterexample, with its own slack
+    [[(2.0, 1.0), (-5e-12, 1.0)], [(-5e-12, 100.0), (-5e-12, 1e4)], [(-1e-12, 1.0)]],
+    [[(-3.0, 7.0), (-3.0, 9.0)], [(-3.0, 11.0)]],
+])
+def test_block_reduction_keeps_the_scalar_loops_choices(monkeypatch, blocks):
+    # synthetic margins and bounds, with equality errors of the same values
+    draws = [(m, b, {"row": i}, abs(m)) for i, (m, b) in enumerate(itertools.chain(*blocks))]
+
+    def synthetic(entry, n, radius_range):
+        def gen(seed, trials):
+            start = 0
+            for block in blocks:
+                rows = np.arange(start, start + len(block))
+                yield (1, np.array([m for m, _ in block]), np.array([b for _, b in block]),
+                       np.abs(np.array([m for m, _ in block])), lambda i, rows=rows: {"row": int(rows[i])})
+                start += len(block)
+        return gen, None, {}
+
+    monkeypatch.setattr(optimize, "_polygon_draws", synthetic)
+    rep = optimize.verify_theorem("1.2", trials=len(draws) + len(blocks))
+    want = scalar_verdicts([None] * len(blocks) + draws)
+    assert verdicts(rep) == want
 
 
 @pytest.mark.parametrize("regular", [False, True])

@@ -176,13 +176,19 @@ def test_verify_rejects_runs_that_check_nothing(capsys):
 def test_verify_fails_a_bound_false_at_its_equality_case(capsys, monkeypatch):
     # 1.2 lowered by a relative 1e-6: the regular polygon now exceeds it, but
     # random draws stay clear of equality, so only the equality check sees it
-    thm2 = bounds.THEOREMS["1.2"]["func"]
+    # (verify_theorem reads the block values from rows, so both are lowered)
+    thm2, thm2_rows = bounds.THEOREMS["1.2"]["func"], bounds.THEOREMS["1.2"]["rows"]
 
     def tightened(n, R):
         res = thm2(n, R)
         return dataclasses.replace(res, value=res.value * (1.0 - 1e-6))
 
+    def tightened_rows(n, R):
+        block = thm2_rows(n, R)
+        return dataclasses.replace(block, value=block.value * (1.0 - 1e-6))
+
     monkeypatch.setitem(bounds.THEOREMS["1.2"], "func", tightened)
+    monkeypatch.setitem(bounds.THEOREMS["1.2"], "rows", tightened_rows)
     code, out = run_cli(capsys, "verify", "--thm", "1.2", "--trials", "200")
     assert code == 1
     rep = json.loads(out)["reports"][0]
@@ -200,6 +206,10 @@ def test_verify_slack_scales_with_the_bound(capsys):
     rep = json.loads(out)["reports"][0]
     assert -1e-11 < rep["worst_margin"] < -rep["tolerance"]
     assert (rep["violations"], rep["tolerance"], rep["counterexample"]) == (0, optimize.INEQ_TOL, None)
+    # the slack the worst draw was held to, checkable from the JSON alone
+    bound = bounds.thm5_total_peri_lower(6, 2, 800.0).value
+    assert rep["slack_at_worst"] == optimize.INEQ_TOL * bound
+    assert rep["worst_margin"] >= -rep["slack_at_worst"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -268,6 +278,15 @@ def test_negative_cyclic_radius_exits_2_before_the_first_draw(capsys):
     code, out = run_cli(capsys, "verify", "--thm", "1.2", "--range", "1:1", "--trials", "3")
     assert code == 0
     assert json.loads(out)["reports"][0]["params"]["radius_range"] == [1.0, 1.0]
+
+
+def test_sample_of_radius_zero_exits_2(capsys):
+    # the scalar draw's constructor rejects a radius of 0, so the block draws
+    # must too, rather than print polygons of perimeter 0
+    assert main(["sample", "--range", "0:0", "--trials", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: Infeasible: circumradius must be positive, got 0.0"]
 
 
 def test_verify_rejects_cor1(capsys):

@@ -396,14 +396,23 @@ def test_verify_checks_n_and_k_before_the_first_draw():
 
 
 def _tighten(monkeypatch, tid, factor):
-    """Scale bound tid's value by factor inside bounds.THEOREMS; returns the scaled bound."""
-    func = bounds.THEOREMS[tid]["func"]
+    """Scale bound tid's value by factor inside bounds.THEOREMS: in func and,
+    for a single-polygon bound, in the block values verify_theorem reads
+    from rows.  Returns the scaled func."""
+    entry = bounds.THEOREMS[tid]
+    func, rows = entry["func"], entry["rows"]
 
     def tightened(*args):
         res = func(*args)
         return dataclasses.replace(res, value=res.value * factor)
 
-    monkeypatch.setitem(bounds.THEOREMS[tid], "func", tightened)
+    def tightened_rows(*args):
+        block = rows(*args)
+        return dataclasses.replace(block, value=block.value * factor)
+
+    monkeypatch.setitem(entry, "func", tightened)
+    if rows is not None:
+        monkeypatch.setitem(entry, "rows", tightened_rows)
     return tightened
 
 
