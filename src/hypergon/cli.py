@@ -198,14 +198,13 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _both_routes(kind: str, radii: np.ndarray, ts: np.ndarray) -> dict[str, list[float]]:
+def _both_routes(kind: str, radii: np.ndarray, ts: np.ndarray) -> dict[str, np.ndarray]:
     """Each row's perimeter and area in closed form and as measured on its embedding, and their gaps."""
     xs = _hmodel.embed_rows(kind, radii, ts)
     peri, ar = _polygon.perimeter_rows(kind, radii, ts), _polygon.area_rows(kind, radii, ts)
     mperi, mar = _hmodel.measured_perimeter_rows(*xs), _hmodel.measured_area_rows(*xs)
-    routes = {"perimeter": peri, "area": ar, "measured_perimeter": mperi, "measured_area": mar,
-              "perimeter_route_gap": np.abs(peri - mperi), "area_route_gap": np.abs(ar - mar)}
-    return {name: values.tolist() for name, values in routes.items()}
+    return {"perimeter": peri, "area": ar, "measured_perimeter": mperi, "measured_area": mar,
+            "perimeter_route_gap": np.abs(peri - mperi), "area_route_gap": np.abs(ar - mar)}
 
 
 def cmd_sample(args) -> int:
@@ -217,7 +216,7 @@ def cmd_sample(args) -> int:
     lo, hi = _optimize._radius_window(family, args.n, (lo, hi))
     samples = []
     for radii, ts in _optimize.polygon_blocks(family, args.n, lo, hi, args.seed, args.trials, args.regular):
-        routes = _both_routes(family.kind, radii, ts)
+        routes = {name: values.tolist() for name, values in _both_routes(family.kind, radii, ts).items()}
         for j, (radius, thetas) in enumerate(zip(radii.tolist(), ts.tolist())):
             samples.append({"polygon": _polygon.row_json(family.kind, args.n, radius, thetas),
                             **{name: values[j] for name, values in routes.items()}})
@@ -288,31 +287,47 @@ def _crit1_draw(i: int, rng: np.random.Generator) -> _polygon.Polygon:
 
 def _crit1_polygons(seed: int, count: int):
     """_crit1_draw on streams 0 .. count-1 of seed, as (kind, radii, apex
-    angles) blocks of one family and one n."""
+    angles) arrays of one family and one n.  Each block's streams join the
+    group of their family and n; a group is settled and yielded once it
+    holds BLOCK_WORDS apex angles, and whatever is left at the end."""
     stream = _optimize._streams(seed)
+    groups: dict[tuple[type, int], list[tuple[np.ndarray, np.ndarray]]] = {}
+
+    def settle(family, n):
+        held = groups.pop((family, n))
+        index = np.concatenate([i for i, _ in held])
+        lo, hi = _optimize._radius_window(family, n, (0.05, 3.0))
+        radii, ts, left = _optimize._settled_rows(
+            family, n, lo, hi, np.concatenate([w for _, w in held]),
+            lambda rows, width: _optimize._read(stream, index[rows].tolist(), width + 1)[:, 1:])
+        _optimize._redraw(left, lambda j: _crit1_draw(int(index[j]), stream(int(index[j]))), radii, ts)
+        return family.kind, radii, ts
+
     for start, words in _optimize._word_blocks(stream, count, 14):  # n, radius, up to 12 angles
-        ns, plain = _optimize._integers(words[:, 0], 3, 13)
-        odd = (start + np.arange(len(words))) % 2 == 1
-        for family in (_polygon.CyclicPolygon, _polygon.TangentialPolygon):
-            of_family = plain & (odd == (family is _polygon.TangentialPolygon))
-            for n in range(3, 13):
-                rows = np.flatnonzero(of_family & (ns == n))
-                lo, hi = _optimize._radius_window(family, n, (0.05, 3.0))
-                radii, ts, ok, ideal = _optimize._polygon_rows(family, n, lo, hi, words[rows, 1:n + 2])
-                _optimize._redraw(np.flatnonzero(~ok | ideal),
-                                  lambda j: _crit1_draw(start + rows[j], stream(start + rows[j])), radii, ts)
-                yield family.kind, radii, ts
-        for j in np.flatnonzero(~plain).tolist():
+        ns, exact = _optimize._integers(words[:, 0], 3, 13)
+        for j in np.flatnonzero(~exact).tolist():
             poly = _crit1_draw(start + j, stream(start + j))
             yield poly.kind, np.array([poly.radius]), np.array([poly.thetas])
+        index = start + np.arange(len(words))
+        for family in (_polygon.CyclicPolygon, _polygon.TangentialPolygon):
+            of_family = exact & ((index % 2 == 1) == (family is _polygon.TangentialPolygon))
+            for n in range(3, 13):
+                rows = np.flatnonzero(of_family & (ns == n))
+                held = groups.setdefault((family, n), [])
+                held.append((index[rows], words[rows, 1:]))
+                if n * sum(len(i) for i, _ in held) >= _optimize.BLOCK_WORDS:
+                    yield settle(family, n)
+    for family, n in list(groups):
+        yield settle(family, n)
 
 
 def _crit1_equivalence(seed: int, count: int) -> tuple[bool, str]:
+    """The worst route gaps over every polygon; a NaN gap is the worst of all."""
     worst_p = worst_a = 0.0
     for kind, radii, ts in _crit1_polygons(seed, count):
         routes = _both_routes(kind, radii, ts)
-        worst_p = max([worst_p, *routes["perimeter_route_gap"]])
-        worst_a = max([worst_a, *routes["area_route_gap"]])
+        worst_p = float(np.maximum(worst_p, routes["perimeter_route_gap"].max(initial=0.0)))
+        worst_a = float(np.maximum(worst_a, routes["area_route_gap"].max(initial=0.0)))
     ok = worst_p <= 1e-9 and worst_a <= 1e-8
     return ok, f"{count} polygons, worst perimeter gap {_g12(worst_p)}, worst area gap {_g12(worst_a)}"
 

@@ -111,11 +111,22 @@ def trial_rngs(seed: int, count: int) -> Iterator[np.random.Generator]:
 # as the Generator methods that the scalar draws call would: uniform(lo, hi)
 # is lo + (hi - lo) * (word >> 11) * 2**-53, and integers(lo, hi) on a range
 # below 2**32 is Lemire's multiply-shift of the word's low half.  A row whose
-# scalar draw reads past the row's words (a rejection, a redraw), or raises,
-# is replayed by that scalar draw on its own stream.
+# scalar draw reads past the row's words, or raises, is replayed by that
+# scalar draw on its own stream.
 
 # Words per block: a block's arrays stay this small whatever n is.
 BLOCK_WORDS = 1 << 13
+# Words per stream of the second read of a redrawing row that its block's
+# words do not settle, unless four polygon attempts need more.
+REREAD_WORDS = 64
+
+
+def _read(stream: Callable, indices, width: int) -> np.ndarray:
+    """Row j holds words 0 .. width-1 of stream(indices[j]); indices are ints."""
+    words = np.empty((len(indices), width), dtype=np.uint64)
+    for j, i in enumerate(indices):
+        words[j] = stream(i).bit_generator.random_raw(width)
+    return words
 
 
 def _word_blocks(stream: Callable, count: int, width: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -123,10 +134,7 @@ def _word_blocks(stream: Callable, count: int, width: int) -> Iterator[tuple[int
     words holds words 0 .. width-1 of stream(start + j)."""
     size = max(1, BLOCK_WORDS // width)
     for start in range(0, count, size):
-        words = np.empty((min(size, count - start), width), dtype=np.uint64)
-        for j in range(len(words)):
-            words[j] = stream(start + j).bit_generator.random_raw(width)
-        yield start, words
+        yield start, _read(stream, range(start, min(start + size, count)), width)
 
 
 def _uniform(words: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -145,30 +153,76 @@ def _integers(words: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarr
     return lo + (m >> np.uint64(32)).astype(np.int64), (m & np.uint64(0xFFFF_FFFF)) >= span
 
 
-def _polygon_rows(family: type, n: int, lo: float, hi: float, words: np.ndarray) -> tuple[np.ndarray, ...]:
+def _at_cursor(words: np.ndarray, rows: np.ndarray, cursor: np.ndarray, k: int) -> np.ndarray:
+    """The k words of each of rows from its cursor on; a slice when the
+    cursors agree, as they do while the rows walk their first polygon attempt."""
+    c = cursor[rows]
+    if c.min() == c.max():
+        return words[rows, c[0]:c[0] + k]
+    return words[rows[:, None], c[:, None] + np.arange(k)]
+
+
+def _polygon_rows(family: type, n: int, lo: float, hi: float, words: np.ndarray,
+                  redraw: bool) -> tuple[np.ndarray, ...]:
     """_draw_polygon(family, n, lo, hi, rng) from each row of words, as
-    (radii, apex angles, plain rows, rows with an ideal vertex).  A row holds
-    the radius word and the n words of each of up to 3 random_partition
-    attempts.  A row is plain when random_partition takes one of those
-    attempts, the radius is positive and the constructor keeps the polygon
-    as it is; the ideal rows are the plain tangential rows that the
-    constructor rejects.  Other rows are garbage."""
-    radii = _uniform(words[:, 0], lo, hi)
-    taken = np.zeros(len(words), dtype=bool)
-    for a in range(min(3, (words.shape[1] - 1) // n)):
-        u = _uniform(words[:, 1 + a * n:1 + (a + 1) * n], 0.1, 1.0)
-        sums = u.sum(axis=1)
-        attempt = u * (TWO_PI / sums)[:, None]
-        accept = ~taken & (2.0 * u.max(axis=1) < sums)
-        if a == 0:
-            partitions = attempt
+    (radii, apex angles, settled rows, rows with an ideal vertex).
+
+    A cursor walks each row's words in polygon attempts: the radius word,
+    then n words per random_partition attempt until one is accepted.  A row
+    is settled when an attempt fits in its words, the radius is positive
+    and the constructor keeps the polygon as it is.  A tangential polygon
+    with an ideal vertex is drawn again from the next word when redraw is
+    set, as random_tangential_polygon does, and is otherwise settled as an
+    ideal row.  Unsettled rows are garbage."""
+    count, width = words.shape
+    radii, ts = np.zeros(count), np.zeros((count, n))
+    settled, ideal = np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
+    cursor = np.zeros(count, dtype=np.intp)
+    rows = np.arange(count)
+    while True:
+        rows = rows[cursor[rows] + 1 + n <= width]  # room for a radius and one partition
+        if not len(rows):
+            return radii, ts, settled, ideal
+        r = _uniform(_at_cursor(words, rows, cursor, 1)[:, 0], lo, hi)
+        cursor[rows] += 1
+        pending, t = np.arange(len(rows)), None  # the rows still drawing a partition
+        while len(pending):
+            at = rows[pending]
+            u = _uniform(_at_cursor(words, at, cursor, n), 0.1, 1.0)
+            cursor[at] += n
+            sums = u.sum(axis=1)
+            accept = 2.0 * u.max(axis=1) < sums
+            attempt = u * (TWO_PI / sums)[:, None]
+            if t is None:
+                t, taken = attempt, accept
+            else:
+                t[pending], taken[pending[accept]] = attempt, True
+            pending = pending[~accept]
+            pending = pending[cursor[rows[pending]] + n <= width]
+        t, plain = _polygon.normalized_rows(t)
+        plain &= taken & (r > 0.0)
+        bad = plain & _polygon.ideal_rows(r, t) if family is TangentialPolygon else np.zeros_like(plain)
+        done = plain & ~bad if redraw else plain
+        if len(rows) == count:  # no row is settled yet: these arrays become the result
+            radii, ts, settled, ideal = r, t, done, bad & done
         else:
-            partitions[accept] = attempt[accept]
-        taken |= accept
-    ts, plain = _polygon.normalized_rows(partitions)
-    plain &= taken & (radii > 0.0)
-    ideal = plain & _polygon.ideal_rows(radii, ts) if family is TangentialPolygon else np.zeros_like(plain)
-    return radii, ts, plain, ideal
+            radii[rows[done]], ts[rows[done]] = r[done], t[done]
+            settled[rows[done]], ideal[rows[done]] = True, bad[done]
+        rows = rows[plain & ~done]
+
+
+def _settled_rows(family: type, n: int, lo: float, hi: float, words: np.ndarray,
+                  reread: Callable[[np.ndarray, int], np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_polygon_rows with redraws, as (radii, apex angles, rows left).  The
+    rows that words do not settle are read again, once, at
+    max(REREAD_WORDS, 4 * (n + 1)) words by reread(rows, width), and walked
+    again; the rows still unsettled are left to a scalar replay."""
+    radii, ts, settled, _ = _polygon_rows(family, n, lo, hi, words, redraw=True)
+    rows = np.flatnonzero(~settled)
+    if len(rows):
+        wide = reread(rows, max(REREAD_WORDS, 4 * (n + 1)))
+        radii[rows], ts[rows], settled[rows], _ = _polygon_rows(family, n, lo, hi, wide, redraw=True)
+    return radii, ts, np.flatnonzero(~settled)
 
 
 def _redraw(rows, draw: Callable, radii: np.ndarray, ts: np.ndarray) -> None:
@@ -191,8 +245,9 @@ def polygon_blocks(family: type, n: int, lo: float, hi: float, seed: int, count:
             polys = [family.regular(n, r) for r in _uniform(words[:, 0], lo, hi).tolist()]
             yield np.array([p.radius for p in polys]), np.array([p.thetas for p in polys])
             continue
-        radii, ts, plain, ideal = _polygon_rows(family, n, lo, hi, words)
-        _redraw(np.flatnonzero(~plain | ideal), lambda j: draw(n, (lo, hi), stream(start + j)), radii, ts)
+        radii, ts, left = _settled_rows(family, n, lo, hi, words,
+                                        lambda rows, width: _read(stream, (start + rows).tolist(), width))
+        _redraw(left, lambda j: draw(n, (lo, hi), stream(start + j)), radii, ts)
         yield radii, ts
 
 
@@ -797,9 +852,9 @@ def _polygon_draws(entry: dict, n: int, radius_range: tuple[float, float]) -> tu
     def blocks(seed, trials):
         stream = _streams(seed)
         for start, words in _word_blocks(stream, trials, 1 + (3 if n < 12 else 1) * n):
-            radii, ts, plain, ideal = _polygon_rows(family, n, lo, hi, words)
-            keep = plain & ~ideal
-            for j in np.flatnonzero(~plain).tolist():
+            radii, ts, settled, ideal = _polygon_rows(family, n, lo, hi, words, redraw=False)
+            keep = settled & ~ideal
+            for j in np.flatnonzero(~settled).tolist():
                 try:
                     poly = _draw_polygon(family, n, lo, hi, stream(start + j))
                 except IdealVertex:

@@ -148,7 +148,7 @@ def test_partition_attempts_match_random_partition(monkeypatch, n, seed):
     for family in FAMILIES:
         lo, hi = optimize._radius_window(family, n, (0.1, 2.0))
         rows = [row for _, words in optimize._word_blocks(optimize._streams(seed), 300, width)
-                for row in zip(*optimize._polygon_rows(family, n, lo, hi, words))]
+                for row in zip(*optimize._polygon_rows(family, n, lo, hi, words, redraw=False))]
         assert len(rows) == 300
         for i, (radius, ts, plain, ideal) in enumerate(rows):
             rng = optimize.trial_rng(seed, i)
@@ -326,17 +326,85 @@ def test_polygon_blocks_match_the_sample_draws(monkeypatch, family, n, window, r
             assert [hexes(row) for row in ts] == [hexes(p.thetas) for p in want]
 
 
+def words_read(rng):
+    """How many words of its stream a generator has handed out."""
+    state = rng.bit_generator.state
+    return 4 * state["state"]["counter"][0] - 4 + state["buffer_pos"]
+
+
+def crit1_battery(monkeypatch, seed, count):
+    """_crit1_draw on each stream, as (polygon, polygon attempts, words read)."""
+    draw_polygon = optimize._draw_polygon
+    attempts = []
+
+    def counted(*args):
+        attempts[-1] += 1
+        return draw_polygon(*args)
+
+    battery = []
+    with monkeypatch.context() as m:
+        m.setattr(optimize, "_draw_polygon", counted)
+        for i, rng in enumerate(trial_rngs(seed, count)):
+            attempts.append(0)
+            battery.append((cli._crit1_draw(i, rng), attempts[-1], words_read(rng)))
+    return battery
+
+
+def crit1_replays(monkeypatch):
+    """The streams criterion 1 hands to the scalar _crit1_draw from now on."""
+    crit1_draw = cli._crit1_draw
+    replays = []
+
+    def counted(i, rng):
+        replays.append(i)
+        return crit1_draw(i, rng)
+
+    monkeypatch.setattr(cli, "_crit1_draw", counted)
+    return replays
+
+
 @pytest.mark.parametrize("seed", SEEDS)
-def test_criterion_1_draws_match_the_scalar_battery(seed):
-    # one block and a bit at the real block size; the blocks group the
-    # polygons by family and n, so compare them as sorted lists
-    count = optimize.BLOCK_WORDS // 14 + 1
-    got = sorted((kind, r.hex(), tuple(hexes(t)))
-                 for kind, radii, ts in cli._crit1_polygons(seed, count)
-                 for r, t in zip(radii.tolist(), ts))
-    want = sorted((p.kind, p.radius.hex(), tuple(hexes(p.thetas)))
-                  for p in (cli._crit1_draw(i, rng) for i, rng in enumerate(trial_rngs(seed, count))))
-    assert got == want
+def test_criterion_1_draws_match_the_scalar_battery(monkeypatch, seed):
+    # the blocks group the polygons by family and n, so compare them as
+    # sorted lists; three sizes: one block and a bit at the real sizes,
+    # blocks of 10 streams whose groups are settled every 140 apex angles,
+    # and that with a re-read of four polygon attempts, where many rows
+    # fall through to the scalar replay
+    count = 700
+    battery = crit1_battery(monkeypatch, seed, count)
+    want = sorted((p.kind, p.radius.hex(), tuple(hexes(p.thetas))) for p, _, _ in battery)
+    assert {min(a, 3) for _, a, _ in battery} == {1, 2, 3}  # settled on polygon attempt 1, 2, 3 or later
+    replays = crit1_replays(monkeypatch)
+    real = optimize.BLOCK_WORDS
+    for block_words, reread_words in ((real, optimize.REREAD_WORDS), (140, optimize.REREAD_WORDS), (140, 0)):
+        monkeypatch.setattr(optimize, "BLOCK_WORDS", block_words)
+        monkeypatch.setattr(optimize, "REREAD_WORDS", reread_words)
+        replays.clear()
+        groups = collections.Counter()
+        got = []
+        for kind, radii, ts in cli._crit1_polygons(seed, count):
+            groups[kind, ts.shape[1]] += 1
+            got += [(kind, r.hex(), tuple(hexes(t))) for r, t in zip(radii.tolist(), ts)]
+        assert sorted(got) == want
+        # a row is settled by the 14-word read, by the re-read of 1 + wide
+        # words, or by the scalar replay, by how many words it draws
+        wide = [1 + max(reread_words, 4 * (p.n + 1)) for p, _, _ in battery]
+        stage = [0 if used <= 14 else 1 if used <= w else 2 for (_, _, used), w in zip(battery, wide)]
+        assert sorted(replays) == [i for i, s in enumerate(stage) if s == 2]
+        assert {0, 1} <= set(stage) and (2 in stage or reread_words > 0)
+        assert len(groups) == 20
+        if block_words == real:
+            assert set(groups.values()) == {1}  # every group is settled once, at the end
+        else:
+            assert max(groups.values()) >= 3
+
+
+def test_criterion_1_replays_few_polygons(monkeypatch):
+    # at the default seed, 2,295 of the 10^4 polygons need a second polygon
+    # attempt or a second partition the 14-word read holds no words for
+    replays = crit1_replays(monkeypatch)
+    assert sum(len(radii) for _, radii, _ in cli._crit1_polygons(DEFAULT_SEED, 10_000)) == 10_000
+    assert 0 < len(replays) <= 30
 
 
 def test_block_uniform_and_integers_match_the_generator():

@@ -14,7 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import frozen
-from hypergon import bounds, optimize, polygon
+from hypergon import bounds, cli, optimize, polygon
 from hypergon.cli import CSV_HEADER, main
 
 
@@ -346,6 +346,21 @@ def test_sample_cyclic_keys(capsys):
     }
 
 
+def test_sample_near_the_tangential_limit_exits_2(capsys):
+    # the window (0.548, 0.5488) sits just below the 3-gon's ideal-vertex
+    # limit: no row of the block walk settles, even read again wide, and
+    # the scalar replay gives up after its 1000 attempts
+    lo, hi = optimize._radius_window(polygon.TangentialPolygon, 3, (0.548, 0.6))
+    stream = optimize._streams(optimize.DEFAULT_SEED)
+    _, _, left = optimize._settled_rows(polygon.TangentialPolygon, 3, lo, hi, optimize._read(stream, range(10), 4),
+                                        lambda rows, width: optimize._read(stream, rows.tolist(), width))
+    assert left.tolist() == list(range(10))
+    assert main(["sample", "--kind", "tangential", "--n", "3", "--range", "0.548:0.6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: Infeasible: could not sample a tangential 3-gon in {(lo, hi)}"]
+
+
 # ---------------------------------------------------------------------------
 # optimize
 
@@ -429,6 +444,27 @@ def test_report_where_a_bound_asserted_nothing_exits_2(tmp_path, capsys):
     assert captured.err == ("error: nothing was asserted for 1.1, 1.3, 1.9 at k=3, 1.10 at k=3: "
                             "every draw fell outside the guard\n")
     assert not bundle.exists()
+
+
+@pytest.mark.parametrize("call", [0, 1, 5])
+def test_a_nan_route_gap_fails_criterion_1(monkeypatch, call):
+    # a NaN gap in any group of polygons, first or later, is the worst gap
+    both_routes = cli._both_routes
+    calls = []
+
+    def nan_gap(kind, radii, ts):
+        routes = both_routes(kind, radii, ts)
+        if len(calls) == call:
+            routes["area_route_gap"][0] = math.nan
+        calls.append(kind)
+        return routes
+
+    monkeypatch.setattr(cli, "_both_routes", nan_gap)
+    files, failures = cli.render_bundle(6, 2, 7, 300, 20, 20)
+    assert len(calls) > call
+    assert failures == 1
+    assert "- [FAIL] 1. closed-form vs measured metrics: 300 polygons, worst perimeter gap" in files["report.md"]
+    assert files["report.md"].split("\n- [FAIL] 1.")[1].split("\n")[0].endswith("worst area gap nan")
 
 
 def test_report_with_a_bad_seed_writes_nothing(tmp_path, capsys):
