@@ -47,7 +47,6 @@ from .hypmath import (
     acos_snapped_rows,
     acosh1p,
     coshm1_rows,
-    libm,
     regular_convert,
     stable_asinh,
     stable_asinh_rows,
@@ -144,7 +143,7 @@ class BoundRows:
 
 def _tangential_peri_rows(n: int, k: int, x: np.ndarray) -> BoundRows:
     limit = tangential_radius_limit(n)
-    arg = math.tan(math.pi / n) * libm(math.sinh, x)
+    arg = np.tan(np.pi / n) * np.sinh(x)
     finite = arg < 1.0
     value = 2.0 * n * k * stable_atanh_rows(np.where(finite, arg, 0.0))
     value[~finite] = math.inf
@@ -153,13 +152,13 @@ def _tangential_peri_rows(n: int, k: int, x: np.ndarray) -> BoundRows:
 
 
 def _cyclic_peri_rows(n: int, k: int, x: np.ndarray, kind: str) -> BoundRows:
-    value = 2.0 * n * k * stable_asinh_rows(math.sin(math.pi / n) * libm(math.sinh, x))
+    value = 2.0 * n * k * stable_asinh_rows(np.sin(np.pi / n) * np.sinh(x))
     return BoundRows("perimeter", kind, value, np.ones(x.shape, bool), np.full(x.shape, math.inf),
                      np.ones(x.shape, bool), "R")
 
 
 def _tangential_area_rows(n: int, k: int, x: np.ndarray) -> BoundRows:
-    arg = math.sin(math.pi / n) * libm(math.cosh, x)
+    arg = np.sin(np.pi / n) * np.cosh(x)
     feasible = arg <= 1.0 + EPS_REL
     # an infeasible row's acos term is 0, the value acos_snapped gives at 1
     value = k * (n - 2) * math.pi - 2.0 * n * k * acos_snapped_rows(np.where(feasible, arg, 1.0))
@@ -171,8 +170,8 @@ def _cyclic_area_rows(n: int, k: int, x: np.ndarray, kind: str, guarded: bool) -
     # Angle-deficit form (n-2) pi - 2 n acot(tan(pi/n) cosh x) cancels
     # catastrophically as x -> 0; the atan-difference rewrite below is exact
     # and keeps the quadratic small-x behaviour to full precision.
-    t = math.tan(math.pi / n)
-    value = 2.0 * n * k * libm(math.atan2, t * coshm1_rows(x), 1.0 + t * t * libm(math.cosh, x))
+    t = np.tan(np.pi / n)
+    value = 2.0 * n * k * np.arctan2(t * coshm1_rows(x), 1.0 + t * t * np.cosh(x))
     if guarded:
         threshold = thm7_radius_threshold(n)
         feasible, guard_margin = x < threshold, threshold - x

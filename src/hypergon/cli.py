@@ -20,11 +20,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import bounds as _bounds
 from . import hmodel as _hmodel
 from . import optimize as _optimize
@@ -81,6 +83,24 @@ def _result_rows(res: _bounds.BoundResult) -> list[dict]:
         {**base, "theorem": "cor1_ref", "value": ref, "feasible": True},
         {**base, "theorem": "cor1_diff", "value": res.value - ref},
     ]
+
+
+def simd_target() -> str | None:
+    """The SIMD target numpy runs its float64 sinh loop on, such as X86_V4,
+    or None where numpy cannot say.  The block kernels' last bits depend on
+    it, so the manifest and report.md name it."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return None
+    return opt_func_info(func_name="^sinh$", signature="float64").get("sinh", {}).get("dd", {}).get("current")
+
+
+def _manifest(args, seed: int | None) -> dict:
+    """What produced a JSON output: versions, seed, argv, RNG scheme and SIMD target."""
+    return {"package": __version__, "numpy": np.__version__, "python": platform.python_version(),
+            "seed": seed, "argv": args.argv, "rng_scheme": None if seed is None else _optimize.RNG_SCHEME,
+            "simd_target": simd_target()}
 
 
 def _emit_rows(rows: list[dict], fmt: str, out: str | None) -> None:
@@ -189,7 +209,7 @@ def cmd_verify(args) -> int:
             trials=args.trials, seed=args.seed,
         )
         reports.append(rep.to_json_dict())
-    _emit_json({"reports": reports}, args.out)
+    _emit_json({"manifest": _manifest(args, args.seed), "reports": reports}, args.out)
     if any(r["asserted"] and not r["passed"] for r in reports):
         return 1
     empty = [r["theorem"] for r in reports if r["asserted"] == 0]
@@ -241,7 +261,7 @@ def cmd_optimize(args) -> int:
             args.total = args.total * DEG
     problem = _optimize.make_problem(name, k=args.k, n=args.n, radius=args.radius, c=args.total)
     rep = _optimize.solve_equal_sum(problem, oracle_resolution=args.resolution)
-    _emit_json({"report": rep.to_json_dict()}, args.out)
+    _emit_json({"manifest": _manifest(args, None), "report": rep.to_json_dict()}, args.out)
     if rep.oracle_agreement is False:
         return 1
     if rep.certified and rep.max_deviation_from_uniform > _optimize.UNIFORM_TOL:
@@ -533,9 +553,11 @@ def render_bundle(n: int, k: int, seed: int, polygons: int, trials: int, splits:
     lines = [
         "# Bound audit",
         "",
-        f"Deterministic bundle for n={n}, k={k}, seed={seed}.  Closed-form",
-        "sweeps are in criteria.csv and the inradius divergence table in",
-        f"cor1_divergence.csv, both in the frozen CSV schema `{CSV_HEADER}`.",
+        f"Deterministic bundle for n={n}, k={k}, seed={seed}, computed with",
+        f"numpy {np.__version__} on the {simd_target()} SIMD target, which the",
+        "last bits of its values depend on.  Closed-form sweeps are in",
+        "criteria.csv and the inradius divergence table in cor1_divergence.csv,",
+        f"both in the frozen CSV schema `{CSV_HEADER}`.",
         "",
         "## Battery",
         "",
@@ -710,6 +732,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    args.argv = list(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except SystemExit2 as exc:

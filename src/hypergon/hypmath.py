@@ -7,16 +7,23 @@ a right triangle from its legs (cosh a = cosh b * cosh c), an angle from
 three sides by the law of cosines, and the conversions between the
 quantities of a regular n-gon.
 
-The *_rows kernels take float64 arrays and give each element's value bit
-for bit as the scalar kernel of the same name would: every transcendental
-function is one libm call per element (numpy's vectorized sinh, tan, log1p,
-atan2 and hypot differ from libm in the last bit on some inputs), and the
-rest is the same IEEE arithmetic in the same order.
+The *_rows kernels -- fsum_rows, stable_asinh_rows, stable_atanh_rows,
+acosh1p_rows, coshm1_rows, acos_snapped_rows, hyp_hypotenuse_rows and
+regular_convert_rows -- take float64 arrays and follow the scalar kernel of
+the same name step for step, branches and error messages included, but
+evaluate every transcendental function with numpy's ufunc (np.log1p,
+np.sinh, np.arctan2, ...).  Those run the SIMD kernels numpy dispatches on
+this CPU and may differ from the math module in the last bit or two, so a
+rows kernel agrees with its scalar twin to a few ulp, not bit for bit; the
+tests bound both against a 40-digit reference.  An element's value does not
+depend on the rest of its array, so a block value and the one-row call
+that recomputes it agree exactly.  fsum_rows keeps math.fsum, whose correct
+rounding the partition draws rely on.  regular_convert is the one-row call
+of regular_convert_rows.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -96,14 +103,6 @@ def acos_snapped(x: float) -> float:
     return math.acos(x)
 
 
-def libm(f, *args) -> np.ndarray:
-    """f, a function of the math module, at every element of the args:
-    arrays of one shape, or floats that stand for themselves everywhere."""
-    like = next(a for a in args if not isinstance(a, float))
-    cols = [itertools.repeat(a) if isinstance(a, float) else a.ravel().tolist() for a in args]
-    return np.fromiter(map(f, *cols), np.float64, like.size).reshape(like.shape)
-
-
 def fsum_rows(a: np.ndarray) -> np.ndarray:
     """math.fsum of every row."""
     return np.fromiter(map(math.fsum, a.tolist()), np.float64, len(a))
@@ -114,8 +113,8 @@ def stable_asinh_rows(x: np.ndarray) -> np.ndarray:
     ax = np.abs(x)
     big = ax > 1e150
     a = np.where(big, 0.0, ax)
-    r = libm(math.log1p, a + a * a / (1.0 + libm(math.hypot, 1.0, a)))
-    r[big] = _LN2 + libm(math.log, ax[big])
+    r = np.log1p(a + a * a / (1.0 + np.hypot(1.0, a)))
+    r[big] = _LN2 + np.log(ax[big])
     return np.where(x < 0, -r, r)
 
 
@@ -124,7 +123,7 @@ def stable_atanh_rows(x: np.ndarray) -> np.ndarray:
     ax = np.abs(x)
     if (ax >= 1.0).any():
         raise OutOfRange(f"atanh argument {float(x[ax >= 1.0][0])!r} outside (-1, 1)")
-    r = 0.5 * libm(math.log1p, 2.0 * ax / (1.0 - ax))
+    r = 0.5 * np.log1p(2.0 * ax / (1.0 - ax))
     return np.where(x < 0, -r, r)
 
 
@@ -134,14 +133,14 @@ def acosh1p_rows(t: np.ndarray) -> np.ndarray:
         raise OutOfRange(f"acosh argument 1 + {float(t[t < -EPS_GEOM][0])!r} below branch point")
     big = t > 1e8
     s = np.where(big | (t < 0.0), 0.0, t)
-    r = libm(math.log1p, s + np.sqrt(s * (s + 2.0)))
-    r[big] = _LN2 + libm(math.log1p, t[big])
+    r = np.log1p(s + np.sqrt(s * (s + 2.0)))
+    r[big] = _LN2 + np.log1p(t[big])
     return r
 
 
 def coshm1_rows(x: np.ndarray) -> np.ndarray:
     """coshm1 of every element."""
-    s = libm(math.sinh, 0.5 * x)
+    s = np.sinh(0.5 * x)
     return 2.0 * s * s
 
 
@@ -151,7 +150,7 @@ def acos_snapped_rows(x: np.ndarray) -> np.ndarray:
         if bad.any():
             raise OutOfRange(f"acos argument {float(x[bad][0])!r} {side}")
     top, bottom = x >= 1.0 - _BRANCH_SNAP, x <= -1.0
-    r = libm(math.acos, np.where(top | bottom, 0.0, x))
+    r = np.arccos(np.where(top | bottom, 0.0, x))
     r[top] = 0.0
     r[bottom] = math.pi
     return r
@@ -167,10 +166,9 @@ def hyp_hypotenuse_rows(b: np.ndarray, c: np.ndarray) -> np.ndarray:
     near = ~far
     out = np.empty(b.shape)
     bf, cf = b[far], c[far]
-    out[far] = (bf + cf - _LN2 + libm(math.log1p, libm(math.exp, -2.0 * bf))
-                + libm(math.log1p, libm(math.exp, -2.0 * cf)))
+    out[far] = bf + cf - _LN2 + np.log1p(np.exp(-2.0 * bf)) + np.log1p(np.exp(-2.0 * cf))
     bn, cn = b[near], c[near]
-    out[near] = acosh1p_rows(coshm1_rows(bn) * libm(math.cosh, cn) + coshm1_rows(cn))
+    out[near] = acosh1p_rows(coshm1_rows(bn) * np.cosh(cn) + coshm1_rows(cn))
     return out
 
 
@@ -264,6 +262,19 @@ def _check_theta_floor(n: int, theta) -> None:
 def regular_convert(spec: RegularNGonSpec) -> RegularPolygonMetrics:
     """Convert one defining quantity of a regular n-gon into all of them.
 
+    The one-row call of regular_convert_rows, with float fields.
+    """
+    name, value = spec.defining()
+    m = regular_convert_rows(spec.n, name, np.array([value], dtype=np.float64))
+    return RegularPolygonMetrics(n=m.n, **{f: float(getattr(m, f)[0])
+                                           for f in ("R", "r", "theta", "side", "perimeter", "area")})
+
+
+def regular_convert_rows(n: int, name: str, value: np.ndarray) -> RegularPolygonMetrics:
+    """All quantities of the regular n-gon that each element of value defines
+    as the quantity `name` ("R", "r", "theta" or "side"), as metrics whose
+    fields are arrays of value's shape.
+
     Uses the right-triangle decomposition with central half-angle pi/n and
     vertex half-angle theta/2:
 
@@ -276,67 +287,10 @@ def regular_convert(spec: RegularNGonSpec) -> RegularPolygonMetrics:
 
     with perimeter n*s and area (n-2)pi - n*theta.
     """
-    n = spec.n
     if not isinstance(n, int) or n < 3:
         raise Infeasible(f"need integer n >= 3, got {n!r}")
-    name, value = spec.defining()
-    cn = math.cos(math.pi / n)
-    sn = math.sin(math.pi / n)
-    theta_max = (n - 2) * math.pi / n
-
-    if name == "theta":
-        theta = value
-        if not 0.0 < theta < theta_max:
-            raise Infeasible(f"interior angle must lie in (0, {(n - 2)}pi/{n})")
-        _check_theta_floor(n, theta)
-        half = 0.5 * theta
-        gap = 0.5 * math.pi - math.pi / n - half
-        R = acosh1p(math.cos(math.pi / n + half) / (sn * math.sin(half)))
-        r = acosh1p(2.0 * math.sin(half + 0.5 * gap) * math.sin(0.5 * gap) / sn)
-        side = 2.0 * acosh1p(2.0 * math.sin(math.pi / n + 0.5 * gap) * math.sin(0.5 * gap) / math.sin(half))
-    elif name == "R":
-        R = value
-        if not 0.0 < R <= LEG_MAX:
-            raise Infeasible(f"circumradius must lie in (0, {LEG_MAX}]")
-        theta = 2.0 * math.atan2(cn / sn, math.cosh(R))
-        r = stable_atanh(cn * math.tanh(R))
-        side = 2.0 * stable_asinh(sn * math.sinh(R))
-    elif name == "r":
-        r = value
-        if not 0.0 < r <= LEG_MAX:
-            raise Infeasible(f"inradius must lie in (0, {LEG_MAX}]")
-        if r >= tangential_radius_limit(n):
-            raise Infeasible("inradius at or beyond asinh(cot(pi/n)): vertices are ideal")
-        R = stable_atanh(math.tanh(r) / cn)
-        theta = 2.0 * acos_snapped(sn * math.cosh(r))
-        side = 2.0 * stable_atanh(math.sinh(r) * sn / cn)
-    else:  # side
-        side = value
-        if not 0.0 < side <= LEG_MAX:
-            raise Infeasible(f"side must lie in (0, {LEG_MAX}]")
-        half_side = 0.5 * side
-        R = stable_asinh(math.sinh(half_side) / sn)
-        theta = 2.0 * math.asin(min(1.0, cn / math.cosh(half_side)))
-        r = stable_asinh(math.tanh(half_side) * cn / sn)
-
-    return RegularPolygonMetrics(
-        n=n,
-        R=R,
-        r=r,
-        theta=theta,
-        side=side,
-        perimeter=n * side,
-        area=(n - 2) * math.pi - n * theta,
-    )
-
-
-def regular_convert_rows(n: int, name: str, value: np.ndarray) -> RegularPolygonMetrics:
-    """regular_convert of the n-gon that each element of value defines as
-    the quantity `name`, as metrics whose fields are arrays of value's shape."""
-    if not isinstance(n, int) or n < 3:
-        raise Infeasible(f"need integer n >= 3, got {n!r}")
-    cn = math.cos(math.pi / n)
-    sn = math.sin(math.pi / n)
+    cn = np.cos(np.pi / n)
+    sn = np.sin(np.pi / n)
     theta_max = (n - 2) * math.pi / n
 
     def check(ok: np.ndarray, message: str) -> None:
@@ -348,32 +302,37 @@ def regular_convert_rows(n: int, name: str, value: np.ndarray) -> RegularPolygon
         check((0.0 < theta) & (theta < theta_max), f"interior angle must lie in (0, {(n - 2)}pi/{n})")
         _check_theta_floor(n, theta)
         half = 0.5 * theta
+        # the branch-point offsets cosh - 1 as products of sines of the gap
+        # to the ideal angle, free of cancellation
         gap = 0.5 * math.pi - math.pi / n - half
-        sin_half, sin_gap = libm(math.sin, half), libm(math.sin, 0.5 * gap)
-        R = acosh1p_rows(libm(math.cos, math.pi / n + half) / (sn * sin_half))
-        r = acosh1p_rows(2.0 * libm(math.sin, half + 0.5 * gap) * sin_gap / sn)
-        side = 2.0 * acosh1p_rows(2.0 * libm(math.sin, math.pi / n + 0.5 * gap) * sin_gap / sin_half)
+        sin_half, sin_gap = np.sin(half), np.sin(0.5 * gap)
+        R = acosh1p_rows(np.cos(math.pi / n + half) / (sn * sin_half))
+        r = acosh1p_rows(2.0 * np.sin(half + 0.5 * gap) * sin_gap / sn)
+        side = 2.0 * acosh1p_rows(2.0 * np.sin(math.pi / n + 0.5 * gap) * sin_gap / sin_half)
     elif name == "R":
         R = value
         check((0.0 < R) & (R <= LEG_MAX), f"circumradius must lie in (0, {LEG_MAX}]")
-        theta = 2.0 * libm(math.atan2, cn / sn, libm(math.cosh, R))
-        r = stable_atanh_rows(cn * libm(math.tanh, R))
-        side = 2.0 * stable_asinh_rows(sn * libm(math.sinh, R))
+        theta = 2.0 * np.arctan2(cn / sn, np.cosh(R))
+        r = stable_atanh_rows(cn * np.tanh(R))
+        side = 2.0 * stable_asinh_rows(sn * np.sinh(R))
     elif name == "r":
         r = value
         check((0.0 < r) & (r <= LEG_MAX), f"inradius must lie in (0, {LEG_MAX}]")
         check(r < tangential_radius_limit(n), "inradius at or beyond asinh(cot(pi/n)): vertices are ideal")
-        R = stable_atanh_rows(libm(math.tanh, r) / cn)
-        theta = 2.0 * acos_snapped_rows(sn * libm(math.cosh, r))
-        side = 2.0 * stable_atanh_rows(libm(math.sinh, r) * sn / cn)
+        R = stable_atanh_rows(np.tanh(r) / cn)
+        theta = 2.0 * acos_snapped_rows(sn * np.cosh(r))
+        side = 2.0 * stable_atanh_rows(np.sinh(r) * sn / cn)
     else:  # side
         side = value
         check((0.0 < side) & (side <= LEG_MAX), f"side must lie in (0, {LEG_MAX}]")
         half_side = 0.5 * side
-        R = stable_asinh_rows(libm(math.sinh, half_side) / sn)
-        q = cn / libm(math.cosh, half_side)
-        theta = 2.0 * libm(math.asin, np.where(q < 1.0, q, 1.0))  # min(1.0, q)
-        r = stable_asinh_rows(libm(math.tanh, half_side) * cn / sn)
+        sh = np.sinh(half_side)
+        R = stable_asinh_rows(sh / sn)
+        # sin(theta/2) = cos(pi/n) / cosh(s/2), taken as an angle with its
+        # cosine sqrt(sinh^2(s/2) + sin^2(pi/n)) / cosh(s/2), which keeps
+        # asin's conditioning near 1 out of small sides
+        theta = 2.0 * np.arctan2(cn, np.hypot(sh, sn))
+        r = stable_asinh_rows(np.tanh(half_side) * cn / sn)
 
     return RegularPolygonMetrics(
         n=n,

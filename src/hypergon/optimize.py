@@ -30,6 +30,8 @@ from .polygon import CyclicPolygon, TangentialPolygon, TWO_PI
 # [seed, 0] and counter [0, 0, i, 0], which is where jumping a Philox keyed
 # by seed i times lands.
 DEFAULT_SEED = 0x1509_0001
+# That layout, as the manifest of a seeded output names it.
+RNG_SCHEME = "1: Philox4x64-10, trial i on key [seed mod 2**64, seed >> 64], counter [0, 0, i, 0]"
 
 FD_H_FRACTION = 1e-5  # certificate step, as a fraction of interval width
 GRID_POINTS = 64  # interior points of the certificate grid and of each two-value scan
@@ -510,9 +512,12 @@ def solve_equal_sum(problem: SeparableProblem, oracle_resolution: int | None = N
     (x, ..., x, y, ..., y).  That is the equal-variable method (V. Cirtoaje,
     JIPAM 8(1), 2007, art. 15).  For each m = 1 .. k-1 the scan takes
     GRID_POINTS interior x of the range where m copies of x and k-m copies
-    of y = (c - m*x)/(k - m) all lie in the open interval; a point replaces
-    the uniform one only when it is strictly better in the problem's sense.
-    The report's iterations counts the points scored.
+    of y = (c - m*x)/(k - m) all lie in the open interval.  A point replaces
+    the best one so far only when it is better in the problem's sense by
+    more than the slack of the best value, INEQ_TOL * max(1, |value|): the
+    scanned split sums to c only up to rounding, and a few ulps gained from
+    a smaller sum are no gain.  The report's iterations counts the points
+    scored.
 
     Always runs, even with a mixed certificate; the report's certified flag
     says whether the certificate has the sign the sense needs.  When
@@ -543,7 +548,7 @@ def solve_equal_sum(problem: SeparableProblem, oracle_resolution: int | None = N
                 continue
             scanned += 1
             value = math.fsum([f(x)] * m + [f(y)] * (k - m))
-            if flip * value < flip * best:
+            if flip * (best - value) > INEQ_TOL * max(1.0, abs(best)):  # _slack(best), in floats
                 best_x, best = (x,) * m + (y,) * (k - m), value
 
     report = OptimizationReport(

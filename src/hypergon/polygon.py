@@ -8,9 +8,12 @@ apex angle theta_i, and carries one vertex on its bisector.  In both cases
 the apex angles partition the full turn: sum(theta_i) = 2*pi.
 
 The *_rows functions take a block of polygons of one family and one n, as
-an array of radii and a (polygons, n) array of apex angles, and give each
-row's value bit for bit as the per-polygon function would: the sector
-kernels elementwise, and one math.fsum per row where it sums with fsum.
+an array of radii and a (polygons, n) array of apex angles, and follow the
+per-polygon function: the sector formulas elementwise with numpy's ufuncs,
+and one math.fsum per row where it sums with fsum.  A row's value agrees
+with the per-polygon function's to a few ulp, and equals bit for bit what
+the same function gives that row alone; ideal_rows makes the constructor's
+ideal-vertex decision.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .hypmath import (
     acos_snapped,
     acos_snapped_rows,
     fsum_rows,
-    libm,
     stable_asinh,
     stable_asinh_rows,
     stable_atanh,
@@ -128,7 +130,7 @@ def normalized_rows(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def ideal_rows(r: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """The rows a TangentialPolygon with inradius r and apex angles ts rejects as ideal."""
-    return (libm(math.tan, 0.5 * ts) * libm(math.sinh, r)[:, None] >= 1.0).any(axis=1)
+    return (np.tan(0.5 * ts) * np.sinh(r)[:, None] >= 1.0).any(axis=1)
 
 
 @dataclass(frozen=True)
@@ -200,8 +202,8 @@ def perimeter_rows(kind: str, radii: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """perimeter of every row's polygon."""
     half = 0.5 * ts
     if kind == "cyclic":
-        return 2.0 * fsum_rows(stable_asinh_rows(libm(math.sin, half) * libm(math.sinh, radii)[:, None]))
-    x = libm(math.tan, half) * libm(math.sinh, radii)[:, None]
+        return 2.0 * fsum_rows(stable_asinh_rows(np.sin(half) * np.sinh(radii)[:, None]))
+    x = np.tan(half) * np.sinh(radii)[:, None]
     if (x >= 1.0).any():
         raise IdealVertex(f"tan(theta/2)*sinh r = {float(x[x >= 1.0][0])!r} >= 1")
     return 2.0 * fsum_rows(stable_atanh_rows(x))
@@ -228,10 +230,10 @@ def area_rows(kind: str, radii: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """area of every row's polygon."""
     half = 0.5 * ts
     if kind == "cyclic":
-        halves = libm(math.atan2, 1.0, libm(math.cosh, radii)[:, None] * libm(math.tan, half))
+        halves = np.arctan2(1.0, np.cosh(radii)[:, None] * np.tan(half))
         angles = np.roll(halves, 1, axis=1) + halves
     else:
-        x = libm(math.sin, half) * libm(math.cosh, radii)[:, None]
+        x = np.sin(half) * np.cosh(radii)[:, None]
         if (x > 1.0 + 1e-12).any():
             raise IdealVertex(f"sin(theta/2)*cosh r = {float(x[x > 1.0 + 1e-12][0])!r} > 1")
         angles = 2.0 * acos_snapped_rows(np.minimum(x, 1.0))

@@ -84,8 +84,12 @@ VERIFY_1_1 = (dict(theorem_id="1.1", n=3, trials=500, seed=7), 154, 346, "0x1.86
 VERIFY_1_9 = (dict(theorem_id="1.9", n=6, k=3, trials=500, seed=7), 285, 215, "0x1.2641c6e954800p-6")
 
 # verify_theorem(**args) outputs with every bit pinned: (args, asserted, skipped,
-# violations, worst_margin hex, equality_abs_error hex), recorded from the
-# per-draw implementation that the block evaluation replaced
+# violations, worst_margin hex, equality_abs_error hex).  The counts are those
+# of the per-draw implementation that the block evaluation replaced; the
+# floats are those of the numpy-ufunc kernels under numpy 2.4.  Where they
+# depend on the SIMD target numpy dispatches (cli.simd_target()), a dict
+# pins them per target: X86_V4 (AVX-512), and baseline(X86_V2), which an
+# X86_V3 (AVX2) machine reports too and matches
 VERIFY_BITS_1_3 = (dict(theorem_id="1.3", n=192, radius_range=(1e-3, 15.0), trials=300, seed=7),
                    262, 38, 0, "0x1.9078c00000000p-24", "0x0.0p+0")
 VERIFY_BITS_1_4 = (dict(theorem_id="1.4", n=192, radius_range=(1e-3, 15.0), trials=300, seed=7),
@@ -94,7 +98,8 @@ VERIFY_BITS_1_4 = (dict(theorem_id="1.4", n=192, radius_range=(1e-3, 15.0), tria
 VERIFY_BITS_1_2 = (dict(theorem_id="1.2", n=3, trials=500, seed=7),
                    500, 0, 0, "0x1.66883d7ae4000p-12", "0x0.0p+0")
 VERIFY_BITS_1_10 = (dict(theorem_id="1.10", n=12, k=5, trials=500, seed=7),
-                    60, 440, 0, "0x1.7f04f71181400p-4", "0x1.0000000000000p-46")
+                    60, 440, 0, {"X86_V4": "0x1.7f04f71181200p-4", "baseline(X86_V2)": "0x1.7f04f71181000p-4"},
+                    "0x1.0000000000000p-45")
 # the split path through each defining quantity the kernel converts from:
 # circumradius (1.5), inradius (1.8) and interior angle (1.9); side is 1.10
 VERIFY_BITS_1_5 = (dict(theorem_id="1.5", n=192, k=5, trials=500, seed=7),

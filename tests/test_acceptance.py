@@ -9,6 +9,7 @@ use the report bundle at default sizes rendered twice: once in memory by
 
 import time
 
+import numpy as np
 import pytest
 
 import frozen
@@ -115,6 +116,13 @@ def test_criterion_8_report_audits_expression_divergences(report_bundles):
     for n in (3, 4, 6, 12):
         ok, _, worst = cli._crit8_audit(n, (0.1, 0.7, 1.5, 3.0))
         assert ok, (n, worst)
+
+
+def test_report_names_numpy_and_its_simd_target(report_bundles):
+    # the last bits of the bundle's values depend on both
+    _, files, _ = report_bundles
+    opening = " ".join(files["report.md"].split("\n## Battery")[0].split())
+    assert f"numpy {np.__version__} on the {cli.simd_target()} SIMD target" in opening
 
 
 def test_criterion_9_report_bundle_is_deterministic(report_bundles):

@@ -1,10 +1,23 @@
 """Block evaluation against the per-draw and per-polygon code it replaces.
 
-Every block path must give the scalar path's floats bit for bit, so these
-tests compare with float.hex (or exact equality of whole structures), never
-with a tolerance.  The scalar functions are the reference: trial_rngs with
-_draw_polygon, random_*_polygon or random_split for the draws, and
-polygon.perimeter/area and hmodel.measured_*(embed(p)) for the math.
+Two contracts, tested separately:
+
+- Draws are exact.  Radii, apex angles, settled rows, ideal-vertex
+  decisions, replays, counts and counterexample indices equal the scalar
+  draws' (trial_rngs with _draw_polygon, random_*_polygon or random_split),
+  compared with float.hex or exact equality of whole structures.
+- Values are accurate, not bit-identical.  The block kernels evaluate
+  transcendentals with numpy's ufuncs and the scalar kernels with the math
+  module, so the two may differ in the last bits.  Each value is checked
+  against a 40-digit mpmath evaluation at the same float inputs, and
+  against the scalar route (polygon.perimeter/area, hmodel.measured_*(embed)),
+  within a stated number of rounding errors (MP_ULPS, ULPS, MEASURED_ULPS)
+  of the value's scale: the value itself for lengths and perimeters, n*pi
+  for deficit areas, plus its condition, how far the exact value moves when
+  every input moves by one part in 2**52.  A block value equals the one-row
+  call that recomputes it exactly, so a reported counterexample reproduces
+  bit for bit, and the scalar regular_convert and bounds, being one-row
+  calls, match the blocks exactly.
 """
 
 import collections
@@ -13,6 +26,7 @@ import itertools
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -27,9 +41,61 @@ FAMILIES = (CyclicPolygon, TangentialPolygon)
 # a block of this many words holds 4 rows at n = 192 and 193 rows at n = 3
 SMALL_BLOCK = 4 * 193
 
+EPS = float(np.finfo(np.float64).eps)
+# Rounding errors a value may carry, in units of EPS times its scale.  Every
+# value is within MP_ULPS of the exact one at its inputs (the worst seen is
+# 1.3), and an elementwise kernel within MP_ULPS ulps of its scalar twin.  A
+# composite value adds up its kernels' errors, so block and scalar route
+# agree to ULPS, and a measured route, whose bilinear forms amplify its
+# coordinates' rounding far out (about 110 at radius 15), to MEASURED_ULPS.
+MP_ULPS = 4
+ULPS = 16
+MEASURED_ULPS = 512
+# relative step of the finite differences that estimate a value's condition
+STEP = 1e-8
+
 
 def hexes(values):
     return [float(v).hex() for v in values]
+
+
+def condition(f, radii, ts):
+    """How far each value of f(radii, ts) moves when the radius, and then
+    every apex angle, moves by one whole part: sum_j |x_j df/dx_j|, by
+    finite differences.  The inputs shrink, which keeps a tangential row
+    off its ideal vertex."""
+    base = f(radii, ts)
+    return (np.abs(f(radii * (1.0 - STEP), ts) - base) + np.abs(f(radii, ts * (1.0 - STEP)) - base)) / STEP
+
+
+def assert_within(got, want, scale, ulps=ULPS):
+    """|got - want| <= ulps * EPS * scale at every element."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    bad = ~(np.abs(got - want) <= ulps * EPS * np.asarray(scale))
+    assert not bad.any(), f"{np.count_nonzero(bad)} values off, first {got[bad][:3]} against {want[bad][:3]}"
+
+
+def assert_ulps(got, want, ulps=MP_ULPS):
+    """got is within ulps units in the last place of want at every element."""
+    assert_within(got, want, np.spacing(np.abs(np.asarray(want, dtype=float))) / EPS, ulps)
+
+
+def closed_form(kind, quantity):
+    """The block closed form of `quantity` as a function of (radii, apex angles)."""
+    f = polygon.perimeter_rows if quantity == "perimeter" else polygon.area_rows
+    return lambda radii, ts: f(kind, radii, ts)
+
+
+def value_scale(kind, quantity, radii, ts, values):
+    """What ULPS counts rounding errors of: a perimeter's own size, or n*pi
+    for an area by angle deficit, plus the value's condition."""
+    own = np.abs(values) if quantity == "perimeter" else ts.shape[1] * math.pi
+    return own + condition(closed_form(kind, quantity), radii, ts)
+
+
+def one_row(poly, quantity):
+    """The block closed form of one polygon: the route a block margin takes."""
+    return float(closed_form(poly.kind, quantity)(np.array([poly.radius]), np.array([poly.thetas]))[0])
 
 
 def boundary_counts(width):
@@ -81,20 +147,29 @@ def test_verify_polygon_draws_match_scalar_draws(monkeypatch, theorem, n, window
             kept += [(p, m, b, witness(i)) for i, (p, m, b) in enumerate(zip(polys, margins, bound))]
             errors += errs.tolist()
         assert next(rest, "end") == "end"
-        want_errors = []
+        want_errors, margins, want_margins, actuals = [], [], [], []
         for poly, margin, bound, witness in kept:
             res = entry["func"](n, poly.radius)
-            actual = polygon.perimeter(poly) if res.quantity == "perimeter" else polygon.area(poly)
             assert bound.hex() == res.value.hex()
-            assert margin.hex() == scalar_margin(res, actual).hex()
+            assert margin.hex() == scalar_margin(res, one_row(poly, res.quantity)).hex()
+            actual = polygon.perimeter(poly) if res.quantity == "perimeter" else polygon.area(poly)
+            margins.append(margin)
+            want_margins.append(scalar_margin(res, actual))
+            actuals.append(actual)
             assert witness == {"polygon": polygon.to_json_dict(poly), "bound": res.to_json_dict()}
             if res.equality_spec is not None:
                 want_errors.append(abs(bounds.equality_value(res) - res.value))
         assert hexes(errors) == hexes(want_errors)
+        if kept:
+            radii = np.array([p.radius for p, *_ in kept])
+            ts = np.array([p.thetas for p, *_ in kept])
+            quantity = "perimeter" if theorem in ("1.1", "1.2") else "area"
+            assert_within(margins, want_margins, value_scale(family.kind, quantity, radii, ts, np.array(actuals)))
 
 
 def scalar_split_metric(entry, n, xs, quantity):
-    """The split metric as the per-component loop computes it."""
+    """The split metric as the per-component loop computes it; regular_convert
+    is the one-row call of the block's kernel, so the two agree exactly."""
     out = 0.0
     for x in xs:
         m = hypmath.regular_convert(entry["spec"](n, x))
@@ -208,7 +283,8 @@ def verdicts(rep):
 
 
 def scalar_verify(theorem, n, k, trials, seed):
-    """verify_theorem from the scalar draws, bounds and metrics."""
+    """verify_theorem from the scalar draws and bounds, with each draw's
+    metric from a one-row call of the block kernel."""
     entry = bounds.THEOREMS[theorem]
     draws, eq_err = [], None
     if entry["multi"]:
@@ -235,10 +311,9 @@ def scalar_verify(theorem, n, k, trials, seed):
                 draws.append(None)
                 continue
             res = entry["func"](n, poly.radius)
-            actual = polygon.perimeter(poly) if res.quantity == "perimeter" else polygon.area(poly)
             err = None if res.equality_spec is None else abs(bounds.equality_value(res) - res.value)
             witness = {"polygon": polygon.to_json_dict(poly), "bound": res.to_json_dict()}
-            draws.append((scalar_margin(res, actual), res.value, witness, err))
+            draws.append((scalar_margin(res, one_row(poly, res.quantity)), res.value, witness, err))
     return scalar_verdicts(draws, eq_err)
 
 
@@ -439,21 +514,42 @@ MATH_CASES = ([(family, w) for family in FAMILIES for w in ((0.1, 2.0), (1e-3, 1
               + [(CyclicPolygon, (8.0, 15.0)), (CyclicPolygon, (300.0, 350.0))])
 
 
+def measured(which):
+    """A measured route of (kind, radii, ts), or one coordinate of the embedding."""
+    if isinstance(which, int):
+        return lambda kind, radii, ts: hmodel.embed_rows(kind, radii, ts)[which]
+    f = hmodel.measured_perimeter_rows if which == "perimeter" else hmodel.measured_area_rows
+    return lambda kind, radii, ts: f(*hmodel.embed_rows(kind, radii, ts))
+
+
+# name: (block route of (kind, radii, ts), scalar route of a polygon, ulps,
+# whether an area by angle deficit)
+ROUTES = {
+    "perimeter": (polygon.perimeter_rows, polygon.perimeter, ULPS, False),
+    "area": (polygon.area_rows, polygon.area, ULPS, True),
+    **{coord: (measured(i), lambda p, coord=coord: [getattr(v, coord) for v in hmodel.embed(p).vertices], ULPS, False)
+       for i, coord in enumerate(("x0", "x1", "x2"))},
+    "measured_perimeter": (measured("perimeter"), lambda p: hmodel.measured_perimeter(hmodel.embed(p)),
+                           MEASURED_ULPS, False),
+    "measured_area": (measured("area"), lambda p: hmodel.measured_area(hmodel.embed(p)), MEASURED_ULPS, False),
+}
+
+
 @pytest.mark.parametrize("n", [3, 4, 6, 12, 50, 192])
 @pytest.mark.parametrize("family, window", MATH_CASES)
 def test_block_closed_forms_and_measured_routes_match_per_polygon(family, window, n):
     polys = random_polygons(family, n, window, 60)
-    kind = family.kind
     radii = np.array([p.radius for p in polys])
     ts = np.array([p.thetas for p in polys])
-    xs = hmodel.embed_rows(kind, radii, ts)
-    embeddings = [hmodel.embed(p) for p in polys]
-    assert hexes(polygon.perimeter_rows(kind, radii, ts)) == hexes(map(polygon.perimeter, polys))
-    assert hexes(polygon.area_rows(kind, radii, ts)) == hexes(map(polygon.area, polys))
-    for x, coord in zip(xs, ("x0", "x1", "x2")):
-        assert [hexes(row) for row in x] == [hexes(getattr(v, coord) for v in e.vertices) for e in embeddings]
-    assert hexes(hmodel.measured_perimeter_rows(*xs)) == hexes(map(hmodel.measured_perimeter, embeddings))
-    assert hexes(hmodel.measured_area_rows(*xs)) == hexes(map(hmodel.measured_area, embeddings))
+    for name, (block, scalar, ulps, deficit) in ROUTES.items():
+        f = lambda r, t: block(family.kind, r, t)  # noqa: E731
+        got = f(radii, ts)
+        want = np.array([scalar(p) for p in polys])
+        scale = np.abs(want) + condition(f, radii, ts) + (n * math.pi if deficit else 0.0)
+        assert_within(got, want, scale, ulps), name
+        # a value does not depend on the rest of its block
+        rows = np.concatenate([f(radii[i:i + 1], ts[i:i + 1]) for i in range(len(polys))])
+        assert hexes(rows.ravel()) == hexes(got.ravel()), name
 
 
 def test_block_kernels_match_the_scalar_kernels_on_every_branch():
@@ -473,10 +569,13 @@ def test_block_kernels_match_the_scalar_kernels_on_every_branch():
         (hypmath.acos_snapped_rows, hypmath.acos_snapped, cosines),
     ]
     for rows, scalar, args in cases:
-        assert hexes(rows(args)) == hexes(scalar(a) for a in args.tolist()), scalar.__name__
+        got = rows(args)
+        want = np.array([scalar(a) for a in args.tolist()])
+        assert hexes(np.sign(got)) == hexes(np.sign(want)), scalar.__name__  # signed zeros included
+        assert_ulps(got, want), scalar.__name__
     b = np.concatenate([rng.uniform(0, 30, 300), rng.uniform(0, 700, 100), [0.0, 20.0]])
     c = np.concatenate([rng.uniform(0, 30, 300), rng.uniform(0, 700, 100), [0.0, 20.0 + 1e-12]])
-    assert hexes(hypmath.hyp_hypotenuse_rows(b, c)) == hexes(map(hypmath.hyp_hypotenuse, b.tolist(), c.tolist()))
+    assert_ulps(hypmath.hyp_hypotenuse_rows(b, c), list(map(hypmath.hyp_hypotenuse, b.tolist(), c.tolist())))
 
 
 def test_block_kernels_raise_where_the_scalar_kernels_raise():
@@ -488,13 +587,6 @@ def test_block_kernels_raise_where_the_scalar_kernels_raise():
             scalar(arg)
         with pytest.raises(want.type, match=re.escape(str(want.value))):
             rows(np.array([0.5, arg]))
-
-
-def test_libm_calls_math_elementwise():
-    x = np.linspace(0.1, 1.4, 12).reshape(3, 4)
-    got = hypmath.libm(math.atan2, 1.0, x)
-    assert got.shape == (3, 4)
-    assert hexes(got.ravel()) == hexes(math.atan2(1.0, v) for v in x.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +614,7 @@ def regular_domain(n, name):
 @pytest.mark.parametrize("name", ["R", "r", "theta", "side"])
 @pytest.mark.parametrize("n", [3, 4, 6, 12, 50, 192])
 def test_regular_convert_rows_matches_regular_convert(n, name):
+    # regular_convert is the one-row call: every value matches bit for bit
     values = regular_domain(n, name)
     got = hypmath.regular_convert_rows(n, name, values.reshape(-1, 1))
     want = [hypmath.regular_convert(hypmath.RegularNGonSpec(n=n, **{name: v})) for v in values.tolist()]
@@ -535,7 +628,8 @@ def test_regular_convert_rows_matches_regular_convert(n, name):
     (6, "R", 0.0), (6, "R", -1.0), (6, "R", 700.0000000001), (6, "R", math.nan),
     (6, "side", 0.0), (6, "side", 701.0), (3, "side", math.inf),
     (6, "r", 0.0), (6, "r", hypmath.tangential_radius_limit(6)), (12, "r", 701.0),
-    (3, "r", float(np.nextafter(hypmath.tangential_radius_limit(3), 0.0))),  # tanh r / cos(pi/n) rounds to 1
+    # tanh r / cos(pi/n) rounds to 1 one ulp below the limit, with math.tanh and with np.tanh
+    (8, "r", float(np.nextafter(hypmath.tangential_radius_limit(8), 0.0))),
     (6, "theta", 0.0), (6, "theta", 4 * math.pi / 6), (6, "theta", -1.0),
     (6, "theta", 5e-324), (6, "theta", 1e-320), (6, "theta", 1e-309),  # the circumradius would pass LEG_MAX
     (2, "R", 1.0), (6.0, "R", 1.0),
@@ -545,3 +639,150 @@ def test_regular_convert_rows_raise_where_regular_convert_raises(n, name, bad):
         hypmath.regular_convert(hypmath.RegularNGonSpec(n=n, **{name: bad}))
     with pytest.raises(want.type, match=re.escape(str(want.value))):
         hypmath.regular_convert_rows(n, name, np.array([0.5, bad]))
+
+
+# ---------------------------------------------------------------------------
+# against 40-digit mpmath
+
+MP_RADII = np.concatenate([np.geomspace(1e-3, 15.0, 25), [hypmath.LEG_MAX]])
+MP_NS = (3, 12, 200)
+MP_STEP = mpmath.mpf(10) ** -20
+
+
+def mp_value(f, args):
+    """f at the args, exactly to 40 digits, and its condition sum_j |x_j
+    df/dx_j| by finite differences (each input shrinks).  A float arg is
+    taken as the binary64 number it is; an mpf arg is an exact constant
+    that the kernel rounds, such as cos(pi/n), and counts in the condition."""
+    with mpmath.workdps(40):
+        xs = [a if isinstance(a, mpmath.mpf) else mpmath.mpf(float(a)) for a in args]
+        value = f(*xs)
+        cond = sum(abs(f(*xs[:j], x * (1 - MP_STEP), *xs[j + 1:]) - value) for j, x in enumerate(xs)) / MP_STEP
+        return value, cond
+
+
+def assert_mp(got, f, args, ulps=MP_ULPS, own=None):
+    """Each got within ulps * EPS of f's exact value at its args, counted in
+    the value's own size (or own) plus its condition."""
+    for g, a in zip(np.ravel(got).tolist(), args):
+        value, cond = mp_value(f, a)
+        scale = (abs(value) if own is None else own) + cond
+        assert abs(mpmath.mpf(g) - value) <= ulps * EPS * scale, (f, a, g, value)
+
+
+def kernel_arguments():
+    """Each elementwise kernel's arguments at the radii and n the package
+    draws: the sector and conversion arguments of MP_RADII at MP_NS."""
+    R = MP_RADII
+    sn, tn, cn = (np.array([f(math.pi / n) for n in MP_NS])[:, None] for f in (math.sin, math.tan, math.cos))
+    below_ideal = tn * np.sinh(R)
+    cosines = sn * np.cosh(R)
+    unit = np.concatenate([(cn * np.tanh(R)).ravel(), below_ideal[below_ideal < 1.0]])
+    cosines = cosines[cosines < 1.0 - 1e-14]  # above that, acos_snapped snaps to 0
+    return [
+        (hypmath.stable_asinh_rows, mpmath.asinh, np.concatenate([(sn * np.sinh(R)).ravel(), -R])),
+        (hypmath.stable_atanh_rows, mpmath.atanh, np.concatenate([unit, -unit])),
+        (hypmath.acosh1p_rows, lambda t: mpmath.acosh(1 + t), np.cosh(R) - 1.0),
+        (hypmath.coshm1_rows, lambda x: mpmath.cosh(x) - 1, R),
+        (hypmath.acos_snapped_rows, mpmath.acos, np.concatenate([cosines, -cosines])),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5), ids=["asinh", "atanh", "acosh1p", "coshm1", "acos_snapped"])
+def test_elementwise_kernels_against_mpmath(case):
+    rows, exact, args = kernel_arguments()[case]
+    assert_mp(rows(args), exact, [(a,) for a in args.tolist()])
+
+
+def test_hyp_hypotenuse_rows_against_mpmath():
+    b, c = (a.ravel() for a in np.meshgrid(MP_RADII, MP_RADII[::3]))
+    assert_mp(hypmath.hyp_hypotenuse_rows(b, c), lambda b, c: mpmath.acosh(mpmath.cosh(b) * mpmath.cosh(c)),
+              list(zip(b.tolist(), c.tolist())))
+
+
+def mp_regular(n, name, field):
+    """The exact `field` of the regular n-gon that the quantity `name`
+    defines, as f(value, cos(pi/n), sin(pi/n))."""
+    def f(v, c, s):
+        R = {"R": lambda: v, "r": lambda: mpmath.atanh(mpmath.tanh(v) / c),
+             "theta": lambda: mpmath.acosh(c / s * mpmath.cot(v / 2)),
+             "side": lambda: mpmath.asinh(mpmath.sinh(v / 2) / s)}[name]()
+        theta = 2 * mpmath.atan(c / s / mpmath.cosh(R))
+        side = 2 * mpmath.asinh(s * mpmath.sinh(R))
+        return {"R": R, "r": mpmath.atanh(c * mpmath.tanh(R)), "theta": theta, "side": side,
+                "perimeter": n * side, "area": (n - 2) * mpmath.pi - n * theta}[field]
+    return f
+
+
+@pytest.mark.parametrize("name", ["R", "r", "theta", "side"])
+@pytest.mark.parametrize("n", MP_NS)
+def test_regular_convert_rows_against_mpmath(n, name):
+    # every defining quantity at the polygons of the circumradii MP_RADII;
+    # the inradius and angle of R = LEG_MAX round onto their domain's end,
+    # and the side there is past LEG_MAX, so the side's own end stands in
+    of_R = hypmath.regular_convert_rows(n, "R", MP_RADII[:-1])
+    if name == "R":
+        values = MP_RADII
+    elif name == "side":
+        values = np.append(of_R.side, hypmath.LEG_MAX)
+    else:
+        values = getattr(of_R, name)
+    got = hypmath.regular_convert_rows(n, name, values)
+    with mpmath.workdps(40):
+        constants = (mpmath.cos(mpmath.pi / n), mpmath.sin(mpmath.pi / n))
+    for field in METRIC_FIELDS:
+        assert_mp(getattr(got, field), mp_regular(n, name, field), [(v, *constants) for v in values.tolist()],
+                  own=n * math.pi if field == "area" else None)
+
+
+def mp_sector(kind, quantity):
+    """The closed form's term of one sector, g(theta, radius), and c: the
+    closed form is (n - 2) * c + sum g over the sectors."""
+    if quantity == "perimeter":
+        if kind == "cyclic":
+            return lambda t, R: 2 * mpmath.asinh(mpmath.sin(t / 2) * mpmath.sinh(R)), 0
+        return lambda t, r: 2 * mpmath.atanh(mpmath.tan(t / 2) * mpmath.sinh(r)), 0
+    if kind == "cyclic":  # each half-angle enters two vertex angles
+        return lambda t, R: -2 * mpmath.atan(1 / (mpmath.cosh(R) * mpmath.tan(t / 2))), mpmath.pi
+    return lambda t, r: -2 * mpmath.acos(mpmath.sin(t / 2) * mpmath.cosh(r)), mpmath.pi
+
+
+@pytest.mark.parametrize("quantity", ["perimeter", "area"])
+@pytest.mark.parametrize("n", MP_NS)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_closed_forms_against_mpmath(family, n, quantity):
+    polys = random_polygons(family, n, (1e-3, 15.0), 8)
+    if family is CyclicPolygon and n > 3:  # the overflow guard's edge
+        polys += random_polygons(family, n, (hypmath.LEG_MAX - 1.0, hypmath.LEG_MAX), 2)
+    radii = np.array([p.radius for p in polys])
+    ts = np.array([p.thetas for p in polys])
+    got = closed_form(family.kind, quantity)(radii, ts)
+    term, per_side = mp_sector(family.kind, quantity)
+    for g, p in zip(got.tolist(), polys):
+        value, cond = (n - 2) * per_side, 0
+        for t in p.thetas:
+            v, c = mp_value(term, (t, p.radius))
+            value, cond = value + v, cond + c
+        scale = (abs(value) if quantity == "perimeter" else n * math.pi) + cond
+        assert abs(mpmath.mpf(g) - value) <= MP_ULPS * EPS * scale, (p, g, value)
+
+
+@pytest.mark.parametrize("theorem", ["1.1", "1.2", "1.3", "1.4"])
+@pytest.mark.parametrize("n", MP_NS)
+def test_single_polygon_bound_rows_against_mpmath(theorem, n):
+    entry = bounds.THEOREMS[theorem]
+    x = MP_RADII
+    if entry["family"] == "tangential":
+        x = x[x < hypmath.tangential_radius_limit(n)]
+    b = entry["rows"](n, x)
+    a, k = mpmath.pi / n, 2 * n
+    exact = {
+        "1.1": lambda r: k * mpmath.atanh(mpmath.tan(a) * mpmath.sinh(r)),
+        "1.2": lambda R: k * mpmath.asinh(mpmath.sin(a) * mpmath.sinh(R)),
+        "1.3": lambda r: (n - 2) * mpmath.pi - k * mpmath.acos(mpmath.sin(a) * mpmath.cosh(r)),
+        "1.4": lambda R: (n - 2) * mpmath.pi - k * mpmath.atan(1 / (mpmath.tan(a) * mpmath.cosh(R))),
+    }[theorem]
+    keep = b.feasible & np.isfinite(b.value)
+    assert keep.any()
+    assert_mp(b.value[keep], exact, [(v,) for v in x[keep].tolist()],
+              own=n * math.pi if b.quantity == "area" else None)

@@ -6,14 +6,17 @@ import json
 import math
 import os
 import sys
+import platform
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import frozen
+import hypergon
 from hypergon import bounds, cli, optimize, polygon
 from hypergon.cli import CSV_HEADER, main
 
@@ -152,6 +155,38 @@ def test_verify_all_small(capsys):
     assert len(doc["reports"]) == 10
     assert all(r["violations"] == 0 for r in doc["reports"])
     assert all(r["passed"] for r in doc["reports"])
+
+
+MANIFEST_KEYS = ["package", "numpy", "python", "seed", "argv", "rng_scheme", "simd_target"]
+
+
+def test_verify_and_optimize_json_carry_the_manifest(capsys):
+    argv = ["verify", "--thm", "1.2", "--trials", "5", "--seed", "7"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    manifest = json.loads(out)["manifest"]
+    assert list(manifest) == MANIFEST_KEYS
+    assert manifest["package"] == hypergon.__version__
+    assert manifest["numpy"] == np.__version__
+    assert manifest["python"] == platform.python_version()
+    assert (manifest["seed"], manifest["argv"]) == (7, argv)
+    assert manifest["rng_scheme"] == optimize.RNG_SCHEME
+    assert manifest["simd_target"] == cli.simd_target()
+    # the scan draws nothing, so an optimize manifest has no seed or RNG scheme
+    argv = ["optimize", "--objective", "thm5_radius"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    manifest = json.loads(out)["manifest"]
+    assert list(manifest) == MANIFEST_KEYS
+    assert (manifest["seed"], manifest["rng_scheme"], manifest["argv"]) == (None, None, argv)
+
+
+def test_simd_target_names_the_float64_sinh_loop():
+    target = cli.simd_target()
+    if importlib.util.find_spec("numpy.lib.introspect") is None:
+        assert target is None
+    else:
+        assert isinstance(target, str) and target
 
 
 def test_verify_rejects_runs_that_check_nothing(capsys):

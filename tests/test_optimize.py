@@ -208,6 +208,22 @@ def test_every_registered_objective_certifies():
                 assert rep.objective_at_argmin == rep.uniform_point_objective, (name, k, n)
 
 
+def test_scan_credits_no_rounding_gain(run_module):
+    # at k = 200 the scanned splits sum to c - 2.2e-14, not c, and one of
+    # them scored 2.2e-16 below the uniform total; that is rounding, not a
+    # better split, so the uniform point stays the optimum
+    argv = ["optimize", "--objective", "tangential_tangent_length", "--radius", "0.4",
+            "--k", "200", "--total", "6.283185307179586"]
+    rep = solve_equal_sum(make_problem("tangential_tangent_length", k=200, radius=0.4, c=6.283185307179586))
+    assert rep.certified
+    assert rep.argmin == rep.uniform_point
+    assert rep.max_deviation_from_uniform == 0.0
+    assert rep.objective_at_argmin == rep.uniform_point_objective
+    proc = run_module(*argv)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["report"]["max_deviation_from_uniform"] == 0.0
+
+
 def test_solve_maximize_sense():
     # concave objective: the uniform split is the argmax and every random
     # feasible split lands at or below it
@@ -434,7 +450,9 @@ def test_verify_reports_a_polygon_counterexample(monkeypatch, tid, factor):
     family = polygon.TangentialPolygon if d["kind"] == "tangential" else polygon.CyclicPolygon
     res = tightened(d["n"], d["radius"])
     assert ce["bound"] == res.to_json_dict()
-    actual = polygon.perimeter(family(d["n"], d["radius"], d["thetas"]))
+    poly = family(d["n"], d["radius"], d["thetas"])
+    # the route the block took: its closed form on this one polygon
+    actual = float(polygon.perimeter_rows(poly.kind, np.array([poly.radius]), np.array([poly.thetas]))[0])
     assert ce["margin"] == (actual - res.value if res.kind == "lower" else res.value - actual)
 
 
@@ -448,6 +466,6 @@ def test_verify_reports_a_split_counterexample(monkeypatch):
     assert ce["bound"] == res.to_json_dict()
     actual = 0.0
     for x, d in zip(ce["split"], ce["polygons"], strict=True):
-        actual += regular_convert(RegularNGonSpec(n=6, r=x)).perimeter
+        actual += regular_convert(RegularNGonSpec(n=6, r=x)).perimeter  # the block's kernel, one row
         assert d["kind"] == "tangential" and math.isclose(d["radius"], x, rel_tol=1e-14)
     assert ce["margin"] == actual - res.value
