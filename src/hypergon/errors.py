@@ -38,4 +38,4 @@ class EvaluationFailure(HypergonError):
 
 
 class OracleTooLarge(HypergonError):
-    """Exhaustive grid search was requested for too many variables."""
+    """Exhaustive grid search was requested for too many variables or points."""

@@ -27,7 +27,6 @@ from .hypmath import (
     fsum_rows,
     hyp_hypotenuse,
     hyp_hypotenuse_rows,
-    stable_atanh_rows,
 )
 from .polygon import (
     CyclicPolygon,
@@ -127,9 +126,9 @@ def embed_tangential(p: TangentialPolygon) -> Embedding:
     cosh d_i = cosh r * cosh b(theta_i).
     """
     cums = _bearings(p.thetas)
+    bs = tangential_tangent_length(np.array(p.thetas), p.r).tolist()
     verts = []
-    for i, t in enumerate(p.thetas):
-        b = tangential_tangent_length(t, p.r)
+    for i, (t, b) in enumerate(zip(p.thetas, bs)):
         d = hyp_hypotenuse(p.r, b)
         verts.append(point_at(d, cums[i] + 0.5 * t))
     return Embedding(center=ORIGIN, vertices=tuple(verts), kind="tangential")
@@ -173,7 +172,7 @@ def embed_rows(kind: str, radii: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray
     if kind == "cyclic":
         d = radii[:, None]  # every vertex at distance R
     else:
-        b = stable_atanh_rows(np.tan(0.5 * ts) * np.sinh(radii)[:, None])
+        b = tangential_tangent_length(ts, radii[:, None])
         d = hyp_hypotenuse_rows(np.repeat(radii[:, None], ts.shape[1], axis=1), b)
         bearings = bearings + 0.5 * ts
     sh = np.sinh(d)

@@ -113,7 +113,7 @@ def stable_asinh_rows(x: np.ndarray) -> np.ndarray:
     ax = np.abs(x)
     big = ax > 1e150
     a = np.where(big, 0.0, ax)
-    r = np.log1p(a + a * a / (1.0 + np.hypot(1.0, a)))
+    r = np.asarray(np.log1p(a + a * a / (1.0 + np.hypot(1.0, a))))  # writable when x is 0-d
     r[big] = _LN2 + np.log(ax[big])
     return np.where(x < 0, -r, r)
 
@@ -150,7 +150,7 @@ def acos_snapped_rows(x: np.ndarray) -> np.ndarray:
         if bad.any():
             raise OutOfRange(f"acos argument {float(x[bad][0])!r} {side}")
     top, bottom = x >= 1.0 - _BRANCH_SNAP, x <= -1.0
-    r = np.arccos(np.where(top | bottom, 0.0, x))
+    r = np.asarray(np.arccos(np.where(top | bottom, 0.0, x)))  # writable when x is 0-d
     r[top] = 0.0
     r[bottom] = math.pi
     return r

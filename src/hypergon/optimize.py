@@ -5,14 +5,17 @@ interval I, the minimum of sum(f(x_i)) over x in I^k with sum(x_i) = c sits
 at the uniform point (c/k, ..., c/k) (maximum for concave f).  This module
 makes that fact checkable three independent ways: a finite-difference sign
 certificate for f'', a scan of every two-value split (x, ..., x, y, ..., y)
-of c, and an exhaustive grid oracle for k in {2, 3}.  It also hosts the
-randomized per-theorem verification driver.
+of c, and an exhaustive grid oracle for k in {2, 3}.  An objective f maps a
+float64 array elementwise, and each of the three scores all its points with
+one or two calls of f, through _values, which turns a failure or a NaN of
+f into an EvaluationFailure.  The registered objectives are written once
+over arrays, the four sector ones as the polygon kernels.  The module also
+hosts the randomized per-theorem verification driver.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -35,6 +38,8 @@ RNG_SCHEME = "1: Philox4x64-10, trial i on key [seed mod 2**64, seed >> 64], cou
 
 FD_H_FRACTION = 1e-5  # certificate step, as a fraction of interval width
 GRID_POINTS = 64  # interior points of the certificate grid and of each two-value scan
+# Most points a grid oracle holds: it scores its whole grid as one array.
+ORACLE_POINTS = 1 << 20
 
 INEQ_TOL = 1e-12
 EQ_TOL = 1e-9
@@ -91,18 +96,6 @@ def _streams(seed: int) -> Callable[[int], np.random.Generator]:
         return rng
 
     return stream
-
-
-def trial_rngs(seed: int, count: int) -> Iterator[np.random.Generator]:
-    """The generators of streams 0 .. count-1 of `seed`, in order.
-
-    One Philox is re-pointed before each yield, so every yielded generator
-    is the same object and is valid only until the next one is drawn; use
-    trial_rng for a generator that must outlive its loop iteration.
-    """
-    stream = _streams(seed)
-    for i in range(count):
-        yield stream(i)
 
 
 # ---------------------------------------------------------------------------
@@ -344,44 +337,55 @@ class ConvexityCertificate:
         }
 
 
-def certify_convexity(f: Callable[[float], float], interval: tuple[float, float]) -> ConvexityCertificate:
+def _values(f: Callable[[np.ndarray], np.ndarray], xs) -> np.ndarray:
+    """f at every element of xs, as a float64 array of xs's shape.
+
+    f maps an array elementwise.  An exception from f, a floating-point
+    overflow, invalid operation or division by zero inside it, or a NaN
+    among its values is an EvaluationFailure naming the first x, in xs's
+    order, at which f fails on its own.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            values = np.broadcast_to(np.asarray(f(xs), dtype=np.float64), xs.shape)
+    except Exception as exc:
+        if xs.size > 1:
+            for x in xs.ravel():
+                _values(f, x[None])
+        raise EvaluationFailure(f"objective failed at {float(xs.ravel()[0])!r}: {exc}") from exc
+    nan = np.isnan(values)
+    if nan.any():
+        raise EvaluationFailure(f"objective produced NaN at {float(xs[nan][0])!r}")
+    return values
+
+
+def certify_convexity(f: Callable[[np.ndarray], np.ndarray], interval: tuple[float, float]) -> ConvexityCertificate:
     """Classify the sign of f'' on the open interval by second differences.
 
-    Uses h = 1e-5 times the interval width at GRID_POINTS interior points.
-    The certificate is consistent only if every second difference has the
-    same strict sign.
+    Uses h = 1e-5 times the interval width at GRID_POINTS interior points,
+    scored in one call of f.  The certificate is consistent only if every
+    second difference has the same strict sign.
     """
     lo, hi = interval
     if not lo < hi:
         raise Infeasible(f"empty interval {interval}")
     width = hi - lo
     h = FD_H_FRACTION * width
-    xs = [lo + width * (j + 1) / (GRID_POINTS + 1) for j in range(GRID_POINTS)]
-    d2s = []
-    for x in xs:
-        try:
-            d2 = (f(x - h) - 2.0 * f(x) + f(x + h)) / (h * h)
-        except Exception as exc:
-            raise EvaluationFailure(f"objective failed at {x!r}: {exc}") from exc
-        if math.isnan(d2):
-            raise EvaluationFailure(f"objective produced NaN near {x!r}")
-        d2s.append(d2)
-    ref = d2s[0]
-    sign = "positive" if ref > 0.0 else "negative" if ref < 0.0 else "mixed"
-    first_violation = None
-    if sign == "mixed":
-        first_violation = xs[0]
-    else:
-        for x, d2 in zip(xs, d2s):
-            if (d2 > 0.0) != (ref > 0.0) or d2 == 0.0:
-                sign = "mixed"
-                first_violation = x
-                break
+    xs = lo + width * np.arange(1, GRID_POINTS + 1) / (GRID_POINTS + 1)
+    v = _values(f, xs[:, None] + np.array([-h, 0.0, h]))
+    d2 = (v[:, 0] - 2.0 * v[:, 1] + v[:, 2]) / (h * h)
+    if np.isnan(d2).any():
+        raise EvaluationFailure(f"objective produced NaN near {float(xs[np.isnan(d2)][0])!r}")
+    ref = d2[0]
+    sign = "positive" if ref > 0.0 else "negative"
+    # a second difference of the other sign or zero; at ref == 0 that is the first one
+    off = np.flatnonzero(((d2 > 0.0) != (ref > 0.0)) | (d2 == 0.0))
     return ConvexityCertificate(
-        grid=tuple(xs),
-        second_differences=tuple(d2s),
-        sign=sign,
-        first_violation=first_violation,
+        grid=tuple(xs.tolist()),
+        second_differences=tuple(d2.tolist()),
+        sign="mixed" if len(off) else sign,
+        first_violation=float(xs[off[0]]) if len(off) else None,
     )
 
 
@@ -391,10 +395,14 @@ def certify_convexity(f: Callable[[float], float], interval: tuple[float, float]
 
 @dataclass(frozen=True)
 class SeparableProblem:
-    """Optimize sum(f(x_i)) for k variables in an open interval, sum fixed to c."""
+    """Optimize sum(f(x_i)) for k variables in an open interval, sum fixed to c.
+
+    f maps a float64 array elementwise to the objective's values, so that
+    the solve scores whole grids in one call.
+    """
 
     name: str
-    f: Callable[[float], float]
+    f: Callable[[np.ndarray], np.ndarray]
     k: int
     c: float
     interval: tuple[float, float]
@@ -410,7 +418,7 @@ class SeparableProblem:
             raise Infeasible(f"uniform point {self.c / self.k!r} outside open interval {self.interval}")
 
     def total(self, xs) -> float:
-        return math.fsum(self.f(x) for x in xs)
+        return math.fsum(_values(self.f, xs).tolist())
 
 
 @dataclass(frozen=True)
@@ -426,39 +434,41 @@ def _check_oracle(k: int, resolution: int) -> None:
         raise OracleTooLarge(f"grid oracle supports k in {{2, 3}}, got {k}")
     if resolution < 50:
         raise Infeasible("need resolution >= 50")
+    if (resolution - 1) ** (k - 1) > ORACLE_POINTS:
+        raise OracleTooLarge(f"grid oracle at resolution {resolution} and k={k} would hold more than "
+                             f"{ORACLE_POINTS} points")
 
 
 def grid_oracle(problem: SeparableProblem, resolution: int) -> GridOracleResult:
     """Exhaustive scan of the constrained simplex on a regular grid.
 
-    Only k in {2, 3} is supported; the optimum is reported in the problem's
-    own sense and is guaranteed within one grid cell of the true optimum
-    when the objective carries a consistent certificate.
+    Only k in {2, 3} is supported.  The first k - 1 coordinates run over the
+    grid in lexicographic order and the last is c minus them, left to
+    right; a point counts when the last lies in the open interval.  Its
+    value sums f over its coordinates left to right, and the first point
+    with the best value in the problem's sense is the optimum, within one
+    grid cell of the true one when the objective carries a consistent
+    certificate.
     """
     _check_oracle(problem.k, resolution)
     lo, hi = problem.interval
     step = (hi - lo) / resolution
-    xs = [lo + j * step for j in range(1, resolution)]
-    flip = 1.0 if problem.sense == "minimize" else -1.0
-    best = None
-    best_pt = None
-    evals = 0
-    for free in itertools.product(xs, repeat=problem.k - 1):
-        last = problem.c
-        for x in free:
-            last -= x
-        if not lo < last < hi:
-            continue
-        pt = (*free, last)
-        v = problem.f(pt[0])
-        for x in pt[1:]:
-            v += problem.f(x)
-        evals += 1
-        if best is None or flip * v < flip * best:
-            best, best_pt = v, pt
-    if best is None:
+    xs = lo + np.arange(1, resolution) * step
+    free = [g.ravel() for g in np.meshgrid(*[xs] * (problem.k - 1), indexing="ij")]
+    last = problem.c
+    for x in free:
+        last = last - x
+    inside = (lo < last) & (last < hi)
+    if not inside.any():
         raise Infeasible("no feasible grid point; widen the interval or change c")
-    return GridOracleResult(min_point=best_pt, min_value=best, step=step, evaluations=evals)
+    points = np.stack([*free, last], axis=1)[inside]
+    values = _values(problem.f, points)
+    total = values[:, 0]
+    for column in values.T[1:]:
+        total = total + column
+    best = int(np.argmin(total if problem.sense == "minimize" else -total))
+    return GridOracleResult(min_point=tuple(points[best].tolist()), min_value=float(total[best]),
+                            step=step, evaluations=len(points))
 
 
 @dataclass(frozen=True)
@@ -512,44 +522,45 @@ def solve_equal_sum(problem: SeparableProblem, oracle_resolution: int | None = N
     (x, ..., x, y, ..., y).  That is the equal-variable method (V. Cirtoaje,
     JIPAM 8(1), 2007, art. 15).  For each m = 1 .. k-1 the scan takes
     GRID_POINTS interior x of the range where m copies of x and k-m copies
-    of y = (c - m*x)/(k - m) all lie in the open interval.  A point replaces
-    the best one so far only when it is better in the problem's sense by
-    more than the slack of the best value, INEQ_TOL * max(1, |value|): the
-    scanned split sums to c only up to rounding, and a few ulps gained from
-    a smaller sum are no gain.  The report's iterations counts the points
-    scored.
+    of y = (c - m*x)/(k - m) all lie in the open interval; one call of f
+    scores every x and one every y.  Taken in order of m and x, a point
+    replaces the best one so far only when it is better in the problem's
+    sense by more than the slack of the best value, INEQ_TOL * max(1,
+    |value|): the scanned split sums to c only up to rounding, and a few
+    ulps gained from a smaller sum are no gain.  The report's iterations
+    counts the points scored.
 
     Always runs, even with a mixed certificate; the report's certified flag
     says whether the certificate has the sign the sense needs.  When
     oracle_resolution is given, the grid oracle runs too and
     oracle_agreement records whether both optima match within the value
     change across one grid cell; an oracle it cannot run (k not in {2, 3},
-    resolution below 50) raises before the solve starts.
+    resolution below 50, more than ORACLE_POINTS grid points) raises
+    before the solve starts.
     """
     lo, hi = problem.interval
-    k, c, f = problem.k, problem.c, problem.f
+    k, c = problem.k, problem.c
     if oracle_resolution is not None:
         _check_oracle(k, oracle_resolution)
-    cert = certify_convexity(f, problem.interval)
+    cert = certify_convexity(problem.f, problem.interval)
     needed = "positive" if problem.sense == "minimize" else "negative"
     flip = 1.0 if problem.sense == "minimize" else -1.0
 
+    m = np.repeat(np.arange(1, k), GRID_POINTS)
+    a = np.maximum(lo, (c - (k - m) * hi) / m)
+    b = np.minimum(hi, (c - (k - m) * lo) / m)
+    x = a + (b - a) * np.tile(np.arange(1, GRID_POINTS + 1), k - 1) / (GRID_POINTS + 1)
+    y = (c - m * x) / (k - m)
+    inside = (lo < x) & (x < hi) & (lo < y) & (y < hi)
+    m, x, y = m[inside], x[inside], y[inside]
     uniform = (c / k,) * k
     best_x = uniform
     best = uniform_value = problem.total(uniform)
-    scanned = 0
-    for m in range(1, k):
-        a = max(lo, (c - (k - m) * hi) / m)
-        b = min(hi, (c - (k - m) * lo) / m)
-        for j in range(GRID_POINTS):
-            x = a + (b - a) * (j + 1) / (GRID_POINTS + 1)
-            y = (c - m * x) / (k - m)
-            if not (lo < x < hi and lo < y < hi):
-                continue
-            scanned += 1
-            value = math.fsum([f(x)] * m + [f(y)] * (k - m))
-            if flip * (best - value) > INEQ_TOL * max(1.0, abs(best)):  # _slack(best), in floats
-                best_x, best = (x,) * m + (y,) * (k - m), value
+    fx, fy = _values(problem.f, x).tolist(), _values(problem.f, y).tolist()
+    for i, mi in enumerate(m.tolist()):
+        value = math.fsum([fx[i]] * mi + [fy[i]] * (k - mi))
+        if flip * (best - value) > INEQ_TOL * max(1.0, abs(best)):  # _slack(best), in floats
+            best_x, best = (float(x[i]),) * mi + (float(y[i]),) * (k - mi), value
 
     report = OptimizationReport(
         problem_name=problem.name,
@@ -563,7 +574,7 @@ def solve_equal_sum(problem: SeparableProblem, oracle_resolution: int | None = N
         max_deviation_from_uniform=max(abs(v - c / k) for v in best_x),
         certificate=cert,
         certified=cert.sign == needed,
-        iterations=scanned,
+        iterations=len(x),
     )
 
     if oracle_resolution is not None:
@@ -583,21 +594,13 @@ def solve_equal_sum(problem: SeparableProblem, oracle_resolution: int | None = N
 def _one_cell_value_gap(problem: SeparableProblem, oracle: GridOracleResult) -> float:
     """How much the objective can move across one grid cell around the optimum."""
     lo, hi = problem.interval
-    p = oracle.min_point
-    gap = 0.0
-    k = len(p)
-    dirs = []
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                d = [0.0] * k
-                d[i], d[j] = oracle.step, -oracle.step
-                dirs.append(d)
-    for d in dirs:
-        q = [pi + di for pi, di in zip(p, d)]
-        if all(lo < qi < hi for qi in q):
-            gap = max(gap, abs(problem.total(q) - oracle.min_value))
-    return gap + 1e-9
+    k = len(oracle.min_point)
+    unit = np.eye(k)
+    moves = np.array([unit[i] - unit[j] for i in range(k) for j in range(k) if i != j])
+    q = np.array(oracle.min_point) + oracle.step * moves
+    q = q[((lo < q) & (q < hi)).all(axis=1)]
+    gaps = [abs(math.fsum(row) - oracle.min_value) for row in _values(problem.f, q).tolist()]
+    return max(gaps, default=0.0) + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +642,7 @@ _OBJECTIVE_SPECS: dict[str, dict] = {
     },
     "thm5_radius": {
         "make": lambda n, radius: (
-            lambda x: math.asinh(math.sin(math.pi / n) * math.sinh(x)),
+            lambda x: np.arcsinh(np.sin(np.pi / n) * np.sinh(x)),
             (0.0, 3.0),
         ),
         "sense": "minimize",
@@ -647,7 +650,7 @@ _OBJECTIVE_SPECS: dict[str, dict] = {
     },
     "thm6_radius": {
         "make": lambda n, radius: (
-            lambda x: math.atanh(math.tan(math.pi / n) * math.sinh(x)),
+            lambda x: np.arctanh(np.tan(np.pi / n) * np.sinh(x)),
             (0.0, tangential_radius_limit(n)),
         ),
         "sense": "minimize",
@@ -656,7 +659,7 @@ _OBJECTIVE_SPECS: dict[str, dict] = {
     # concave only below the inflection radius; registered on that window
     "thm7_radius": {
         "make": lambda n, radius: (
-            lambda x: math.atan2(1.0, math.tan(math.pi / n) * math.cosh(x)),
+            lambda x: np.arctan2(1.0, np.tan(np.pi / n) * np.cosh(x)),
             (0.0, _bounds.thm7_radius_threshold(n)),
         ),
         "sense": "maximize",
@@ -664,7 +667,7 @@ _OBJECTIVE_SPECS: dict[str, dict] = {
     },
     "thm8_radius": {
         "make": lambda n, radius: (
-            lambda x: math.acos(math.sin(math.pi / n) * math.cosh(x)),
+            lambda x: np.arccos(np.sin(np.pi / n) * np.cosh(x)),
             (0.0, _bounds.area_radius_limit(n)),
         ),
         "sense": "maximize",
@@ -672,7 +675,7 @@ _OBJECTIVE_SPECS: dict[str, dict] = {
     },
     "thm9_theta": {
         "make": lambda n, radius: (
-            lambda t: math.acosh(math.cos(math.pi / n) / math.sin(0.5 * t)),
+            lambda t: np.arccosh(np.cos(np.pi / n) / np.sin(0.5 * t)),
             (0.0, thm9_theta_threshold(n)),
         ),
         "sense": "minimize",
@@ -680,7 +683,7 @@ _OBJECTIVE_SPECS: dict[str, dict] = {
     },
     "thm10_perimeter": {
         "make": lambda n, radius: (
-            lambda x: math.asin(math.cos(math.pi / n) / math.cosh(x / (2.0 * n))),
+            lambda x: np.arcsin(np.cos(np.pi / n) / np.cosh(x / (2.0 * n))),
             (_bounds.thm10_peri_threshold(n), 3.0 * _bounds.thm10_peri_threshold(n)),
         ),
         "sense": "minimize",

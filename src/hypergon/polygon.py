@@ -7,13 +7,17 @@ is spanned at the incenter by two consecutive tangency points, again with
 apex angle theta_i, and carries one vertex on its bisector.  In both cases
 the apex angles partition the full turn: sum(theta_i) = 2*pi.
 
-The *_rows functions take a block of polygons of one family and one n, as
-an array of radii and a (polygons, n) array of apex angles, and follow the
-per-polygon function: the sector formulas elementwise with numpy's ufuncs,
-and one math.fsum per row where it sums with fsum.  A row's value agrees
-with the per-polygon function's to a few ulp, and equals bit for bit what
-the same function gives that row alone; ideal_rows makes the constructor's
-ideal-vertex decision.
+Each sector formula is written once, as a kernel over float64 arrays:
+cyclic_half_side, cyclic_half_angle, tangential_tangent_length and
+tangential_interior_angle take apex angles and radii that broadcast (a
+float counts as a 0-d array) and evaluate elementwise with numpy's ufuncs
+and the hypmath rows kernels.  The *_rows functions take a block of
+polygons of one family and one n, as an array of radii and a (polygons, n)
+array of apex angles, call the kernels on it and sum each row with one
+math.fsum.  An element's value does not depend on the rest of its array,
+so perimeter, area and interior_angles, the one-row calls of their rows
+functions, equal a block's row bit for bit; ideal_rows makes the
+constructor's ideal-vertex decision.
 """
 
 from __future__ import annotations
@@ -24,16 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IdealVertex, Infeasible, OutOfRange
-from .hypmath import (
-    LEG_MAX,
-    acos_snapped,
-    acos_snapped_rows,
-    fsum_rows,
-    stable_asinh,
-    stable_asinh_rows,
-    stable_atanh,
-    stable_atanh_rows,
-)
+from .hypmath import LEG_MAX, acos_snapped_rows, fsum_rows, stable_asinh_rows, stable_atanh_rows
 
 # Constructors renormalize partitions off by at most this and reject worse.
 PARTITION_TOL = 1e-10
@@ -41,16 +36,16 @@ PARTITION_TOL = 1e-10
 TWO_PI = 2.0 * math.pi
 
 
-def cyclic_half_side(theta: float, R: float) -> float:
+def cyclic_half_side(theta, R):
     """Half the chord subtending apex angle theta at circumradius R.
 
     b(theta) = asinh(sin(theta/2) * sinh R); concave in theta on (0, pi).
     """
-    _check_sector_args(theta, R)
-    return stable_asinh(math.sin(0.5 * theta) * math.sinh(R))
+    theta, R = _sector_args(theta, R)
+    return stable_asinh_rows(np.sin(0.5 * theta) * np.sinh(R))
 
 
-def cyclic_half_angle(theta: float, R: float) -> float:
+def cyclic_half_angle(theta, R):
     """Base angle of the isoceles sector triangle: acot(cosh R * tan(theta/2)).
 
     Decreasing and strictly convex in theta for R > 0 (second derivative
@@ -59,42 +54,48 @@ def cyclic_half_angle(theta: float, R: float) -> float:
     angle of the polygon between sectors i and i+1 is
     cyclic_half_angle(theta_i) + cyclic_half_angle(theta_i+1).
     """
-    _check_sector_args(theta, R)
-    return math.atan2(1.0, math.cosh(R) * math.tan(0.5 * theta))
+    theta, R = _sector_args(theta, R)
+    return np.arctan2(1.0, np.cosh(R) * np.tan(0.5 * theta))
 
 
-def tangential_tangent_length(theta: float, r: float) -> float:
+def tangential_tangent_length(theta, r):
     """Distance from a tangency point to the vertex of its sector.
 
     b(theta) = atanh(tan(theta/2) * sinh r); convex in theta.  Raises
     IdealVertex once tan(theta/2)*sinh r >= 1 (the vertex leaves the plane).
     """
-    _check_sector_args(theta, r)
-    x = math.tan(0.5 * theta) * math.sinh(r)
-    if x >= 1.0:
-        raise IdealVertex(f"tan(theta/2)*sinh r = {x!r} >= 1")
-    return stable_atanh(x)
+    theta, r = _sector_args(theta, r)
+    x = np.tan(0.5 * theta) * np.sinh(r)
+    if (x >= 1.0).any():
+        raise IdealVertex(f"tan(theta/2)*sinh r = {float(x[x >= 1.0][0])!r} >= 1")
+    return stable_atanh_rows(x)
 
 
-def tangential_interior_angle(theta: float, r: float) -> float:
+def tangential_interior_angle(theta, r):
     """Full interior angle at the vertex of a tangential sector.
 
     phi(theta) = 2*acos(sin(theta/2) * cosh r), in [0, pi).  The boundary
     value 0 is an ideal vertex; arguments beyond it raise IdealVertex.
     """
-    _check_sector_args(theta, r)
-    x = math.sin(0.5 * theta) * math.cosh(r)
-    if x > 1.0 + 1e-12:
-        raise IdealVertex(f"sin(theta/2)*cosh r = {x!r} > 1")
-    return 2.0 * acos_snapped(min(x, 1.0))
+    theta, r = _sector_args(theta, r)
+    x = np.sin(0.5 * theta) * np.cosh(r)
+    if (x > 1.0 + 1e-12).any():
+        raise IdealVertex(f"sin(theta/2)*cosh r = {float(x[x > 1.0 + 1e-12][0])!r} > 1")
+    return 2.0 * acos_snapped_rows(np.minimum(x, 1.0))
 
 
-def _check_sector_args(theta: float, radius: float) -> None:
-    if not 0.0 < theta < math.pi:
-        raise Infeasible(f"sector angle must lie in (0, pi), got {theta!r}")
-    if not 0.0 <= radius <= LEG_MAX:
-        _check_radius_cap(radius)
-        raise Infeasible(f"radius must be nonnegative, got {radius!r}")
+def _sector_args(theta, radius) -> tuple[np.ndarray, np.ndarray]:
+    """theta and radius as float64 arrays, once every apex angle lies in
+    (0, pi) and every radius in [0, LEG_MAX]."""
+    theta, radius = np.asarray(theta, dtype=np.float64), np.asarray(radius, dtype=np.float64)
+    bad = ~((0.0 < theta) & (theta < math.pi))
+    if bad.any():
+        raise Infeasible(f"sector angle must lie in (0, pi), got {float(theta[bad][0])!r}")
+    bad = ~((0.0 <= radius) & (radius <= LEG_MAX))
+    if bad.any():
+        _check_radius_cap(float(radius[bad][0]))
+        raise Infeasible(f"radius must be nonnegative, got {float(radius[bad][0])!r}")
+    return theta, radius
 
 
 def _check_radius_cap(radius: float) -> None:
@@ -191,22 +192,20 @@ class TangentialPolygon:
 Polygon = CyclicPolygon | TangentialPolygon
 
 
+def _one_row(rows_kernel, p: Polygon) -> np.ndarray:
+    """Row 0 of a rows kernel called on the single polygon p."""
+    return rows_kernel(p.kind, np.array([p.radius]), np.array([p.thetas]))[0]
+
+
 def perimeter(p: Polygon) -> float:
     """Total boundary length, as twice the sum of the sector half-lengths."""
-    if isinstance(p, CyclicPolygon):
-        return 2.0 * math.fsum(cyclic_half_side(t, p.R) for t in p.thetas)
-    return 2.0 * math.fsum(tangential_tangent_length(t, p.r) for t in p.thetas)
+    return float(_one_row(perimeter_rows, p))
 
 
 def perimeter_rows(kind: str, radii: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """perimeter of every row's polygon."""
-    half = 0.5 * ts
-    if kind == "cyclic":
-        return 2.0 * fsum_rows(stable_asinh_rows(np.sin(half) * np.sinh(radii)[:, None]))
-    x = np.tan(half) * np.sinh(radii)[:, None]
-    if (x >= 1.0).any():
-        raise IdealVertex(f"tan(theta/2)*sinh r = {float(x[x >= 1.0][0])!r} >= 1")
-    return 2.0 * fsum_rows(stable_atanh_rows(x))
+    half = cyclic_half_side if kind == "cyclic" else tangential_tangent_length
+    return 2.0 * fsum_rows(half(ts, radii[:, None]))
 
 
 def interior_angles(p: Polygon) -> tuple[float, ...]:
@@ -215,29 +214,25 @@ def interior_angles(p: Polygon) -> tuple[float, ...]:
     Cyclic vertex i joins chords i-1 and i, so its angle is the sum of the
     neighbouring half-angles; tangential vertex i lies inside sector i.
     """
-    if isinstance(p, CyclicPolygon):
-        halves = [cyclic_half_angle(t, p.R) for t in p.thetas]
-        return tuple(halves[i - 1] + halves[i] for i in range(p.n))
-    return tuple(tangential_interior_angle(t, p.r) for t in p.thetas)
+    return tuple(_one_row(interior_angles_rows, p).tolist())
+
+
+def interior_angles_rows(kind: str, radii: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """interior_angles of every row's polygon, as a (polygons, n) array."""
+    if kind == "cyclic":
+        halves = cyclic_half_angle(ts, radii[:, None])
+        return np.roll(halves, 1, axis=1) + halves
+    return tangential_interior_angle(ts, radii[:, None])
 
 
 def area(p: Polygon) -> float:
     """Area by angle deficit: (n-2)*pi - sum of interior angles."""
-    return (p.n - 2) * math.pi - math.fsum(interior_angles(p))
+    return float(_one_row(area_rows, p))
 
 
 def area_rows(kind: str, radii: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """area of every row's polygon."""
-    half = 0.5 * ts
-    if kind == "cyclic":
-        halves = np.arctan2(1.0, np.cosh(radii)[:, None] * np.tan(half))
-        angles = np.roll(halves, 1, axis=1) + halves
-    else:
-        x = np.sin(half) * np.cosh(radii)[:, None]
-        if (x > 1.0 + 1e-12).any():
-            raise IdealVertex(f"sin(theta/2)*cosh r = {float(x[x > 1.0 + 1e-12][0])!r} > 1")
-        angles = 2.0 * acos_snapped_rows(np.minimum(x, 1.0))
-    return (ts.shape[1] - 2) * math.pi - fsum_rows(angles)
+    return (ts.shape[1] - 2) * math.pi - fsum_rows(interior_angles_rows(kind, radii, ts))
 
 
 def to_json_dict(p: Polygon) -> dict:

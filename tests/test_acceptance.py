@@ -79,15 +79,15 @@ def test_criterion_4_guarded_bounds_and_convexity_windows():
         assert rep.worst_margin >= -1e-12, key
 
 
-def test_criterion_5_descent_matches_grid_oracle():
+def test_criterion_5_scan_matches_grid_oracle():
     # every registered objective at k=2 (resolution 200) and k=3
     # (resolution 60): certified, best two-value split within 1e-6 of
     # uniform per coordinate, oracle optimum within one grid cell, all
-    # under 60 s
+    # under 5 s
     t0 = time.perf_counter()
     ok, rows = cli._crit5_oracles(6)
     assert ok, rows
-    assert time.perf_counter() - t0 < 60.0
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_criterion_6_analytic_anchors():

@@ -4,20 +4,21 @@ Two contracts, tested separately:
 
 - Draws are exact.  Radii, apex angles, settled rows, ideal-vertex
   decisions, replays, counts and counterexample indices equal the scalar
-  draws' (trial_rngs with _draw_polygon, random_*_polygon or random_split),
+  draws' (_streams with _draw_polygon, random_*_polygon or random_split),
   compared with float.hex or exact equality of whole structures.
 - Values are accurate, not bit-identical.  The block kernels evaluate
   transcendentals with numpy's ufuncs and the scalar kernels with the math
   module, so the two may differ in the last bits.  Each value is checked
   against a 40-digit mpmath evaluation at the same float inputs, and
-  against the scalar route (polygon.perimeter/area, hmodel.measured_*(embed)),
+  against the scalar route (hmodel.measured_*(embed)) where there is one,
   within a stated number of rounding errors (MP_ULPS, ULPS, MEASURED_ULPS)
   of the value's scale: the value itself for lengths and perimeters, n*pi
   for deficit areas, plus its condition, how far the exact value moves when
   every input moves by one part in 2**52.  A block value equals the one-row
   call that recomputes it exactly, so a reported counterexample reproduces
-  bit for bit, and the scalar regular_convert and bounds, being one-row
-  calls, match the blocks exactly.
+  bit for bit, and the scalar regular_convert, bounds, polygon.perimeter,
+  area and sector kernels and the registered objectives, being one-row or
+  one-point calls, match the blocks exactly.
 """
 
 import collections
@@ -32,7 +33,7 @@ import pytest
 
 from hypergon import bounds, cli, hmodel, hypmath, optimize, polygon
 from hypergon.errors import IdealVertex
-from hypergon.optimize import DEFAULT_SEED, trial_rngs
+from hypergon.optimize import DEFAULT_SEED
 from hypergon.polygon import CyclicPolygon, TangentialPolygon
 
 SEEDS = (0, DEFAULT_SEED, 2**128 - 1)
@@ -104,6 +105,12 @@ def boundary_counts(width):
     return size - 1, size, size + 1
 
 
+def streams(seed, count):
+    """The generators of streams 0 .. count-1 of seed, in order: one Philox,
+    re-pointed by optimize._streams before each is handed out."""
+    return map(optimize._streams(seed), range(count))
+
+
 def scalar_polygon(family, n, lo, hi, rng):
     try:
         return optimize._draw_polygon(family, n, lo, hi, rng)
@@ -135,7 +142,7 @@ def test_verify_polygon_draws_match_scalar_draws(monkeypatch, theorem, n, window
     lo, hi = optimize._radius_window(family, n, window)
     blocks, _, _ = optimize._polygon_draws(entry, n, window)
     for count in boundary_counts(verify_width(n)):
-        scalar = [scalar_polygon(family, n, lo, hi, rng) for rng in trial_rngs(seed, count)]
+        scalar = [scalar_polygon(family, n, lo, hi, rng) for rng in streams(seed, count)]
         errors = []
         kept = []
         rest = iter(scalar)
@@ -189,7 +196,7 @@ def test_split_draws_match_random_split(monkeypatch, theorem, k, seed):
     res = entry["func"](12, k, total)
     assert eq_err == abs(scalar_split_metric(entry, 12, [total / k] * k, res.quantity) - res.value)
     for count in boundary_counts(k):
-        splits = [optimize.random_split(total, k, rng) for rng in trial_rngs(seed, count)]
+        splits = [optimize.random_split(total, k, rng) for rng in streams(seed, count)]
         rest = iter(xs if all(lo < x < hi for x in xs) else None for xs in splits)
         asserted = 0
         for skips, margins, bound, errors, witness in blocks(seed, count):
@@ -293,7 +300,7 @@ def scalar_verify(theorem, n, k, trials, seed):
         lo, hi = entry["window"](n)
         if res.feasible and res.equality_spec is not None and lo < total / k < hi:
             eq_err = abs(scalar_split_metric(entry, n, [total / k] * k, res.quantity) - res.value)
-        for rng in trial_rngs(seed, trials):
+        for rng in streams(seed, trials):
             xs = optimize.random_split(total, k, rng)
             if not all(lo < x < hi for x in xs):
                 draws.append(None)
@@ -305,7 +312,7 @@ def scalar_verify(theorem, n, k, trials, seed):
     else:
         family = TangentialPolygon if entry["family"] == "tangential" else CyclicPolygon
         lo, hi = optimize._radius_window(family, n, (0.1, 2.0))
-        for rng in trial_rngs(seed, trials):
+        for rng in streams(seed, trials):
             poly = scalar_polygon(family, n, lo, hi, rng)
             if poly is None:
                 draws.append(None)
@@ -396,7 +403,7 @@ def test_polygon_blocks_match_the_sample_draws(monkeypatch, family, n, window, r
             radii = np.concatenate([r for r, _ in blocks])
             ts = np.concatenate([t for _, t in blocks])
             want = [family.regular(n, rng.uniform(lo, hi)) if regular else sampler(n, (lo, hi), rng)
-                    for rng in trial_rngs(seed, count)]
+                    for rng in streams(seed, count)]
             assert hexes(radii) == hexes(p.radius for p in want)
             assert [hexes(row) for row in ts] == [hexes(p.thetas) for p in want]
 
@@ -419,7 +426,7 @@ def crit1_battery(monkeypatch, seed, count):
     battery = []
     with monkeypatch.context() as m:
         m.setattr(optimize, "_draw_polygon", counted)
-        for i, rng in enumerate(trial_rngs(seed, count)):
+        for i, rng in enumerate(streams(seed, count)):
             attempts.append(0)
             battery.append((cli._crit1_draw(i, rng), attempts[-1], words_read(rng)))
     return battery
@@ -486,7 +493,7 @@ def test_block_uniform_and_integers_match_the_generator():
     stream = optimize._streams(DEFAULT_SEED)
     words = next(optimize._word_blocks(stream, 500, 3))[1]
     ints, exact = optimize._integers(words[:, 0], 3, 13)
-    for i, rng in enumerate(trial_rngs(DEFAULT_SEED, 500)):
+    for i, rng in enumerate(streams(DEFAULT_SEED, 500)):
         assert exact[i]
         assert int(rng.integers(3, 13)) == ints[i]
         assert [rng.uniform(0.05, 3.0), rng.uniform(0.05, 3.0)] == optimize._uniform(words[i, 1:], 0.05, 3.0).tolist()
@@ -505,7 +512,7 @@ def test_block_integers_flag_every_rejection():
 
 def random_polygons(family, n, window, count, seed=0x81):
     lo, hi = optimize._radius_window(family, n, window)
-    polys = [scalar_polygon(family, n, lo, hi, rng) for rng in trial_rngs(seed, count)]
+    polys = [scalar_polygon(family, n, lo, hi, rng) for rng in streams(seed, count)]
     return [p for p in polys if p is not None]
 
 
@@ -522,16 +529,15 @@ def measured(which):
     return lambda kind, radii, ts: f(*hmodel.embed_rows(kind, radii, ts))
 
 
-# name: (block route of (kind, radii, ts), scalar route of a polygon, ulps,
-# whether an area by angle deficit)
+# name: (block route of (kind, radii, ts), scalar route of a polygon, ulps).
+# The closed forms have no scalar route of their own: polygon.perimeter and
+# area are one-row calls of the blocks, and test_closed_forms_against_mpmath
+# checks their values.
 ROUTES = {
-    "perimeter": (polygon.perimeter_rows, polygon.perimeter, ULPS, False),
-    "area": (polygon.area_rows, polygon.area, ULPS, True),
-    **{coord: (measured(i), lambda p, coord=coord: [getattr(v, coord) for v in hmodel.embed(p).vertices], ULPS, False)
+    **{coord: (measured(i), lambda p, coord=coord: [getattr(v, coord) for v in hmodel.embed(p).vertices], ULPS)
        for i, coord in enumerate(("x0", "x1", "x2"))},
-    "measured_perimeter": (measured("perimeter"), lambda p: hmodel.measured_perimeter(hmodel.embed(p)),
-                           MEASURED_ULPS, False),
-    "measured_area": (measured("area"), lambda p: hmodel.measured_area(hmodel.embed(p)), MEASURED_ULPS, False),
+    "measured_perimeter": (measured("perimeter"), lambda p: hmodel.measured_perimeter(hmodel.embed(p)), MEASURED_ULPS),
+    "measured_area": (measured("area"), lambda p: hmodel.measured_area(hmodel.embed(p)), MEASURED_ULPS),
 }
 
 
@@ -541,15 +547,15 @@ def test_block_closed_forms_and_measured_routes_match_per_polygon(family, window
     polys = random_polygons(family, n, window, 60)
     radii = np.array([p.radius for p in polys])
     ts = np.array([p.thetas for p in polys])
-    for name, (block, scalar, ulps, deficit) in ROUTES.items():
+    for name, (block, scalar, ulps) in ROUTES.items():
         f = lambda r, t: block(family.kind, r, t)  # noqa: E731
-        got = f(radii, ts)
         want = np.array([scalar(p) for p in polys])
-        scale = np.abs(want) + condition(f, radii, ts) + (n * math.pi if deficit else 0.0)
-        assert_within(got, want, scale, ulps), name
-        # a value does not depend on the rest of its block
-        rows = np.concatenate([f(radii[i:i + 1], ts[i:i + 1]) for i in range(len(polys))])
-        assert hexes(rows.ravel()) == hexes(got.ravel()), name
+        assert_within(f(radii, ts), want, np.abs(want) + condition(f, radii, ts), ulps), name
+    # a value does not depend on the rest of its block
+    for block in (polygon.perimeter_rows, polygon.area_rows, *(route for route, _, _ in ROUTES.values())):
+        got = block(family.kind, radii, ts)
+        rows = np.concatenate([block(family.kind, radii[i:i + 1], ts[i:i + 1]) for i in range(len(polys))])
+        assert hexes(rows.ravel()) == hexes(got.ravel()), block
 
 
 def test_block_kernels_match_the_scalar_kernels_on_every_branch():
@@ -786,3 +792,43 @@ def test_single_polygon_bound_rows_against_mpmath(theorem, n):
     assert keep.any()
     assert_mp(b.value[keep], exact, [(v,) for v in x[keep].tolist()],
               own=n * math.pi if b.quantity == "area" else None)
+
+
+
+def mp_objective(name, n):
+    """The registered objective `name` exactly, as g(x, a), and the a it is
+    evaluated with: the radius of a sector objective, or else the constant
+    of pi/n that the objective rounds, exact."""
+    with mpmath.workdps(40):
+        s, c, tn = mpmath.sin(mpmath.pi / n), mpmath.cos(mpmath.pi / n), mpmath.tan(mpmath.pi / n)
+    radius = optimize._OBJECTIVE_SPECS[name]["radius_default"]
+    return {
+        "cyclic_half_side": (lambda t, R: mpmath.asinh(mpmath.sin(t / 2) * mpmath.sinh(R)), radius),
+        "cyclic_half_angle": (lambda t, R: mpmath.atan(1 / (mpmath.cosh(R) * mpmath.tan(t / 2))), radius),
+        "tangential_tangent_length": (lambda t, r: mpmath.atanh(mpmath.tan(t / 2) * mpmath.sinh(r)), radius),
+        "tangential_interior_angle": (lambda t, r: 2 * mpmath.acos(mpmath.sin(t / 2) * mpmath.cosh(r)), radius),
+        "thm5_radius": (lambda x, s: mpmath.asinh(s * mpmath.sinh(x)), s),
+        "thm6_radius": (lambda x, tn: mpmath.atanh(tn * mpmath.sinh(x)), tn),
+        "thm7_radius": (lambda x, tn: mpmath.atan(1 / (tn * mpmath.cosh(x))), tn),
+        "thm8_radius": (lambda x, s: mpmath.acos(s * mpmath.cosh(x)), s),
+        "thm9_theta": (lambda t, c: mpmath.acosh(c / mpmath.sin(t / 2)), c),
+        "thm10_perimeter": (lambda x, c: mpmath.asin(c / mpmath.cosh(x / (2 * n))), c),
+    }[name]
+
+
+# a sector objective, which has a radius, does not depend on n
+OBJECTIVE_CASES = [(name, n) for name in optimize.OBJECTIVES
+                   for n in ((6,) if optimize._OBJECTIVE_SPECS[name]["radius_default"] else (3, 6, 12))]
+
+
+@pytest.mark.parametrize("name, n", OBJECTIVE_CASES)
+def test_objectives_against_mpmath(name, n):
+    # every registered objective at its 64 certificate points; a one-point
+    # call, as an array or a float, equals the block's element bit for bit
+    problem = optimize.make_problem(name, n=n)
+    xs = np.array(optimize.certify_convexity(problem.f, problem.interval).grid)
+    got = problem.f(xs)
+    exact, a = mp_objective(name, n)
+    assert_mp(got, exact, [(x, a) for x in xs.tolist()])
+    assert hexes(got) == hexes(problem.f(xs[i:i + 1])[0] for i in range(len(xs)))
+    assert hexes(got) == hexes(problem.f(x) for x in xs.tolist())

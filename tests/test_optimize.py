@@ -1,14 +1,16 @@
 """Certificates, the grid oracle, the two-value scan, and the verify driver."""
 
 import dataclasses
+import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 import frozen
-from hypergon import bounds, polygon
+from hypergon import bounds, optimize, polygon
 from hypergon.errors import EvaluationFailure, Infeasible, OracleTooLarge
 from hypergon.hypmath import RegularNGonSpec, regular_convert
 from hypergon.optimize import (
@@ -29,7 +31,6 @@ from hypergon.optimize import (
     solve_equal_sum,
     thm9_theta_threshold,
     trial_rng,
-    trial_rngs,
     verify_theorem,
 )
 
@@ -73,6 +74,10 @@ def test_certificate_guards():
         certify_convexity(boom, (0.0, 1.0))
     with pytest.raises(EvaluationFailure):
         certify_convexity(lambda x: math.nan, (0.0, 1.0))
+    # an invalid operation fails where numpy would warn; the error names the
+    # first x, in grid order, that fails on its own: x - h at grid point 33
+    with pytest.raises(EvaluationFailure, match=re.escape(f"objective failed at {33 / 65 - 1e-5!r}:")):
+        certify_convexity(lambda x: np.sqrt(0.5 - x), (0.0, 1.0))
 
 
 def test_certificate_angle_objective_windows():
@@ -82,13 +87,13 @@ def test_certificate_angle_objective_windows():
         thr = thm9_theta_threshold(n)
         assert math.isclose(thr, getattr(frozen, thr_name), rel_tol=1e-13)
         inside = certify_convexity(
-            lambda t, n=n: math.acosh(math.cos(math.pi / n) / math.sin(0.5 * t)),
+            lambda t, n=n: np.arccosh(np.cos(np.pi / n) / np.sin(0.5 * t)),
             (1e-3, 0.999 * thr),
         )
         assert inside.sign == "positive"
         theta_max = 2.0 * math.asin(math.cos(math.pi / n))
         straddle = certify_convexity(
-            lambda t, n=n: math.acosh(math.cos(math.pi / n) / math.sin(0.5 * t)),
+            lambda t, n=n: np.arccosh(np.cos(np.pi / n) / np.sin(0.5 * t)),
             (0.9 * thr, 0.5 * (thr + theta_max)),
         )
         assert straddle.sign == "mixed"
@@ -101,7 +106,7 @@ def test_certificate_perimeter_objective_windows():
     assert math.isclose(thr, frozen.THM10_PERI_THR_6, rel_tol=1e-13)
 
     def f(x):
-        return math.asin(math.cos(math.pi / n) / math.cosh(x / (2.0 * n)))
+        return np.arcsin(np.cos(np.pi / n) / np.cosh(x / (2.0 * n)))
 
     assert certify_convexity(f, (1.001 * thr, 3.0 * thr)).sign == "positive"
     assert certify_convexity(f, (0.5 * thr, 1.5 * thr)).sign == "mixed"
@@ -147,10 +152,25 @@ def test_grid_oracle_guards():
         grid_oracle(quadratic_problem(k=4), 100)
     with pytest.raises(Infeasible):
         grid_oracle(quadratic_problem(), 49)
+    # the oracle holds its grid as one array: (1025 - 1)^2 points is the most at k = 3
+    assert grid_oracle(quadratic_problem(k=3), 1025).evaluations > 0
+    with pytest.raises(OracleTooLarge):
+        solve_equal_sum(quadratic_problem(k=3), oracle_resolution=1026)
 
 
 # ---------------------------------------------------------------------------
 # the two-value scan
+
+
+def test_a_nan_objective_is_an_evaluation_failure():
+    # the grid oracle's first point, 0.01, scores NaN; the oracle used to keep
+    # it as its optimum and report a disagreement, which the CLI read as a
+    # violation
+    prob = SeparableProblem(name="nan", f=lambda x: np.where(x < 0.012, np.nan, (x - 0.7) ** 2),
+                            k=2, c=1.0, interval=(0.0, 1.0), sense="minimize")
+    assert solve_equal_sum(prob).certified  # neither the certificate nor the scan reaches below 0.012
+    with pytest.raises(EvaluationFailure, match="objective produced NaN at 0.01$"):
+        solve_equal_sum(prob, oracle_resolution=100)
 
 
 def test_solve_quadratic_full_stack():
@@ -329,8 +349,9 @@ def draws(rng):
 
 
 @pytest.mark.parametrize("seed", [0, DEFAULT_SEED, 2**70 + 3, 2**128 - 1])
-def test_trial_rngs_match_jumped_streams(seed):
-    got = [draws(rng) for rng in trial_rngs(seed, 6)]
+def test_streams_match_jumped_streams(seed):
+    stream = optimize._streams(seed)
+    got = [draws(stream(i)) for i in range(6)]
     assert got == [draws(jumped_rng(seed, i)) for i in range(6)]
 
 
@@ -341,13 +362,13 @@ def test_trial_rng_matches_jumped_stream(index):
     assert draws(trial_rng(DEFAULT_SEED, index)) == draws(jumped_rng(DEFAULT_SEED, index))
 
 
-def test_trial_rngs_reset_the_output_buffer():
-    streams = trial_rngs(5, 2)
-    rng = next(streams)
+def test_streams_reset_the_output_buffer():
+    stream = optimize._streams(5)
+    rng = stream(0)
     rng.random()
     rng.integers(0, 2**32, dtype=np.uint32)  # leaves half a 64-bit word buffered
     assert rng.bit_generator.state["has_uint32"] == 1
-    rng, fresh = next(streams), jumped_rng(5, 1)
+    rng, fresh = stream(1), jumped_rng(5, 1)
     assert list(rng.integers(0, 2**32, 3, dtype=np.uint32)) == list(fresh.integers(0, 2**32, 3, dtype=np.uint32))
     assert draws(rng) == draws(fresh)
 
@@ -363,7 +384,7 @@ def test_seed_outside_the_key_range_is_infeasible(seed):
     with pytest.raises(Infeasible):
         trial_rng(seed, 0)
     with pytest.raises(Infeasible):
-        next(trial_rngs(seed, 1))
+        optimize._streams(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -469,3 +490,109 @@ def test_verify_reports_a_split_counterexample(monkeypatch):
         actual += regular_convert(RegularNGonSpec(n=6, r=x)).perimeter  # the block's kernel, one row
         assert d["kind"] == "tangential" and math.isclose(d["radius"], x, rel_tol=1e-14)
     assert ce["margin"] == actual - res.value
+
+
+# ---------------------------------------------------------------------------
+# the array solve against the loops it replaced
+
+
+def pointwise(f):
+    """f at one float, by a one-point call."""
+    return lambda x: float(f(np.array([x]))[0])
+
+
+def reference_oracle(problem, resolution):
+    """grid_oracle as a loop over the grid's points, one f call per coordinate."""
+    lo, hi = problem.interval
+    f = pointwise(problem.f)
+    step = (hi - lo) / resolution
+    xs = [lo + j * step for j in range(1, resolution)]
+    flip = 1.0 if problem.sense == "minimize" else -1.0
+    best = best_pt = None
+    evals = 0
+    for free in itertools.product(xs, repeat=problem.k - 1):
+        last = problem.c
+        for x in free:
+            last -= x
+        if not lo < last < hi:
+            continue
+        pt = (*free, last)
+        v = f(pt[0])
+        for x in pt[1:]:
+            v += f(x)
+        evals += 1
+        if best is None or flip * v < flip * best:
+            best, best_pt = v, pt
+    return best_pt, best, evals
+
+
+def reference_scan(problem):
+    """The two-value scan as a loop over its points, one f call per value:
+    (argmin, value, uniform value, points scored, incumbent replacements)."""
+    lo, hi = problem.interval
+    k, c = problem.k, problem.c
+    f = pointwise(problem.f)
+    flip = 1.0 if problem.sense == "minimize" else -1.0
+    best_x = (c / k,) * k
+    best = uniform_value = math.fsum(f(x) for x in best_x)
+    scanned = replaced = 0
+    for m in range(1, k):
+        a = max(lo, (c - (k - m) * hi) / m)
+        b = min(hi, (c - (k - m) * lo) / m)
+        for j in range(GRID_POINTS):
+            x = a + (b - a) * (j + 1) / (GRID_POINTS + 1)
+            y = (c - m * x) / (k - m)
+            if not (lo < x < hi and lo < y < hi):
+                continue
+            scanned += 1
+            value = math.fsum([f(x)] * m + [f(y)] * (k - m))
+            if flip * (best - value) > INEQ_TOL * max(1.0, abs(best)):
+                best_x, best = (x,) * m + (y,) * (k - m), value
+                replaced += 1
+    return best_x, best, uniform_value, scanned, replaced
+
+
+def assert_matches_the_loops(problem, resolution=None):
+    """solve_equal_sum, and grid_oracle at resolution, give what the loops
+    give, bit for bit; returns the scan's incumbent replacements."""
+    rep = solve_equal_sum(problem, oracle_resolution=resolution)
+    argmin, value, uniform_value, scanned, replaced = reference_scan(problem)
+    assert rep.argmin == argmin
+    assert rep.objective_at_argmin.hex() == value.hex()
+    assert rep.uniform_point_objective.hex() == uniform_value.hex()
+    assert rep.iterations == scanned
+    if resolution is not None:
+        oracle = grid_oracle(problem, resolution)
+        point, best, evals = reference_oracle(problem, resolution)
+        assert oracle.min_point == rep.oracle_point == point
+        assert oracle.min_value.hex() == rep.oracle_value.hex() == best.hex()
+        assert oracle.evaluations == evals
+    return replaced
+
+
+@pytest.mark.parametrize("k, resolution", [(2, 200), (3, 60), (5, None)])
+@pytest.mark.parametrize("name, n", [(name, n) for name in OBJECTIVES  # a sector objective does not depend on n
+                                     for n in ((6,) if optimize._OBJECTIVE_SPECS[name]["radius_default"]
+                                               else (3, 6, 12))])
+def test_array_solve_matches_the_loops(name, n, k, resolution):
+    assert_matches_the_loops(make_problem(name, k=k, n=n), resolution)
+
+
+@pytest.mark.parametrize("sense", ["minimize", "maximize"])
+@pytest.mark.parametrize("k, resolution", [(2, 100), (3, 50)])
+def test_array_solve_keeps_the_first_of_tied_points(k, resolution, sense):
+    # every point ties: the uniform split stays, and the oracle keeps its
+    # first feasible point
+    prob = SeparableProblem(name="flat", f=lambda x: np.ones_like(x), k=k, c=0.5 * k, interval=(0.0, 1.0),
+                            sense=sense)
+    assert assert_matches_the_loops(prob, resolution) == 0
+
+
+@pytest.mark.parametrize("k, resolution", [(2, 100), (3, 60), (5, None)])
+def test_array_solve_replaces_its_incumbent_in_scan_order(k, resolution):
+    # a double well: the scan starts above the well at 0.25, which is lower
+    # than the uniform split at the hump in between, and replaces its
+    # incumbent at each point on the way down
+    prob = SeparableProblem(name="wells", f=lambda x: ((x - 0.25) * (x - 0.75)) ** 2, k=k, c=0.5 * k,
+                            interval=(0.0, 1.0), sense="minimize")
+    assert assert_matches_the_loops(prob, resolution) > 1
