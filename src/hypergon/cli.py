@@ -319,11 +319,11 @@ def _crit1_polygons(seed: int, count: int):
         lo, hi = _optimize._radius_window(family, n, (0.05, 3.0))
         radii, ts, left = _optimize._settled_rows(
             family, n, lo, hi, np.concatenate([w for _, w in held]),
-            lambda rows, width: _optimize._read(stream, index[rows].tolist(), width + 1)[:, 1:])
+            lambda rows, width: _optimize._read(seed, index[rows], width + 1)[:, 1:])
         _optimize._redraw(left, lambda j: _crit1_draw(int(index[j]), stream(int(index[j]))), radii, ts)
         return family.kind, radii, ts
 
-    for start, words in _optimize._word_blocks(stream, count, 14):  # n, radius, up to 12 angles
+    for start, words in _optimize._word_blocks(seed, count, 14):  # n, radius, up to 12 angles
         ns, exact = _optimize._integers(words[:, 0], 3, 13)
         for j in np.flatnonzero(~exact).tolist():
             poly = _crit1_draw(start + j, stream(start + j))

@@ -17,9 +17,11 @@ this CPU and may differ from the math module in the last bit or two, so a
 rows kernel agrees with its scalar twin to a few ulp, not bit for bit; the
 tests bound both against a 40-digit reference.  An element's value does not
 depend on the rest of its array, so a block value and the one-row call
-that recomputes it agree exactly.  fsum_rows keeps math.fsum, whose correct
-rounding the partition draws rely on.  regular_convert is the one-row call
-of regular_convert_rows.
+that recomputes it agree exactly.  fsum_rows is the exception: it returns
+math.fsum's correctly rounded sum of every row, bit for bit, which the
+partition draws rely on, deciding it with error-free array arithmetic and
+calling math.fsum only on the rows that arithmetic leaves undecided.
+regular_convert is the one-row call of regular_convert_rows.
 """
 
 from __future__ import annotations
@@ -103,9 +105,72 @@ def acos_snapped(x: float) -> float:
     return math.acos(x)
 
 
+# fsum_rows settles a row with array arithmetic only while its largest
+# magnitude times its length stays below this: then no partial sum of
+# math.fsum's, or of fsum_rows' own, comes near the overflow at 2**1024.
+_FSUM_ABS_MAX = 2.0 ** 1020
+
+
+def _two_sum_tree(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of t added pairwise with TwoSum (Knuth), as (the sum row, the
+    rows of rounding errors).  TwoSum's error is exact, so the rows of t add
+    up exactly to the sum row plus the error rows."""
+    errs = []
+    while len(t) > 1:
+        h = len(t) // 2
+        a, b = t[:h], t[h:2 * h]
+        s = a + b
+        bv = s - a
+        errs.append((a - (s - bv)) + (b - bv))
+        t = np.concatenate([s, t[2 * h:]]) if len(t) % 2 else s
+    return t[0], np.concatenate(errs) if errs else t[:0]
+
+
 def fsum_rows(a: np.ndarray) -> np.ndarray:
-    """math.fsum of every row."""
-    return np.fromiter(map(math.fsum, a.tolist()), np.float64, len(a))
+    """math.fsum of every row of a 2-d array: its exact sum, correctly rounded.
+
+    The columns go through a pairwise TwoSum tree, so a row's exact sum S is
+    s + sum(errs), and errs through a second tree, so sum(errs) is
+    e + sum(errs2) (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26(6),
+    2005).  Where every errs2 of a row is 0, S = s + e exactly, and
+    r = fl(s + e) is S correctly rounded, ties to even, as math.fsum rounds.
+    Otherwise S - r = rho + sum(errs2), where rho = s + e - r is exact by
+    TwoSum, and sum(errs2), the rounding of e, is at most delta in
+    magnitude: the float sum of |errs2|, which has at most len(errs2)
+    roundings, widened by (len(errs2) + 2) * 2**-52.  If rho + delta is
+    below half the gap from r up to the next float, and delta - rho below
+    half the gap down, S lies strictly inside r's rounding interval and
+    rounds to r.  The comparisons are made on 2 * fl(rho + delta) and the
+    whole gap, which rounding cannot turn true: the gap is a power of two
+    and every float a multiple of 2**-1074.  Exactness is decided by
+    errs2 == 0 itself, not by delta == 0, so that no rounding of delta can
+    declare a row exact.  A row with S = 0 sums to +0.0, as with math.fsum:
+    no TwoSum error is -0.0, so e is not, and s + e is -0.0 only when both
+    are.  The rows not decided, and those holding a non-finite or huge
+    value (zeroed in the trees), go to math.fsum itself, which raises its
+    ValueError or OverflowError there.
+    """
+    rows, cols = a.shape
+    if not cols:
+        return np.zeros(rows)
+    t = a.T.copy()
+    ok = np.abs(t).max(axis=0) <= _FSUM_ABS_MAX / cols
+    if not ok.all():
+        t[:, ~ok] = 0.0
+    s, errs = _two_sum_tree(t)
+    e, errs2 = _two_sum_tree(errs) if len(errs) else (np.zeros(rows), errs)
+    r = s + e
+    check = np.flatnonzero((errs2 != 0.0).any(axis=0))
+    if len(check):
+        sc, ec, rc = s[check], e[check], r[check]
+        bv = rc - sc
+        rho = (sc - (rc - bv)) + (ec - bv)
+        delta = np.abs(errs2[:, check]).sum(axis=0) * (1.0 + (len(errs2) + 2) * 2.0 ** -52)
+        up, down = np.nextafter(rc, np.inf) - rc, rc - np.nextafter(rc, -np.inf)
+        ok[check] &= (2.0 * (rho + delta) < up) & (2.0 * (delta - rho) < down)
+    for j in np.flatnonzero(~ok).tolist():
+        r[j] = math.fsum(a[j].tolist())
+    return r
 
 
 def stable_asinh_rows(x: np.ndarray) -> np.ndarray:

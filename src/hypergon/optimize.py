@@ -25,7 +25,8 @@ import numpy as np
 from . import bounds as _bounds
 from . import polygon as _polygon
 from .errors import EvaluationFailure, IdealVertex, Infeasible, OracleTooLarge, OutOfRange
-from .hypmath import LEG_MAX, RegularNGonSpec, regular_convert, regular_convert_rows, tangential_radius_limit
+from .hypmath import (LEG_MAX, RegularNGonSpec, fsum_rows, regular_convert, regular_convert_rows,
+                      tangential_radius_limit)
 from .polygon import CyclicPolygon, TangentialPolygon, TWO_PI
 
 # All randomness flows from one seed in [0, 2**128) through counter-based
@@ -58,11 +59,12 @@ def check_seed(seed: int) -> None:
 def _stream_state(seed: int, index: int) -> dict:
     """Philox state at the start of stream `index` of `seed`.
 
-    The one place the stream layout is written: key [seed mod 2**64,
-    seed >> 64] and counter [0, 0, index, 0], with the output buffer empty
-    so that no word of a previous stream leaks into this one.  The words
-    are Python ints, which the state setter takes whole up to 2**64 - 1
-    (Philox(counter=...) would turn an int above 2**63 into float64).
+    The stream layout for the scalar draws (_read computes the same words
+    for a block): key [seed mod 2**64, seed >> 64] and counter
+    [0, 0, index, 0], with the output buffer empty so that no word of a
+    previous stream leaks into this one.  The words are Python ints, which
+    the state setter takes whole up to 2**64 - 1 (Philox(counter=...) would
+    turn an int above 2**63 into float64).
     Setting counter[2] of the returned dict re-points it to another stream.
     """
     check_seed(seed)
@@ -84,7 +86,8 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _streams(seed: int) -> Callable[[int], np.random.Generator]:
-    """stream(i): one generator, re-pointed to stream i of seed at each call."""
+    """stream(i): one generator, re-pointed to stream i of seed at each call,
+    for the scalar replays of rows a block does not settle."""
     state = _stream_state(seed, 0)
     counter = state["state"]["counter"]
     rng = np.random.Generator(np.random.Philox())
@@ -101,13 +104,13 @@ def _streams(seed: int) -> Callable[[int], np.random.Generator]:
 # ---------------------------------------------------------------------------
 # draws in blocks
 #
-# A block reads the first `width` words of each of its streams in one
-# random_raw call per stream and turns them into draws with numpy, exactly
-# as the Generator methods that the scalar draws call would: uniform(lo, hi)
-# is lo + (hi - lo) * (word >> 11) * 2**-53, and integers(lo, hi) on a range
-# below 2**32 is Lemire's multiply-shift of the word's low half.  A row whose
-# scalar draw reads past the row's words, or raises, is replayed by that
-# scalar draw on its own stream.
+# A block computes the first `width` words of each of its streams at once,
+# as numpy arrays of Philox4x64-10 blocks, and turns them into draws with
+# numpy, exactly as the Generator methods that the scalar draws call would:
+# uniform(lo, hi) is lo + (hi - lo) * (word >> 11) * 2**-53, and
+# integers(lo, hi) on a range below 2**32 is Lemire's multiply-shift of the
+# word's low half.  A row whose scalar draw reads past the row's words, or
+# raises, is replayed by that scalar draw on its own stream.
 
 # Words per block: a block's arrays stay this small whatever n is.
 BLOCK_WORDS = 1 << 13
@@ -115,21 +118,57 @@ BLOCK_WORDS = 1 << 13
 # words do not settle, unless four polygon attempts need more.
 REREAD_WORDS = 64
 
+# Philox4x64-10 (Salmon et al., SC 2011, and Random123): the two round
+# multipliers, split into 32-bit halves, and the two Weyl key increments.
+_PHILOX_M = tuple((np.uint64(m), np.uint64(m & 0xFFFF_FFFF), np.uint64(m >> 32))
+                  for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157))
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32, _32 = np.uint64(0xFFFF_FFFF), np.uint64(32)
+_MASK64 = (1 << 64) - 1
 
-def _read(stream: Callable, indices, width: int) -> np.ndarray:
-    """Row j holds words 0 .. width-1 of stream(indices[j]); indices are ints."""
-    words = np.empty((len(indices), width), dtype=np.uint64)
-    for j, i in enumerate(indices):
-        words[j] = stream(i).bit_generator.random_raw(width)
-    return words
+
+def _mulhilo(m: tuple, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low words of the 128-bit product of the multiplier m and
+    each word of x, the high one from 32-bit halves: no partial sum below
+    passes 2**64."""
+    m64, m_lo, m_hi = m
+    x_lo, x_hi = x & _LOW32, x >> _32
+    t = x_hi * m_lo + ((x_lo * m_lo) >> _32)
+    cross = (t & _LOW32) + x_lo * m_hi
+    return x_hi * m_hi + (t >> _32) + (cross >> _32), x * m64
 
 
-def _word_blocks(stream: Callable, count: int, width: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Blocks (start, words) covering streams 0 .. count-1, where row j of
-    words holds words 0 .. width-1 of stream(start + j)."""
+def _read(seed: int, indices, width: int) -> np.ndarray:
+    """Row j holds words 0 .. width-1 of stream indices[j] of seed, the
+    words random_raw(width) returns on that stream; indices are ints below
+    2**64 or an integer array.
+
+    Stream i's words are the lanes v0 .. v3 of Philox4x64-10 at counter
+    [b, 0, i, 0] for b = 1, 2, ..., on key [seed mod 2**64, seed >> 64]:
+    the generator bumps its counter before each block it computes.  Every
+    stream and block of the read goes through the ten rounds together.
+    """
+    check_seed(seed)
+    i = np.asarray(indices, dtype=np.uint64)[:, None]
+    blocks = np.arange(1, -(-width // 4) + 1, dtype=np.uint64)
+    zero = np.uint64(0)
+    v0, v1, v2, v3 = blocks, zero, i, zero  # broadcast to (streams, blocks) by round two
+    k0, k1 = seed & _MASK64, seed >> 64
+    for r in range(10):
+        if r:
+            k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], v0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], v2)
+        v0, v1, v2, v3 = hi1 ^ v1 ^ np.uint64(k0), lo1, hi0 ^ v3 ^ np.uint64(k1), lo0
+    return np.stack([v0, v1, v2, v3], axis=-1).reshape(len(i), 4 * len(blocks))[:, :width]
+
+
+def _word_blocks(seed: int, count: int, width: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Blocks (start, words) covering streams 0 .. count-1 of seed, where row
+    j of words holds words 0 .. width-1 of stream start + j."""
     size = max(1, BLOCK_WORDS // width)
     for start in range(0, count, size):
-        yield start, _read(stream, range(start, min(start + size, count)), width)
+        yield start, _read(seed, np.arange(start, min(start + size, count)), width)
 
 
 def _uniform(words: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -235,13 +274,13 @@ def polygon_blocks(family: type, n: int, lo: float, hi: float, seed: int, count:
     family.regular(n, rng.uniform(lo, hi)); (lo, hi) is a _radius_window."""
     stream = _streams(seed)
     draw = random_tangential_polygon if family is TangentialPolygon else random_cyclic_polygon
-    for start, words in _word_blocks(stream, count, 1 if regular else n + 1):
+    for start, words in _word_blocks(seed, count, 1 if regular else n + 1):
         if regular:
             polys = [family.regular(n, r) for r in _uniform(words[:, 0], lo, hi).tolist()]
             yield np.array([p.radius for p in polys]), np.array([p.thetas for p in polys])
             continue
         radii, ts, left = _settled_rows(family, n, lo, hi, words,
-                                        lambda rows, width: _read(stream, (start + rows).tolist(), width))
+                                        lambda rows, width: _read(seed, start + rows, width))
         _redraw(left, lambda j: draw(n, (lo, hi), stream(start + j)), radii, ts)
         yield radii, ts
 
@@ -599,8 +638,8 @@ def _one_cell_value_gap(problem: SeparableProblem, oracle: GridOracleResult) -> 
     moves = np.array([unit[i] - unit[j] for i in range(k) for j in range(k) if i != j])
     q = np.array(oracle.min_point) + oracle.step * moves
     q = q[((lo < q) & (q < hi)).all(axis=1)]
-    gaps = [abs(math.fsum(row) - oracle.min_value) for row in _values(problem.f, q).tolist()]
-    return max(gaps, default=0.0) + 1e-9
+    gaps = np.abs(fsum_rows(_values(problem.f, q)) - oracle.min_value)
+    return max(gaps.tolist(), default=0.0) + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -859,7 +898,7 @@ def _polygon_draws(entry: dict, n: int, radius_range: tuple[float, float]) -> tu
 
     def blocks(seed, trials):
         stream = _streams(seed)
-        for start, words in _word_blocks(stream, trials, 1 + (3 if n < 12 else 1) * n):
+        for start, words in _word_blocks(seed, trials, 1 + (3 if n < 12 else 1) * n):
             radii, ts, settled, ideal = _polygon_rows(family, n, lo, hi, words, redraw=False)
             keep = settled & ~ideal
             for j in np.flatnonzero(~settled).tolist():
@@ -907,7 +946,7 @@ def _split_draws(entry: dict, n: int, k: int, total: float) -> tuple[Callable, f
         return rows, sums
 
     def blocks(seed, trials):
-        for _, words in _word_blocks(_streams(seed), trials, k):
+        for _, words in _word_blocks(seed, trials, k):
             u = _uniform(words, 0.1, 1.0)
             splits = u * (total / u.sum(axis=1))[:, None]
             rows, sums = metrics(splits)

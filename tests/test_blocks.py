@@ -229,7 +229,7 @@ def test_partition_attempts_match_random_partition(monkeypatch, n, seed):
     attempts = collections.Counter()
     for family in FAMILIES:
         lo, hi = optimize._radius_window(family, n, (0.1, 2.0))
-        rows = [row for _, words in optimize._word_blocks(optimize._streams(seed), 300, width)
+        rows = [row for _, words in optimize._word_blocks(seed, 300, width)
                 for row in zip(*optimize._polygon_rows(family, n, lo, hi, words, redraw=False))]
         assert len(rows) == 300
         for i, (radius, ts, plain, ideal) in enumerate(rows):
@@ -490,8 +490,7 @@ def test_criterion_1_replays_few_polygons(monkeypatch):
 
 
 def test_block_uniform_and_integers_match_the_generator():
-    stream = optimize._streams(DEFAULT_SEED)
-    words = next(optimize._word_blocks(stream, 500, 3))[1]
+    words = next(optimize._word_blocks(DEFAULT_SEED, 500, 3))[1]
     ints, exact = optimize._integers(words[:, 0], 3, 13)
     for i, rng in enumerate(streams(DEFAULT_SEED, 500)):
         assert exact[i]

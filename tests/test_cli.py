@@ -386,9 +386,9 @@ def test_sample_near_the_tangential_limit_exits_2(capsys):
     # limit: no row of the block walk settles, even read again wide, and
     # the scalar replay gives up after its 1000 attempts
     lo, hi = optimize._radius_window(polygon.TangentialPolygon, 3, (0.548, 0.6))
-    stream = optimize._streams(optimize.DEFAULT_SEED)
-    _, _, left = optimize._settled_rows(polygon.TangentialPolygon, 3, lo, hi, optimize._read(stream, range(10), 4),
-                                        lambda rows, width: optimize._read(stream, rows.tolist(), width))
+    seed = optimize.DEFAULT_SEED
+    _, _, left = optimize._settled_rows(polygon.TangentialPolygon, 3, lo, hi, optimize._read(seed, range(10), 4),
+                                        lambda rows, width: optimize._read(seed, rows, width))
     assert left.tolist() == list(range(10))
     assert main(["sample", "--kind", "tangential", "--n", "3", "--range", "0.548:0.6"]) == 2
     captured = capsys.readouterr()

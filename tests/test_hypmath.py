@@ -1,6 +1,8 @@
 import math
+import re
 
 import frozen
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from hypergon.hypmath import (
     acosh1p,
     angle_from_sides,
     coshm1,
+    fsum_rows,
     hyp_hypotenuse,
     regular_convert,
     stable_asinh,
@@ -209,3 +212,116 @@ def test_tangential_radius_limit_values():
     assert math.isclose(tangential_radius_limit(4), frozen.RMAX_4, rel_tol=1e-15)
     assert math.isclose(tangential_radius_limit(6), frozen.RMAX_6, rel_tol=1e-15)
     assert math.isclose(tangential_radius_limit(12), frozen.RMAX_12, rel_tol=1e-15)
+
+
+# correctly rounded row sums
+
+
+def fsum_each(rows: np.ndarray) -> list[str]:
+    """math.fsum of every row, as float.hex, which tells -0.0 from 0.0."""
+    return [math.fsum(row).hex() for row in rows.tolist()]
+
+
+def fsum_rows_counted(monkeypatch, rows: np.ndarray) -> tuple[list[str], int]:
+    """fsum_rows(rows) as float.hex, and the number of rows it left to math.fsum."""
+    calls = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda row: calls.append(row) or fsum(row))
+    got = fsum_rows(rows)
+    monkeypatch.undo()
+    return [x.hex() for x in got.tolist()], len(calls)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 12, 64, 192])
+def test_fsum_rows_decides_uniform_rows_alone(monkeypatch, n):
+    # at n = 2-3 the two-level sum s + e is a tie of the first level more
+    # than a quarter of the time; the second level settles every such row
+    rows = np.random.default_rng(n).uniform(0.1, 1.0, (6000 // n + 1, n))
+    assert fsum_rows_counted(monkeypatch, rows) == (fsum_each(rows), 0)
+
+
+def test_fsum_rows_cancellation_to_zero(monkeypatch):
+    rng = np.random.default_rng(1)
+    for n in (1, 2, 3, 6, 11):
+        x = rng.uniform(-1.0, 1.0, (500, n)) * 10.0 ** rng.integers(-300, 300, (500, n))
+        rows = rng.permuted(np.concatenate([x, -x], axis=1), axis=1)
+        # the gap at 0 is 2**-1074, so a row whose second level has an
+        # error left may be undecided, and is left to math.fsum
+        assert fsum_rows_counted(monkeypatch, rows)[0] == fsum_each(rows) == [(0.0).hex()] * len(rows)
+    # -0.0 sums to +0.0 as with math.fsum, and x - x + tiny to the tiny
+    for n in (1, 2, 3, 5):
+        rows = np.array([[-0.0] * n, [0.0] * n, ([-0.0, 0.0] * n)[:n]])
+        assert fsum_rows_counted(monkeypatch, rows)[0] == fsum_each(rows) == [(0.0).hex()] * 3
+    rows = np.array([[1e300, 5e-324, -1e300], [-0.0, -1e-310, 1e-310], [0.1, 0.2, -0.30000000000000004]])
+    assert fsum_rows_counted(monkeypatch, rows)[0] == fsum_each(rows)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 40])
+def test_fsum_rows_mixed_signs_and_magnitudes(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    for exponents in ((-300, 300), (-20, 20), (-1, 2)):
+        rows = rng.uniform(-1.0, 1.0, (2000, n)) * 10.0 ** rng.integers(*exponents, (2000, n))
+        got, fallbacks = fsum_rows_counted(monkeypatch, rows)
+        assert got == fsum_each(rows)
+        assert fallbacks <= len(rows) // 100
+    # dyadic rows whose exact sums land on, next to and between ties
+    rows = np.round(rng.uniform(-1.0, 1.0, (4000, n)) * 8.0) * 2.0 ** rng.integers(-3, 60, (4000, n))
+    assert fsum_rows_counted(monkeypatch, rows)[0] == fsum_each(rows)
+
+
+def test_fsum_rows_ties_and_near_ties(monkeypatch):
+    u = 2.0 ** -53  # half the gap above 1
+    rows = [
+        [1.0, u],  # a tie: to even, 1
+        [1.0 + 2 * u, u],  # a tie: to even, 1 + 4u
+        [1.0, u, u * u],  # just above the tie: 1 + 2u
+        [1.0, u, -u * u],  # just below: 1
+        [1.0, u, 0.5 * u * u, 0.5 * u * u],  # above, by two halves the first level rounds away
+        [1.0, u * u, u, -u * u],  # the tie, once the tails cancel
+        [1e-16, 1.0, 1e16],  # math.fsum's own half-even example
+        [1.0, 2.0 ** -60, 2.0 ** -120],  # far from a tie: settled by the error bound
+    ]
+    rows = np.array([row + [0.0] * (4 - len(row)) for row in rows])
+    got, fallbacks = fsum_rows_counted(monkeypatch, rows)
+    assert got == fsum_each(rows)
+    assert got[:6] == [x.hex() for x in (1.0, 1.0 + 4 * u, 1.0 + 2 * u, 1.0, 1.0 + 2 * u, 1.0)]
+    assert 0 < fallbacks < len(rows)
+
+
+def test_fsum_rows_subnormals(monkeypatch):
+    rng = np.random.default_rng(3)
+    for scale in (2.0 ** -1074, 2.0 ** -1060, 2.0 ** -1022):
+        rows = np.round(rng.uniform(-1e6, 1e6, (1000, 7))) * scale
+        got, fallbacks = fsum_rows_counted(monkeypatch, rows)
+        assert got == fsum_each(rows)
+        assert fallbacks == 0
+    rows = np.concatenate([rng.uniform(-1.0, 1.0, (1000, 3)), np.full((1000, 2), 5e-324)], axis=1)
+    assert fsum_rows_counted(monkeypatch, rows)[0] == fsum_each(rows)
+
+
+def test_fsum_rows_zero_and_one_columns(monkeypatch):
+    assert fsum_rows(np.empty((3, 0))).tolist() == [0.0, 0.0, 0.0]
+    assert fsum_rows(np.empty((0, 4))).shape == (0,)
+    rows = np.array([[2.5], [-0.0], [5e-324], [-1e308]])
+    # a magnitude above 2**1020 / columns is left to math.fsum
+    assert fsum_rows_counted(monkeypatch, rows) == (fsum_each(rows), 1)
+
+
+@pytest.mark.parametrize("row, error", [
+    ([1.0, math.inf, -math.inf], ValueError),  # -inf + inf in fsum
+    ([1e308, 1e308, -1e308], OverflowError),  # intermediate overflow in fsum
+    ([8e307, 8e307, 8e307, -1e308], OverflowError),  # overflows only left to right
+])
+def test_fsum_rows_raises_as_fsum(row, error):
+    rows = np.array([[1.0] * len(row), row, [math.nan] * len(row)])
+    with pytest.raises(error) as expected:
+        math.fsum(row)
+    with pytest.raises(error, match=f"^{re.escape(str(expected.value))}$"):
+        fsum_rows(rows)
+
+
+def test_fsum_rows_non_finite_rows_fall_back(monkeypatch):
+    rows = np.array([[1.0, math.inf, 2.0], [math.nan, 1.0, 1.0], [-math.inf, 0.0, 0.0], [1e308, -1e308, 1.0], [1.0, 2.0, 3.0]])
+    got, fallbacks = fsum_rows_counted(monkeypatch, rows)
+    assert got == fsum_each(rows)
+    assert fallbacks == 4

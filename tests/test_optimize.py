@@ -373,6 +373,33 @@ def test_streams_reset_the_output_buffer():
     assert draws(rng) == draws(fresh)
 
 
+def reference_read(seed, indices, width):
+    """The per-stream read that optimize._read replaced: one Philox, set to
+    the start of each stream in turn, and one random_raw call per stream."""
+    bit_gen = np.random.Philox()
+    words = np.empty((len(indices), width), dtype=np.uint64)
+    for j, i in enumerate(indices):
+        bit_gen.state = optimize._stream_state(seed, i)
+        words[j] = bit_gen.random_raw(width)
+    return words
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, 2**64, 2**128 - 1])
+@pytest.mark.parametrize("width", [*range(1, 10), 13, 14, 64, 193])
+def test_read_matches_random_raw(seed, width):
+    indices = [0, 2**63, 2**64 - 1, 1, 7]
+    words = optimize._read(seed, indices, width)
+    assert words.dtype == np.uint64
+    assert words.tolist() == reference_read(seed, indices, width).tolist()
+
+
+def test_read_takes_index_arrays_and_no_rows():
+    indices = np.arange(40, 90, 7)
+    assert optimize._read(DEFAULT_SEED, indices, 6).tolist() == reference_read(DEFAULT_SEED, indices.tolist(), 6).tolist()
+    for empty in ([], np.arange(0), range(0)):
+        assert optimize._read(DEFAULT_SEED, empty, 5).shape == (0, 5)
+
+
 def test_trial_rng_generators_are_independent():
     a, b = trial_rng(9, 1), trial_rng(9, 1)
     a.random(10)
@@ -385,6 +412,8 @@ def test_seed_outside_the_key_range_is_infeasible(seed):
         trial_rng(seed, 0)
     with pytest.raises(Infeasible):
         optimize._streams(seed)
+    with pytest.raises(Infeasible):
+        optimize._read(seed, [0], 4)
 
 
 # ---------------------------------------------------------------------------
