@@ -134,8 +134,12 @@ def _parse_range(spec: str, steps_required: bool) -> tuple[float, float, int]:
             raise ValueError(spec)
     except ValueError:
         raise SystemExit2(f"bad range {spec!r}; expected lo:hi:steps")
-    if steps < 1 or (steps > 1 and not lo < hi) or not lo <= hi or not math.isfinite(hi - lo):
+    if steps < 1:
+        raise SystemExit2(f"bad range {spec!r}; need steps >= 1")
+    if not lo <= hi or not math.isfinite(hi - lo):
         raise SystemExit2(f"bad range {spec!r}; need finite ends with lo <= hi")
+    if steps > 1 and not lo < hi:
+        raise SystemExit2(f"bad range {spec!r}; need lo < hi when steps > 1")
     return lo, hi, steps
 
 
@@ -235,7 +239,7 @@ def cmd_sample(args) -> int:
     family = _polygon.TangentialPolygon if args.kind == "tangential" else _polygon.CyclicPolygon
     lo, hi = _optimize._radius_window(family, args.n, (lo, hi))
     samples = []
-    for radii, ts in _optimize.polygon_blocks(family, args.n, lo, hi, args.seed, args.trials, args.regular):
+    for radii, ts, _ in _optimize.polygon_blocks(family, args.n, lo, hi, args.seed, args.trials, args.regular):
         routes = {name: values.tolist() for name, values in _both_routes(family.kind, radii, ts).items()}
         for j, (radius, thetas) in enumerate(zip(radii.tolist(), ts.tolist())):
             samples.append({"polygon": _polygon.row_json(family.kind, args.n, radius, thetas),
@@ -317,10 +321,10 @@ def _crit1_polygons(seed: int, count: int):
         held = groups.pop((family, n))
         index = np.concatenate([i for i, _ in held])
         lo, hi = _optimize._radius_window(family, n, (0.05, 3.0))
-        radii, ts, left = _optimize._settled_rows(
+        radii, ts, _ = _optimize._settled_rows(
             family, n, lo, hi, np.concatenate([w for _, w in held]),
-            lambda rows, width: _optimize._read(seed, index[rows], width + 1)[:, 1:])
-        _optimize._redraw(left, lambda j: _crit1_draw(int(index[j]), stream(int(index[j]))), radii, ts)
+            lambda rows, width: _optimize._read(seed, index[rows], width + 1)[:, 1:],
+            lambda j: _crit1_draw(int(index[j]), stream(int(index[j]))))
         return family.kind, radii, ts
 
     for start, words in _optimize._word_blocks(seed, count, 14):  # n, radius, up to 12 angles

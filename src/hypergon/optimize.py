@@ -114,8 +114,7 @@ def _streams(seed: int) -> Callable[[int], np.random.Generator]:
 
 # Words per block: a block's arrays stay this small whatever n is.
 BLOCK_WORDS = 1 << 13
-# Words per stream of the second read of a redrawing row that its block's
-# words do not settle, unless four polygon attempts need more.
+# Least words per stream of _settled_rows' second read of redrawing rows.
 REREAD_WORDS = 64
 
 # Philox4x64-10 (Salmon et al., SC 2011, and Random123): the two round
@@ -246,43 +245,45 @@ def _polygon_rows(family: type, n: int, lo: float, hi: float, words: np.ndarray,
 
 
 def _settled_rows(family: type, n: int, lo: float, hi: float, words: np.ndarray,
-                  reread: Callable[[np.ndarray, int], np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_polygon_rows with redraws, as (radii, apex angles, rows left).  The
-    rows that words do not settle are read again, once, at
-    max(REREAD_WORDS, 4 * (n + 1)) words by reread(rows, width), and walked
-    again; the rows still unsettled are left to a scalar replay."""
-    radii, ts, settled, _ = _polygon_rows(family, n, lo, hi, words, redraw=True)
+                  reread: Callable[[np.ndarray, int], np.ndarray], replay: Callable[[int], _polygon.Polygon],
+                  redraw: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_polygon_rows to the end, as (radii, apex angles, ideal rows).  The
+    rows that words do not settle are read again, once, by reread(rows,
+    width) at four polygon attempts, or REREAD_WORDS if redrawing and more,
+    and walked again: words are a prefix of each stream.  Row j still
+    unsettled becomes the scalar replay(j), or ideal if it raises IdealVertex."""
+    radii, ts, settled, ideal = _polygon_rows(family, n, lo, hi, words, redraw)
     rows = np.flatnonzero(~settled)
     if len(rows):
-        wide = reread(rows, max(REREAD_WORDS, 4 * (n + 1)))
-        radii[rows], ts[rows], settled[rows], _ = _polygon_rows(family, n, lo, hi, wide, redraw=True)
-    return radii, ts, np.flatnonzero(~settled)
-
-
-def _redraw(rows, draw: Callable, radii: np.ndarray, ts: np.ndarray) -> None:
-    """Row j of radii and ts becomes the polygon draw(j), for each j in rows."""
-    for j in rows.tolist():
-        poly = draw(j)
+        wide = reread(rows, max(REREAD_WORDS if redraw else 0, 4 * (n + 1)))
+        radii[rows], ts[rows], settled[rows], ideal[rows] = _polygon_rows(family, n, lo, hi, wide, redraw)
+    for j in np.flatnonzero(~settled).tolist():
+        try:
+            poly = replay(j)
+        except IdealVertex:
+            ideal[j] = True
+            continue
         radii[j], ts[j] = poly.radius, poly.thetas
+    return radii, ts, ideal
 
 
 def polygon_blocks(family: type, n: int, lo: float, hi: float, seed: int, count: int,
-                   regular: bool = False) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+                   regular: bool = False, redraw: bool = True) -> Iterator[tuple[np.ndarray, ...]]:
     """The polygons of streams 0 .. count-1 of seed, as blocks of (radii,
-    apex angles) arrays.  Each is what random_cyclic_polygon or
-    random_tangential_polygon draws on its stream, or with regular
+    apex angles, ideal rows) arrays.  Each is what random_cyclic_polygon or
+    random_tangential_polygon draws on its stream, or without redraw
+    _draw_polygon, whose ideal rows are garbage, or with regular
     family.regular(n, rng.uniform(lo, hi)); (lo, hi) is a _radius_window."""
     stream = _streams(seed)
-    draw = random_tangential_polygon if family is TangentialPolygon else random_cyclic_polygon
+    draw = random_tangential_polygon if redraw and family is TangentialPolygon else (
+        lambda n, window, rng: _draw_polygon(family, n, *window, rng))
     for start, words in _word_blocks(seed, count, 1 if regular else n + 1):
         if regular:
             polys = [family.regular(n, r) for r in _uniform(words[:, 0], lo, hi).tolist()]
-            yield np.array([p.radius for p in polys]), np.array([p.thetas for p in polys])
+            yield np.array([p.radius for p in polys]), np.array([p.thetas for p in polys]), np.zeros(len(polys), bool)
             continue
-        radii, ts, left = _settled_rows(family, n, lo, hi, words,
-                                        lambda rows, width: _read(seed, start + rows, width))
-        _redraw(left, lambda j: draw(n, (lo, hi), stream(start + j)), radii, ts)
-        yield radii, ts
+        yield _settled_rows(family, n, lo, hi, words, lambda rows, width: _read(seed, start + rows, width),
+                            lambda j: draw(n, (lo, hi), stream(start + j)), redraw)
 
 
 # ---------------------------------------------------------------------------
@@ -755,8 +756,13 @@ def make_problem(
         raise Infeasible(f"unknown objective {name!r}; known: {sorted(_OBJECTIVE_SPECS)}")
     _bounds._check_nk(n, k)
     spec = _OBJECTIVE_SPECS[name]
-    if radius is None:
+    if spec["radius_default"] is None:
+        if radius is not None:
+            raise Infeasible(f"objective {name!r} takes no radius, got {radius!r}")
+    elif radius is None:
         radius = spec["radius_default"]
+    elif not 0.0 < radius <= LEG_MAX:
+        raise Infeasible(f"objective {name!r} needs a radius in (0, {LEG_MAX}], got {radius!r}")
     f, interval = spec["make"](n, radius)
     lo, hi = interval
     if c is None:
@@ -888,26 +894,14 @@ def _margins(kind: str, actual: np.ndarray, bound: np.ndarray) -> np.ndarray:
 def _polygon_draws(entry: dict, n: int, radius_range: tuple[float, float]) -> tuple[Callable, None, dict]:
     """One random polygon of the record's family per draw, checked against the
     bound at its radius; the equality case is re-checked at every radius.
-
-    A block reads three partition attempts per stream below n = 12, where
-    random_partition can reject one; a row all of whose attempts it rejects
-    is replayed by _draw_polygon, and a tangential row with an ideal vertex
-    is skipped."""
+    A draw is _draw_polygon's, from polygon_blocks without redraw, and a
+    tangential polygon with an ideal vertex is skipped."""
     family = TangentialPolygon if entry["family"] == "tangential" else CyclicPolygon
     lo, hi = _radius_window(family, n, radius_range)
 
     def blocks(seed, trials):
-        stream = _streams(seed)
-        for start, words in _word_blocks(seed, trials, 1 + (3 if n < 12 else 1) * n):
-            radii, ts, settled, ideal = _polygon_rows(family, n, lo, hi, words, redraw=False)
-            keep = settled & ~ideal
-            for j in np.flatnonzero(~settled).tolist():
-                try:
-                    poly = _draw_polygon(family, n, lo, hi, stream(start + j))
-                except IdealVertex:
-                    continue
-                radii[j], ts[j], keep[j] = poly.radius, poly.thetas, True
-            rows = np.flatnonzero(keep)
+        for radii, ts, ideal in polygon_blocks(family, n, lo, hi, seed, trials, redraw=False):
+            rows = np.flatnonzero(~ideal)
             r, t = radii[rows], ts[rows]
             bound = entry["rows"](n, r)
             metric = _polygon.perimeter_rows if bound.quantity == "perimeter" else _polygon.area_rows
@@ -919,7 +913,7 @@ def _polygon_draws(entry: dict, n: int, radius_range: tuple[float, float]) -> tu
                 return {"polygon": _polygon.row_json(family.kind, n, radius, t[i].tolist()),
                         "bound": entry["func"](n, radius).to_json_dict()}
 
-            yield (len(keep) - len(rows), _margins(bound.kind, metric(family.kind, r, t), bound.value),
+            yield (len(ideal) - len(rows), _margins(bound.kind, metric(family.kind, r, t), bound.value),
                    bound.value, np.abs(equal - bound.value[bound.equality]), witness)
 
     return blocks, None, {"radius_range": [lo, hi]}

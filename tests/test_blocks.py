@@ -123,8 +123,8 @@ def scalar_polygon(family, n, lo, hi, rng):
 
 
 def verify_width(n):
-    """Words per stream of a verify polygon block: three partition attempts below n = 12."""
-    return 1 + (3 if n < 12 else 1) * n
+    """Words per stream of a verify polygon block: one polygon attempt."""
+    return n + 1
 
 
 def scalar_margin(res, actual):
@@ -220,10 +220,11 @@ def test_split_draws_match_random_split(monkeypatch, theorem, k, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("n", range(3, 12))
 def test_partition_attempts_match_random_partition(monkeypatch, n, seed):
-    # below n = 12 a verify block reads three random_partition attempts per
-    # stream; blocks of 37 rows cut the run mid-way.  Rows that need a fourth
-    # attempt are not plain: verify replays them, which the draw test above
-    # compares at n = 3.
+    # the walker without redraws on rows of three random_partition attempts,
+    # below n = 12, where random_partition can reject one; blocks of 37 rows
+    # cut the run mid-way.  Rows that need a fourth attempt are not plain:
+    # they are left to the re-read and the scalar replay, which
+    # test_verify_rows_settle_in_three_stages compares at n = 3.
     width = 1 + 3 * n
     monkeypatch.setattr(optimize, "BLOCK_WORDS", 37 * width + 5)
     attempts = collections.Counter()
@@ -289,7 +290,7 @@ def verdicts(rep):
             "counterexample": rep.counterexample}
 
 
-def scalar_verify(theorem, n, k, trials, seed):
+def scalar_verify(theorem, n, k, trials, seed, window=(0.1, 2.0)):
     """verify_theorem from the scalar draws and bounds, with each draw's
     metric from a one-row call of the block kernel."""
     entry = bounds.THEOREMS[theorem]
@@ -311,7 +312,7 @@ def scalar_verify(theorem, n, k, trials, seed):
             draws.append((margin, res.value, witness, None))
     else:
         family = TangentialPolygon if entry["family"] == "tangential" else CyclicPolygon
-        lo, hi = optimize._radius_window(family, n, (0.1, 2.0))
+        lo, hi = optimize._radius_window(family, n, window)
         for rng in streams(seed, trials):
             poly = scalar_polygon(family, n, lo, hi, rng)
             if poly is None:
@@ -350,6 +351,80 @@ def test_verify_theorem_matches_the_scalar_loop(monkeypatch, theorem, tightened)
         assert verdicts(rep) == scalar_verify(theorem, 3, k, count, DEFAULT_SEED)
         violated |= rep.violations > 0
     assert violated == tightened
+
+
+def stream_index(rng):
+    """The stream a generator from optimize._streams was pointed to."""
+    return rng.bit_generator.state["state"]["counter"][2]
+
+
+def count_work(monkeypatch):
+    """Counters of the streams optimize._read computes, per width, and of
+    the streams handed to the scalar _draw_polygon, under "replays"."""
+    read, draw_polygon = optimize._read, optimize._draw_polygon
+    work = collections.Counter()
+    replays = []
+
+    def counted_read(seed, indices, width):
+        words = read(seed, indices, width)
+        work[width] += len(words)
+        return words
+
+    def counted_draw(family, n, lo, hi, rng):
+        work["replays"] += 1
+        replays.append(stream_index(rng))
+        return draw_polygon(family, n, lo, hi, rng)
+
+    monkeypatch.setattr(optimize, "_read", counted_read)
+    monkeypatch.setattr(optimize, "_draw_polygon", counted_draw)
+    return work, replays
+
+
+def test_verify_rows_settle_in_three_stages(monkeypatch):
+    # n = 3 near the tangential limit, where random_partition rejects often
+    # and most polygons have an ideal vertex.  A verify row is settled by
+    # the read of one polygon attempt, n + 1 words, by the re-read of four,
+    # or by the scalar replay, by how many words its scalar draw reads; a
+    # row with an ideal vertex is skipped at every stage, never redrawn
+    n, count, window = 3, 2000, (0.4, 0.6)
+    monkeypatch.setattr(optimize, "BLOCK_WORDS", SMALL_BLOCK)
+    lo, hi = optimize._radius_window(TangentialPolygon, n, window)
+    want, stage = [], []
+    for rng in streams(DEFAULT_SEED, count):
+        want.append(scalar_polygon(TangentialPolygon, n, lo, hi, rng))
+        used = words_read(rng)
+        stage.append(0 if used <= n + 1 else 1 if used <= 4 * (n + 1) else 2)
+    assert {(s, p is None) for s, p in zip(stage, want)} == set(itertools.product((0, 1, 2), (False, True)))
+    work, replays = count_work(monkeypatch)
+    entry = bounds.THEOREMS["1.3"]
+    blocks, _, _ = optimize._polygon_draws(entry, n, window)
+    kept = []
+    for _, margins, _, _, witness in blocks(DEFAULT_SEED, count):
+        kept += [witness(i)["polygon"] for i in range(len(margins))]
+    assert kept == [polygon.to_json_dict(p) for p in want if p is not None]
+    assert dict(work) == {n + 1: count, 4 * (n + 1): stage.count(1) + stage.count(2), "replays": stage.count(2)}
+    assert replays == [i for i, s in enumerate(stage) if s == 2]
+    # the counterexample a tightened bound finds is the scalar loop's first
+    tighten(monkeypatch, "1.3")
+    rep = optimize.verify_theorem("1.3", n=n, radius_range=window, trials=count)
+    assert rep.violations > 0
+    assert verdicts(rep) == scalar_verify("1.3", n, 1, count, DEFAULT_SEED, window)
+
+
+def test_verify_reads_one_polygon_attempt_per_stream(monkeypatch):
+    # Philox blocks of four words: at n = 6 a verify row reads two, and the
+    # few rows whose first partition is rejected are read again at 28 words
+    work, _ = count_work(monkeypatch)
+    optimize.verify_theorem("1.2", n=6, trials=10_000)
+    assert set(work) <= {7, 28}
+    assert work[7] == 10_000 and work[28] <= 10
+    assert sum(streams * -(-width // 4) for width, streams in work.items()) == 2 * 10_000 + 7 * work[28]
+    # the verify benchmark's n = 3 cell replays under 1% of its rows
+    for window in WINDOWS:
+        work.clear()
+        optimize.verify_theorem("1.3", n=3, radius_range=window, trials=2000)
+        assert set(work) <= {4, 16, "replays"}
+        assert work[4] == 2000 and work["replays"] < 20
 
 
 NAN = math.nan
@@ -400,8 +475,9 @@ def test_polygon_blocks_match_the_sample_draws(monkeypatch, family, n, window, r
     for seed in SEEDS:
         for count in boundary_counts(1 if regular else n + 1):
             blocks = list(optimize.polygon_blocks(family, n, lo, hi, seed, count, regular))
-            radii = np.concatenate([r for r, _ in blocks])
-            ts = np.concatenate([t for _, t in blocks])
+            radii = np.concatenate([r for r, _, _ in blocks])
+            ts = np.concatenate([t for _, t, _ in blocks])
+            assert not np.concatenate([ideal for _, _, ideal in blocks]).any()
             want = [family.regular(n, rng.uniform(lo, hi)) if regular else sampler(n, (lo, hi), rng)
                     for rng in streams(seed, count)]
             assert hexes(radii) == hexes(p.radius for p in want)

@@ -19,6 +19,7 @@ import frozen
 import hypergon
 from hypergon import bounds, cli, optimize, polygon
 from hypergon.cli import CSV_HEADER, main
+from hypergon.errors import IdealVertex
 
 
 def run_cli(capsys, *argv):
@@ -383,13 +384,21 @@ def test_sample_cyclic_keys(capsys):
 
 def test_sample_near_the_tangential_limit_exits_2(capsys):
     # the window (0.548, 0.5488) sits just below the 3-gon's ideal-vertex
-    # limit: no row of the block walk settles, even read again wide, and
-    # the scalar replay gives up after its 1000 attempts
+    # limit: no row of the block walk settles, even read again wide, so
+    # every row goes to the scalar replay, which gives up after its 1000
+    # attempts
     lo, hi = optimize._radius_window(polygon.TangentialPolygon, 3, (0.548, 0.6))
     seed = optimize.DEFAULT_SEED
-    _, _, left = optimize._settled_rows(polygon.TangentialPolygon, 3, lo, hi, optimize._read(seed, range(10), 4),
-                                        lambda rows, width: optimize._read(seed, rows, width))
-    assert left.tolist() == list(range(10))
+    replayed = []
+
+    def replay(j):
+        replayed.append(j)
+        raise IdealVertex("replayed")
+
+    _, _, ideal = optimize._settled_rows(polygon.TangentialPolygon, 3, lo, hi, optimize._read(seed, range(10), 4),
+                                         lambda rows, width: optimize._read(seed, rows, width), replay)
+    assert replayed == list(range(10))
+    assert ideal.all()
     assert main(["sample", "--kind", "tangential", "--n", "3", "--range", "0.548:0.6"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -436,6 +445,24 @@ def test_optimize_checks_n_before_building_the_objective(capsys, argv):
     assert captured.err.splitlines() == [f"error: Infeasible: need integer n >= 3, got {argv[-1]}"]
 
 
+@pytest.mark.parametrize("argv, error", [
+    # a radius used to be ignored by the objectives that take none
+    (("--objective", "thm9_theta", "--radius", "nan"), "objective 'thm9_theta' takes no radius, got nan"),
+    (("--thm", "1.5", "--radius", "1"), "objective 'thm5_radius' takes no radius, got 1.0"),
+    # and to fail on the empty interval it gave a sector objective
+    (("--objective", "tangential_tangent_length", "--radius", "inf"),
+     "objective 'tangential_tangent_length' needs a radius in (0, 700.0], got inf"),
+    (("--objective", "cyclic_half_side", "--radius", "0"),
+     "objective 'cyclic_half_side' needs a radius in (0, 700.0], got 0.0"),
+])
+def test_optimize_checks_the_radius(capsys, argv, error):
+    code = main(["optimize", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: Infeasible: {error}"]
+
+
 def test_optimize_oracle_outside_k_2_or_3_exits_2_before_solving(capsys, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("the solve ran")
@@ -458,6 +485,21 @@ def test_bad_range_spec(capsys):
     for spec in ("inf:inf:1", "1:inf:3", "nan:1:2", "-1e308:1e308:3"):
         code, _ = run_cli(capsys, "bounds", "--thm", "1.2", f"--range={spec}")
         assert code == 2, spec
+
+
+@pytest.mark.parametrize("spec, need", [
+    ("1:2:0", "steps >= 1"),
+    ("1:2:-3", "steps >= 1"),
+    ("1:1:3", "lo < hi when steps > 1"),
+    ("2:1:5", "finite ends with lo <= hi"),
+    ("nan:1:1", "finite ends with lo <= hi"),
+])
+def test_bad_range_names_the_condition_that_failed(capsys, spec, need):
+    code = main(["bounds", "--thm", "1.1", f"--range={spec}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: bad range {spec!r}; need {need}"]
 
 
 def test_report_rejects_empty_batteries(tmp_path, capsys):

@@ -289,6 +289,12 @@ def test_make_problem_guards():
         make_problem("no_such_objective")
     with pytest.raises(Infeasible):
         make_problem("thm5_radius", k=1)
+    # only a sector objective takes a radius, and only in (0, LEG_MAX]
+    with pytest.raises(Infeasible, match="takes no radius"):
+        make_problem("thm5_radius", radius=1.0)
+    for radius in (0.0, -1.0, 700.5, math.inf, math.nan):
+        with pytest.raises(Infeasible, match="needs a radius"):
+            make_problem("tangential_interior_angle", radius=radius)
 
 
 def test_theorem_objective_map():
