@@ -574,7 +574,8 @@ def render_bundle(n: int, k: int, seed: int, polygons: int, trials: int, splits:
         "",
         "Draws that violate an admissibility guard are skipped, never",
         "resampled; equality is re-checked at the regular/uniform",
-        f"configuration (tolerance {_optimize.EQ_TOL:g}).",
+        f"configuration (tolerance {_optimize.EQ_TOL:g} for a polygon and",
+        f"{_optimize.EQ_TOL:g} * max(1, |bound|) for a split).",
         "",
     ]
     lines += _md_table(

@@ -5,11 +5,11 @@ the restriction of the Minkowski form, so dist(p, q) = acosh(<p, q>) with
 <p, q> = p0*q0 - p1*q1 - p2*q2.  Everything a polygon claims in closed form
 can be re-measured here from raw coordinates.
 
-embed_rows, measured_perimeter_rows and measured_area_rows do the same for a
-block of polygons of one family and one n, with the coordinates as three
-(polygons, n) arrays.  They follow embed and the per-embedding
-measurements step for step with numpy's ufuncs, so a row's values agree
-with theirs to the rounding the tests state, not bit for bit.
+Each measurement is written once, for a block: embed_rows places the
+polygons of one family and one n, as three (polygons, n) coordinate arrays,
+and dist_rows, measured_perimeter_rows and measured_area_rows measure them
+with numpy's ufuncs.  dist, embed, measured_perimeter and measured_area are
+their one-row calls on HPoint and Embedding values.
 """
 
 from __future__ import annotations
@@ -20,20 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidPoint, OutOfRange
-from .hypmath import (
-    acosh1p,
-    acosh1p_rows,
-    angle_from_sides,
-    fsum_rows,
-    hyp_hypotenuse,
-    hyp_hypotenuse_rows,
-)
-from .polygon import (
-    CyclicPolygon,
-    Polygon,
-    TangentialPolygon,
-    tangential_tangent_length,
-)
+from .hypmath import acosh1p_rows, angle_from_sides, fsum_rows, hyp_hypotenuse_rows
+from .polygon import Polygon, tangential_tangent_length
 
 # A point whose sheet residual exceeds this is rejected outright.
 SHEET_TOL = 1e-9
@@ -69,12 +57,22 @@ def point_at(d: float, alpha: float) -> HPoint:
     return HPoint(math.cosh(d), sh * math.cos(alpha), sh * math.sin(alpha))
 
 
-def mink(p: HPoint, q: HPoint) -> float:
-    return p.x0 * q.x0 - p.x1 * q.x1 - p.x2 * q.x2
+def _coords(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The coordinates of points as three (1, len(points)) arrays."""
+    return tuple(np.array([[getattr(p, x) for p in points]]) for x in ("x0", "x1", "x2"))
 
 
 def dist(p: HPoint, q: HPoint) -> float:
-    """Geodesic distance acosh(<p, q>), organised to avoid cancellation.
+    """Geodesic distance from p to q: the one-row call of dist_rows."""
+    _validate(p)
+    _validate(q)
+    return float(dist_rows(*_coords([p]), *_coords([q]))[0, 0])
+
+
+def dist_rows(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray,
+              q0: np.ndarray, q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
+    """acosh(<p, q>) between each p = (x0, x1, x2) and q = (q0, q1, q2) on
+    the sheet, organised to avoid cancellation.
 
     The bilinear form rounds on the scale of p0*q0, which wipes out the
     digits that matter when <p, q> - 1 is much smaller than that: for nearby
@@ -85,15 +83,10 @@ def dist(p: HPoint, q: HPoint) -> float:
     on the sheet.  They are used when t <= 1/2 or when their scale is below
     p0*q0 / 2^10, that is, where the bilinear form has cancelled ten bits.
     """
-    _validate(p)
-    _validate(q)
-    t = mink(p, q) - 1.0
-    dx0 = p.x0 - q.x0
-    dx1 = p.x1 - q.x1
-    dx2 = p.x2 - q.x2
-    if t <= 0.5 or 1024.0 * (dx0 * dx0 + dx1 * dx1 + dx2 * dx2) < p.x0 * q.x0:
-        t = 0.5 * ((dx1 * dx1 + dx2 * dx2) - dx0 * dx0)
-    return acosh1p(t)
+    t = x0 * q0 - x1 * q1 - x2 * q2 - 1.0
+    dx0, dx1, dx2 = x0 - q0, x1 - q1, x2 - q2
+    near = (t <= 0.5) | (1024.0 * (dx0 * dx0 + dx1 * dx1 + dx2 * dx2) < x0 * q0)
+    return acosh1p_rows(np.where(near, 0.5 * ((dx1 * dx1 + dx2 * dx2) - dx0 * dx0), t))
 
 
 @dataclass(frozen=True)
@@ -105,68 +98,31 @@ class Embedding:
     kind: str
 
 
-def _bearings(thetas) -> list[float]:
-    out = [0.0]
-    for t in thetas[:-1]:
-        out.append(out[-1] + t)
-    return out
-
-
-def embed_cyclic(p: CyclicPolygon) -> Embedding:
-    """Vertex i sits at distance R, bearing sum(theta_j for j < i)."""
-    cums = _bearings(p.thetas)
-    verts = tuple(point_at(p.R, a) for a in cums)
-    return Embedding(center=ORIGIN, vertices=verts, kind="cyclic")
-
-
-def embed_tangential(p: TangentialPolygon) -> Embedding:
-    """Vertex i on the bisector of sector i; each edge touches the incircle.
-
-    The vertex distance comes from the right-triangle composition
-    cosh d_i = cosh r * cosh b(theta_i).
-    """
-    cums = _bearings(p.thetas)
-    bs = tangential_tangent_length(np.array(p.thetas), p.r).tolist()
-    verts = []
-    for i, (t, b) in enumerate(zip(p.thetas, bs)):
-        d = hyp_hypotenuse(p.r, b)
-        verts.append(point_at(d, cums[i] + 0.5 * t))
-    return Embedding(center=ORIGIN, vertices=tuple(verts), kind="tangential")
-
-
 def embed(p: Polygon) -> Embedding:
-    if isinstance(p, CyclicPolygon):
-        return embed_cyclic(p)
-    return embed_tangential(p)
+    """The one-row call of embed_rows, centered at ORIGIN."""
+    xs = embed_rows(p.kind, np.array([p.radius]), np.array([p.thetas]))
+    return Embedding(ORIGIN, tuple(HPoint(*v) for v in zip(*(x[0].tolist() for x in xs))), p.kind)
 
 
 def measured_perimeter(e: Embedding) -> float:
-    vs = e.vertices
-    n = len(vs)
-    return math.fsum(dist(vs[i], vs[(i + 1) % n]) for i in range(n))
+    """The one-row call of measured_perimeter_rows."""
+    return float(measured_perimeter_rows(*_coords(e.vertices))[0])
 
 
 def measured_area(e: Embedding) -> float:
-    """Area as a sum of sector triangles (center c, v_i, v_i+1).
-
-    Each is tan(A/2) = |det[c, p, q]| / (1 + <c, p> + <p, q> + <q, c>), the
-    hyperboloid form of Van Oosterom & Strackee's solid-angle formula; it
-    needs no side lengths, so tiny triangles lose no digits to cancellation.
-    """
-    c, vs = e.center, e.vertices
-    for v in (c, *vs):
-        _validate(v)
-    total = 0.0
-    for p, q in zip(vs, vs[1:] + vs[:1]):
-        det = (c.x0 * (p.x1 * q.x2 - p.x2 * q.x1)
-               - c.x1 * (p.x0 * q.x2 - p.x2 * q.x0)
-               + c.x2 * (p.x0 * q.x1 - p.x1 * q.x0))
-        total += 2.0 * math.atan2(abs(det), 1.0 + mink(c, p) + mink(p, q) + mink(q, c))
-    return total
+    """The one-row call of measured_area_rows, about e's center."""
+    _validate(e.center)
+    return float(measured_area_rows(*_coords(e.vertices), e.center)[0])
 
 
 def embed_rows(kind: str, radii: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The vertex coordinates (x0, x1, x2) embed gives every row's polygon."""
+    """The vertex coordinates (x0, x1, x2) of every row's polygon about ORIGIN.
+
+    Cyclic vertex i sits at distance R, bearing sum(theta_j for j < i).
+    Tangential vertex i sits on the bisector of sector i, so each edge
+    touches the incircle, at the distance d_i of the right-triangle
+    composition cosh d_i = cosh r * cosh b(theta_i).
+    """
     bearings = np.zeros_like(ts)
     np.cumsum(ts[:, :-1], axis=1, out=bearings[:, 1:])
     if kind == "cyclic":
@@ -191,20 +147,20 @@ def _validate_rows(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> None:
 
 
 def measured_perimeter_rows(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """measured_perimeter of every row's embedding, each side by dist."""
+    """The perimeter of every row's vertex ring, each side by dist_rows."""
     _validate_rows(x0, x1, x2)
-    q0, q1, q2 = (np.roll(x, -1, axis=1) for x in (x0, x1, x2))
-    t = x0 * q0 - x1 * q1 - x2 * q2 - 1.0
-    dx0, dx1, dx2 = x0 - q0, x1 - q1, x2 - q2
-    near = (t <= 0.5) | (1024.0 * (dx0 * dx0 + dx1 * dx1 + dx2 * dx2) < x0 * q0)
-    t = np.where(near, 0.5 * ((dx1 * dx1 + dx2 * dx2) - dx0 * dx0), t)
-    return fsum_rows(acosh1p_rows(t))
+    return fsum_rows(dist_rows(x0, x1, x2, *(np.roll(x, -1, axis=1) for x in (x0, x1, x2))))
 
 
-def measured_area_rows(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """measured_area of every row's embedding about ORIGIN, summed in ring order."""
+def measured_area_rows(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray, c: HPoint = ORIGIN) -> np.ndarray:
+    """The area of every row's vertex ring as a sum of sector triangles
+    (center c, v_i, v_i+1), added in ring order.
+
+    Each is tan(A/2) = |det[c, p, q]| / (1 + <c, p> + <p, q> + <q, c>), the
+    hyperboloid form of Van Oosterom & Strackee's solid-angle formula; it
+    needs no side lengths, so tiny triangles lose no digits to cancellation.
+    """
     _validate_rows(x0, x1, x2)
-    c = ORIGIN  # its zero coordinates enter as in measured_area
     q0, q1, q2 = (np.roll(x, -1, axis=1) for x in (x0, x1, x2))
     det = (c.x0 * (x1 * q2 - x2 * q1)
            - c.x1 * (x0 * q2 - x2 * q0)

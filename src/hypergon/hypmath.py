@@ -1,4 +1,4 @@
-"""Stable scalar kernels, triangle relations and regular-polygon conversions.
+"""Stable kernels, triangle relations and regular-polygon conversions.
 
 Everything here works in the hyperbolic plane of curvature -1.  The
 kernels evaluate asinh, atanh, acosh(1 + t), cosh - 1 and acos without the
@@ -7,23 +7,18 @@ a right triangle from its legs (cosh a = cosh b * cosh c), an angle from
 three sides by the law of cosines, and the conversions between the
 quantities of a regular n-gon.
 
-The *_rows kernels -- fsum_rows, stable_asinh_rows, stable_atanh_rows,
-acosh1p_rows, coshm1_rows, acos_snapped_rows, hyp_hypotenuse_rows and
-regular_convert_rows -- take float64 arrays and follow the scalar kernel of
-the same name step for step, branches and error messages included, but
-evaluate every transcendental function with numpy's ufunc (np.log1p,
-np.sinh, np.arctan2, ...).  Those run the SIMD kernels numpy dispatches on
-this CPU and may differ from the math module in the last bit or two, so a
-rows kernel agrees with its scalar twin to a few ulp, not bit for bit; the
-tests bound both against a 40-digit reference.  An element's value does not
-depend on the rest of its array, so a block value and the one-row call
-that recomputes it agree exactly.  fsum_rows is the exception: it returns
-math.fsum's correctly rounded sum of every row, bit for bit, which the
-partition draws rely on, deciding it with error-free array arithmetic and
+The *_rows kernels take float64 arrays and evaluate every transcendental
+function with numpy's ufuncs, which run the SIMD kernels numpy dispatches on
+this CPU.  An element's value does not depend on the rest of its array, so
+coshm1, acos_snapped, hyp_hypotenuse and regular_convert, the one-row calls
+of their rows kernels, equal a block's element bit for bit.  stable_asinh,
+stable_atanh and acosh1p, which the scalar bounds call many times, stay on
+the math module; their rows kernels take the same branches and raise the
+same errors, and agree with them to a few ulp (the tests bound both against
+a 40-digit reference).  fsum_rows returns math.fsum's correctly rounded sum
+of every row, bit for bit, deciding it with error-free array arithmetic and
 calling math.fsum only on the rows that arithmetic leaves undecided.
-regular_convert is the one-row call of regular_convert_rows.
 """
-
 from __future__ import annotations
 
 import math
@@ -80,29 +75,24 @@ def acosh1p(t: float) -> float:
     return math.log1p(t + math.sqrt(t * (t + 2.0)))
 
 
+def _one_row(kernel, *args) -> float:
+    """kernel called on one-element arrays of args, as a float."""
+    return float(kernel(*(np.array([a], dtype=np.float64) for a in args))[0])
+
+
 def coshm1(x: float) -> float:
-    """cosh(x) - 1 without cancellation: 2*sinh(x/2)^2."""
-    s = math.sinh(0.5 * x)
-    return 2.0 * s * s
+    """The one-row call of coshm1_rows."""
+    return _one_row(coshm1_rows, x)
 
 
 def acos_snapped(x: float) -> float:
-    """acos with the upper branch point snapped.
+    """The one-row call of acos_snapped_rows."""
+    return _one_row(acos_snapped_rows, x)
 
-    Arguments within _BRANCH_SNAP of 1 return exactly 0.0 so that
-    configurations sitting on an ideal boundary in exact arithmetic do not
-    pick up an O(sqrt(eps)) angle from float dust.  Arguments further above 1
-    are the caller's problem.
-    """
-    if x >= 1.0 - _BRANCH_SNAP:
-        if x > 1.0 + EPS_REL:
-            raise OutOfRange(f"acos argument {x!r} above 1")
-        return 0.0
-    if x <= -1.0:
-        if x < -1.0 - EPS_REL:
-            raise OutOfRange(f"acos argument {x!r} below -1")
-        return math.pi
-    return math.acos(x)
+
+def hyp_hypotenuse(b: float, c: float) -> float:
+    """The one-row call of hyp_hypotenuse_rows."""
+    return _one_row(hyp_hypotenuse_rows, b, c)
 
 
 # fsum_rows settles a row with array arithmetic only while its largest
@@ -204,13 +194,16 @@ def acosh1p_rows(t: np.ndarray) -> np.ndarray:
 
 
 def coshm1_rows(x: np.ndarray) -> np.ndarray:
-    """coshm1 of every element."""
+    """cosh(x) - 1 of every element without cancellation: 2*sinh(x/2)^2."""
     s = np.sinh(0.5 * x)
     return 2.0 * s * s
 
 
 def acos_snapped_rows(x: np.ndarray) -> np.ndarray:
-    """acos_snapped of every element."""
+    """acos of every element, 0.0 within _BRANCH_SNAP of 1 and pi from -1
+    down, so that configurations on an ideal boundary in exact arithmetic
+    pick up no O(sqrt(eps)) angle from float dust.  Arguments past either
+    end by more than EPS_REL raise."""
     for bad, side in ((x > 1.0 + EPS_REL, "above 1"), (x < -1.0 - EPS_REL, "below -1")):
         if bad.any():
             raise OutOfRange(f"acos argument {float(x[bad][0])!r} {side}")
@@ -222,7 +215,9 @@ def acos_snapped_rows(x: np.ndarray) -> np.ndarray:
 
 
 def hyp_hypotenuse_rows(b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """hyp_hypotenuse of every pair of elements of b and c, of one shape."""
+    """The hypotenuse of each right triangle with legs b and c, of one shape:
+    cosh a = cosh b * cosh c, with cosh a - 1 assembled from nonnegative
+    terms, and in log space once the product would lose precision or overflow."""
     if (b < 0.0).any() or (c < 0.0).any():
         raise OutOfRange("legs must be nonnegative")
     if (b > LEG_MAX).any() or (c > LEG_MAX).any():
@@ -235,23 +230,6 @@ def hyp_hypotenuse_rows(b: np.ndarray, c: np.ndarray) -> np.ndarray:
     bn, cn = b[near], c[near]
     out[near] = acosh1p_rows(coshm1_rows(bn) * np.cosh(cn) + coshm1_rows(cn))
     return out
-
-
-def hyp_hypotenuse(b: float, c: float) -> float:
-    """Hypotenuse of the right triangle with legs b and c.
-
-    cosh a = cosh b * cosh c, evaluated in log space once the product would
-    lose precision or overflow.
-    """
-    if b < 0.0 or c < 0.0:
-        raise OutOfRange("legs must be nonnegative")
-    if b > LEG_MAX or c > LEG_MAX:
-        raise OutOfRange(f"leg beyond {LEG_MAX}; cosh would overflow")
-    if b + c > 40.0:
-        return b + c - _LN2 + math.log1p(math.exp(-2.0 * b)) + math.log1p(math.exp(-2.0 * c))
-    # cosh b * cosh c - 1 assembled from nonnegative terms only
-    t = coshm1(b) * math.cosh(c) + coshm1(c)
-    return acosh1p(t)
 
 
 def angle_from_sides(a: float, b: float, c: float) -> float:

@@ -279,8 +279,12 @@ def polygon_blocks(family: type, n: int, lo: float, hi: float, seed: int, count:
         lambda n, window, rng: _draw_polygon(family, n, *window, rng))
     for start, words in _word_blocks(seed, count, 1 if regular else n + 1):
         if regular:
-            polys = [family.regular(n, r) for r in _uniform(words[:, 0], lo, hi).tolist()]
-            yield np.array([p.radius for p in polys]), np.array([p.thetas for p in polys]), np.zeros(len(polys), bool)
+            # a regular polygon's apex angles do not depend on its radius, and
+            # every radius lies in the window, where only a radius of 0 fails
+            # the constructor: the smallest one stands for the block
+            radii = _uniform(words[:, 0], lo, hi)
+            thetas = family.regular(n, float(radii.min())).thetas
+            yield radii, np.tile(thetas, (len(radii), 1)), np.zeros(len(radii), bool)
             continue
         yield _settled_rows(family, n, lo, hi, words, lambda rows, width: _read(seed, start + rows, width),
                             lambda j: draw(n, (lo, hi), stream(start + j)), redraw)
@@ -553,6 +557,13 @@ class OptimizationReport:
         }
 
 
+def _bit_terms(v: np.ndarray, j: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Terms that add up to each v * j exactly: v * 2**b at each set bit b of
+    j, and 0 at the other bits.  A product with a power of two is exact, so
+    their correctly rounded sum is math.fsum of j copies of v."""
+    return np.where(j[:, None] >> bits & 1, v[:, None] * 2.0 ** bits, 0.0)
+
+
 def solve_equal_sum(problem: SeparableProblem, oracle_resolution: int | None = None) -> OptimizationReport:
     """Look for a split of c better than the uniform one among the two-value splits.
 
@@ -563,11 +574,12 @@ def solve_equal_sum(problem: SeparableProblem, oracle_resolution: int | None = N
     JIPAM 8(1), 2007, art. 15).  For each m = 1 .. k-1 the scan takes
     GRID_POINTS interior x of the range where m copies of x and k-m copies
     of y = (c - m*x)/(k - m) all lie in the open interval; one call of f
-    scores every x and one every y.  Taken in order of m and x, a point
-    replaces the best one so far only when it is better in the problem's
-    sense by more than the slack of the best value, INEQ_TOL * max(1,
-    |value|): the scanned split sums to c only up to rounding, and a few
-    ulps gained from a smaller sum are no gain.  The report's iterations
+    scores every x and one every y, and a split's value is math.fsum of its
+    k values.  Taken in order of m and x, a point replaces the best one so
+    far only when it is better in the problem's sense by more than the
+    slack of the best value, INEQ_TOL * max(1, |value|): the scanned split
+    sums to c only up to rounding, and a few ulps gained from a smaller sum
+    are no gain.  The report's iterations
     counts the points scored.
 
     Always runs, even with a mixed certificate; the report's certified flag
@@ -596,9 +608,14 @@ def solve_equal_sum(problem: SeparableProblem, oracle_resolution: int | None = N
     uniform = (c / k,) * k
     best_x = uniform
     best = uniform_value = problem.total(uniform)
-    fx, fy = _values(problem.f, x).tolist(), _values(problem.f, y).tolist()
-    for i, mi in enumerate(m.tolist()):
-        value = math.fsum([fx[i]] * mi + [fy[i]] * (k - mi))
+    fx, fy = _values(problem.f, x), _values(problem.f, y)
+    # a split's value is math.fsum of its k values, which fsum_rows gives
+    # from the O(log k) _bit_terms, BLOCK_WORDS points at a time
+    bits = np.arange(k.bit_length())
+    values = np.empty(len(m))
+    for t in (slice(s, s + BLOCK_WORDS) for s in range(0, len(m), BLOCK_WORDS)):
+        values[t] = fsum_rows(np.hstack([_bit_terms(fx[t], m[t], bits), _bit_terms(fy[t], k - m[t], bits)]))
+    for i, (mi, value) in enumerate(zip(m.tolist(), values.tolist())):
         if flip * (best - value) > INEQ_TOL * max(1.0, abs(best)):  # _slack(best), in floats
             best_x, best = (float(x[i]),) * mi + (float(y[i]),) * (k - mi), value
 
@@ -845,7 +862,10 @@ def verify_theorem(
     so an out-of-region total shows up as skipped == trials.  Inequalities
     are asserted with a slack of INEQ_TOL (1e-12) times the bound's size,
     max(1, |bound|), so that a rounding error in a large bound is not a
-    violation; the equality configuration is asserted with EQ_TOL (1e-9).
+    violation.  The equality configuration is asserted with EQ_TOL (1e-9)
+    for a single polygon, and with EQ_TOL * max(1, |bound|) for the uniform
+    split, whose left-to-right sum of k equal terms rounds by up to about
+    k**2 * eps * |term| / 4.
     The draws come in blocks, and each block's verdicts are reduced with
     numpy exactly as a loop over its draws in stream order would.
     """
@@ -856,11 +876,11 @@ def verify_theorem(
         _bounds._check_nk(n, k)
         if k < 2:
             raise Infeasible(f"{theorem_id} bounds a total over k >= 2 polygons, got k={k}")
-        blocks, eq_err, params = _split_draws(entry, n, k, entry["total"](n, k) if total is None else total)
+        blocks, eq_err, eq_tol, params = _split_draws(entry, n, k, entry["total"](n, k) if total is None else total)
     else:
         _bounds._check_nk(n)
         k = 1
-        blocks, eq_err, params = _polygon_draws(entry, n, radius_range)
+        blocks, eq_err, eq_tol, params = _polygon_draws(entry, n, radius_range)
     # blocks(seed, trials) yields, block by block, (skipped draws, margins
     # and bounds of the kept draws, equality errors, witness); witness(i)
     # gives the leading keys of kept draw i's counterexample
@@ -882,7 +902,7 @@ def verify_theorem(
     return VerificationReport(
         theorem=theorem_id, n=n, k=k, trials=trials, asserted=asserted, violations=violations,
         skipped=skipped, worst_margin=worst, slack_at_worst=slack_at_worst, equality_abs_error=eq_err,
-        tolerance=INEQ_TOL, equality_tolerance=EQ_TOL, seed=seed, params=params, counterexample=counterexample,
+        tolerance=INEQ_TOL, equality_tolerance=eq_tol, seed=seed, params=params, counterexample=counterexample,
     )
 
 
@@ -891,7 +911,7 @@ def _margins(kind: str, actual: np.ndarray, bound: np.ndarray) -> np.ndarray:
     return actual - bound if kind == "lower" else bound - actual
 
 
-def _polygon_draws(entry: dict, n: int, radius_range: tuple[float, float]) -> tuple[Callable, None, dict]:
+def _polygon_draws(entry: dict, n: int, radius_range: tuple[float, float]) -> tuple[Callable, None, float, dict]:
     """One random polygon of the record's family per draw, checked against the
     bound at its radius; the equality case is re-checked at every radius.
     A draw is _draw_polygon's, from polygon_blocks without redraw, and a
@@ -916,13 +936,13 @@ def _polygon_draws(entry: dict, n: int, radius_range: tuple[float, float]) -> tu
             yield (len(ideal) - len(rows), _margins(bound.kind, metric(family.kind, r, t), bound.value),
                    bound.value, np.abs(equal - bound.value[bound.equality]), witness)
 
-    return blocks, None, {"radius_range": [lo, hi]}
+    return blocks, None, EQ_TOL, {"radius_range": [lo, hi]}
 
 
-def _split_draws(entry: dict, n: int, k: int, total: float) -> tuple[Callable, float | None, dict]:
+def _split_draws(entry: dict, n: int, k: int, total: float) -> tuple[Callable, float | None, float, dict]:
     """One random split of the total per draw, as random_split draws it, each
     component a regular polygon spec(n, x); the equality case is the uniform
-    split, checked once here."""
+    split, checked once here with EQ_TOL * max(1, |bound|)."""
     res = entry["func"](n, k, total)
     spec = entry["spec"]
     lo, hi = entry["window"](n)
@@ -953,12 +973,12 @@ def _split_draws(entry: dict, n: int, k: int, total: float) -> tuple[Callable, f
             yield (len(splits) - len(rows), _margins(res.kind, sums, res.value),
                    np.full(len(rows), res.value), np.empty(0), witness)
 
-    eq_err = None
+    eq_err, eq_tol = None, EQ_TOL
     if res.feasible and res.equality_spec is not None:
         rows, sums = metrics(np.full((1, k), total / k))
         if len(rows):
-            eq_err = abs(float(sums[0]) - res.value)
-    return blocks, eq_err, {"total": total}
+            eq_err, eq_tol = abs(float(sums[0]) - res.value), EQ_TOL * max(1.0, abs(res.value))
+    return blocks, eq_err, eq_tol, {"total": total}
 
 
 def _regular_polygon_json(spec: RegularNGonSpec) -> dict:

@@ -7,18 +7,22 @@ Two contracts, tested separately:
   draws' (_streams with _draw_polygon, random_*_polygon or random_split),
   compared with float.hex or exact equality of whole structures.
 - Values are accurate, not bit-identical.  The block kernels evaluate
-  transcendentals with numpy's ufuncs and the scalar kernels with the math
-  module, so the two may differ in the last bits.  Each value is checked
-  against a 40-digit mpmath evaluation at the same float inputs, and
-  against the scalar route (hmodel.measured_*(embed)) where there is one,
-  within a stated number of rounding errors (MP_ULPS, ULPS, MEASURED_ULPS)
-  of the value's scale: the value itself for lengths and perimeters, n*pi
-  for deficit areas, plus its condition, how far the exact value moves when
-  every input moves by one part in 2**52.  A block value equals the one-row
-  call that recomputes it exactly, so a reported counterexample reproduces
-  bit for bit, and the scalar regular_convert, bounds, polygon.perimeter,
-  area and sector kernels and the registered objectives, being one-row or
-  one-point calls, match the blocks exactly.
+  transcendentals with numpy's ufuncs; the scalar stable_asinh,
+  stable_atanh and acosh1p use the math module, so they may differ from
+  their rows kernels in the last bits.
+  Each value is checked against a 40-digit mpmath evaluation at the same
+  float inputs (the measured routes against a 40-digit embedding measured
+  at 40 digits), and a scalar math kernel against its rows kernel, within
+  a stated number of rounding errors (MP_ULPS, ULPS, MEASURED_ULPS) of the
+  value's scale: the value itself for lengths and perimeters, n*pi for
+  deficit areas, plus its condition, how far the exact value moves when
+  every input moves by one part in 2**52.  A block value equals the
+  one-row call that recomputes it exactly, so a reported counterexample
+  reproduces bit for bit, and the scalar regular_convert, bounds,
+  polygon.perimeter, area and sector kernels, hmodel.embed and measured_*,
+  the hypmath kernels with a rows kernel apart from those three, and the
+  registered objectives, being one-row or one-point calls, match the
+  blocks exactly.
 """
 
 import collections
@@ -46,9 +50,9 @@ EPS = float(np.finfo(np.float64).eps)
 # Rounding errors a value may carry, in units of EPS times its scale.  Every
 # value is within MP_ULPS of the exact one at its inputs (the worst seen is
 # 1.3), and an elementwise kernel within MP_ULPS ulps of its scalar twin.  A
-# composite value adds up its kernels' errors, so block and scalar route
-# agree to ULPS, and a measured route, whose bilinear forms amplify its
-# coordinates' rounding far out (about 110 at radius 15), to MEASURED_ULPS.
+# composite value adds up its kernels' errors, so it is within ULPS, and a
+# measured route, whose bilinear forms amplify its coordinates' rounding far
+# out (about 45 at radius 15 and n = 200), within MEASURED_ULPS.
 MP_ULPS = 4
 ULPS = 16
 MEASURED_ULPS = 512
@@ -140,7 +144,7 @@ def test_verify_polygon_draws_match_scalar_draws(monkeypatch, theorem, n, window
     entry = bounds.THEOREMS[theorem]
     family = TangentialPolygon if entry["family"] == "tangential" else CyclicPolygon
     lo, hi = optimize._radius_window(family, n, window)
-    blocks, _, _ = optimize._polygon_draws(entry, n, window)
+    blocks, _, _, _ = optimize._polygon_draws(entry, n, window)
     for count in boundary_counts(verify_width(n)):
         scalar = [scalar_polygon(family, n, lo, hi, rng) for rng in streams(seed, count)]
         errors = []
@@ -191,10 +195,11 @@ def test_split_draws_match_random_split(monkeypatch, theorem, k, seed):
     monkeypatch.setattr(optimize, "BLOCK_WORDS", 64 * k)
     entry = bounds.THEOREMS[theorem]
     total = entry["total"](12, k)
-    blocks, eq_err, _ = optimize._split_draws(entry, 12, k, total)
+    blocks, eq_err, eq_tol, _ = optimize._split_draws(entry, 12, k, total)
     lo, hi = entry["window"](12)
     res = entry["func"](12, k, total)
     assert eq_err == abs(scalar_split_metric(entry, 12, [total / k] * k, res.quantity) - res.value)
+    assert eq_tol == optimize.EQ_TOL * max(1.0, abs(res.value))
     for count in boundary_counts(k):
         splits = [optimize.random_split(total, k, rng) for rng in streams(seed, count)]
         rest = iter(xs if all(lo < x < hi for x in xs) else None for xs in splits)
@@ -397,7 +402,7 @@ def test_verify_rows_settle_in_three_stages(monkeypatch):
     assert {(s, p is None) for s, p in zip(stage, want)} == set(itertools.product((0, 1, 2), (False, True)))
     work, replays = count_work(monkeypatch)
     entry = bounds.THEOREMS["1.3"]
-    blocks, _, _ = optimize._polygon_draws(entry, n, window)
+    blocks, _, _, _ = optimize._polygon_draws(entry, n, window)
     kept = []
     for _, margins, _, _, witness in blocks(DEFAULT_SEED, count):
         kept += [witness(i)["polygon"] for i in range(len(margins))]
@@ -453,7 +458,7 @@ def test_block_reduction_keeps_the_scalar_loops_choices(monkeypatch, blocks):
                 yield (1, np.array([m for m, _ in block]), np.array([b for _, b in block]),
                        np.abs(np.array([m for m, _ in block])), lambda i, rows=rows: {"row": int(rows[i])})
                 start += len(block)
-        return gen, None, {}
+        return gen, None, optimize.EQ_TOL, {}
 
     monkeypatch.setattr(optimize, "_polygon_draws", synthetic)
     rep = optimize.verify_theorem("1.2", trials=len(draws) + len(blocks))
@@ -604,30 +609,21 @@ def measured(which):
     return lambda kind, radii, ts: f(*hmodel.embed_rows(kind, radii, ts))
 
 
-# name: (block route of (kind, radii, ts), scalar route of a polygon, ulps).
-# The closed forms have no scalar route of their own: polygon.perimeter and
-# area are one-row calls of the blocks, and test_closed_forms_against_mpmath
-# checks their values.
-ROUTES = {
-    **{coord: (measured(i), lambda p, coord=coord: [getattr(v, coord) for v in hmodel.embed(p).vertices], ULPS)
-       for i, coord in enumerate(("x0", "x1", "x2"))},
-    "measured_perimeter": (measured("perimeter"), lambda p: hmodel.measured_perimeter(hmodel.embed(p)), MEASURED_ULPS),
-    "measured_area": (measured("area"), lambda p: hmodel.measured_area(hmodel.embed(p)), MEASURED_ULPS),
-}
+# The block routes of (kind, radii, ts) that a block value must equal the
+# one-row value of.  Their values are checked against 40-digit mpmath in
+# test_closed_forms_against_mpmath and test_measured_routes_against_mpmath.
+BLOCK_ROUTES = (polygon.perimeter_rows, polygon.area_rows, measured(0), measured(1), measured(2),
+                measured("perimeter"), measured("area"))
 
 
 @pytest.mark.parametrize("n", [3, 4, 6, 12, 50, 192])
 @pytest.mark.parametrize("family, window", MATH_CASES)
 def test_block_closed_forms_and_measured_routes_match_per_polygon(family, window, n):
+    # a value does not depend on the rest of its block
     polys = random_polygons(family, n, window, 60)
     radii = np.array([p.radius for p in polys])
     ts = np.array([p.thetas for p in polys])
-    for name, (block, scalar, ulps) in ROUTES.items():
-        f = lambda r, t: block(family.kind, r, t)  # noqa: E731
-        want = np.array([scalar(p) for p in polys])
-        assert_within(f(radii, ts), want, np.abs(want) + condition(f, radii, ts), ulps), name
-    # a value does not depend on the rest of its block
-    for block in (polygon.perimeter_rows, polygon.area_rows, *(route for route, _, _ in ROUTES.values())):
+    for block in BLOCK_ROUTES:
         got = block(family.kind, radii, ts)
         rows = np.concatenate([block(family.kind, radii[i:i + 1], ts[i:i + 1]) for i in range(len(polys))])
         assert hexes(rows.ravel()) == hexes(got.ravel()), block
@@ -640,23 +636,16 @@ def test_block_kernels_match_the_scalar_kernels_on_every_branch():
     unit = np.concatenate([rng.uniform(-1, 1, 300), 1 - np.geomspace(1e-16, 1e-1, 50), [0.0, -0.0]])
     unit = np.concatenate([unit, -unit])
     t = np.concatenate([np.geomspace(1e-300, 1e200, 400), [-1e-10, -0.0, 0.0, 1e8, 1.0000001e8]])
-    x = np.concatenate([rng.uniform(0, 50, 300), [0.0, 700.0]])
-    cosines = np.concatenate([unit, [1.0 + 1e-13, -1.0 - 1e-13, 1.0 - 1e-14, 1.0 - 2e-14]])
     cases = [
         (hypmath.stable_asinh_rows, hypmath.stable_asinh, signed),
         (hypmath.stable_atanh_rows, hypmath.stable_atanh, unit[np.abs(unit) < 1.0]),
         (hypmath.acosh1p_rows, hypmath.acosh1p, t),
-        (hypmath.coshm1_rows, hypmath.coshm1, x),
-        (hypmath.acos_snapped_rows, hypmath.acos_snapped, cosines),
     ]
     for rows, scalar, args in cases:
         got = rows(args)
         want = np.array([scalar(a) for a in args.tolist()])
         assert hexes(np.sign(got)) == hexes(np.sign(want)), scalar.__name__  # signed zeros included
         assert_ulps(got, want), scalar.__name__
-    b = np.concatenate([rng.uniform(0, 30, 300), rng.uniform(0, 700, 100), [0.0, 20.0]])
-    c = np.concatenate([rng.uniform(0, 30, 300), rng.uniform(0, 700, 100), [0.0, 20.0 + 1e-12]])
-    assert_ulps(hypmath.hyp_hypotenuse_rows(b, c), list(map(hypmath.hyp_hypotenuse, b.tolist(), c.tolist())))
 
 
 def test_block_kernels_raise_where_the_scalar_kernels_raise():
@@ -846,6 +835,57 @@ def test_closed_forms_against_mpmath(family, n, quantity):
             value, cond = value + v, cond + c
         scale = (abs(value) if quantity == "perimeter" else n * math.pi) + cond
         assert abs(mpmath.mpf(g) - value) <= MP_ULPS * EPS * scale, (p, g, value)
+
+
+def mp_embedding(kind, radius, thetas):
+    """The vertex coordinates embed_rows gives a polygon, at 40 digits from
+    its float data: the bearings are exact sums of its apex angles."""
+    with mpmath.workdps(40):
+        radius, vertices, bearing = mpmath.mpf(radius), [], mpmath.mpf(0)
+        for t in map(mpmath.mpf, thetas):
+            if kind == "cyclic":
+                d, a = radius, bearing
+            else:
+                b = mpmath.atanh(mpmath.tan(t / 2) * mpmath.sinh(radius))
+                d, a = mpmath.acosh(mpmath.cosh(radius) * mpmath.cosh(b)), bearing + t / 2
+            vertices.append((mpmath.cosh(d), mpmath.sinh(d) * mpmath.cos(a), mpmath.sinh(d) * mpmath.sin(a)))
+            bearing += t
+        return vertices
+
+
+def mp_measurement(vertices):
+    """The perimeter, acosh(<p, q>) summed over the sides, and the area, the
+    sector triangles about the origin, of a vertex ring at 40 digits."""
+    with mpmath.workdps(40):
+        def mink(p, q):
+            return p[0] * q[0] - p[1] * q[1] - p[2] * q[2]
+
+        c = (mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0))
+        perimeter = area = mpmath.mpf(0)
+        for p, q in zip(vertices, vertices[1:] + vertices[:1]):
+            perimeter += mpmath.acosh(mink(p, q))
+            area += 2 * mpmath.atan2(abs(p[1] * q[2] - p[2] * q[1]), 1 + mink(c, p) + mink(p, q) + mink(q, c))
+        return perimeter, area
+
+
+@pytest.mark.parametrize("n", MP_NS)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_measured_routes_against_mpmath(family, n):
+    # embed_rows within ULPS and the measured routes within MEASURED_ULPS
+    # rounding errors of a 40-digit embedding measured at 40 digits; the
+    # worst seen are about 3 and 45 (n = 200 at circumradius 15)
+    polys = [p for window in ((1e-3, 1e-2), (1e-3, 15.0)) for p in random_polygons(family, n, window, 6)]
+    radii = np.array([p.radius for p in polys])
+    ts = np.array([p.thetas for p in polys])
+    exact = [mp_embedding(family.kind, p.radius, p.thetas) for p in polys]
+    for i, coord in enumerate(("x0", "x1", "x2")):
+        f = lambda r, t: measured(i)(family.kind, r, t)  # noqa: E731
+        want = np.array([[float(v[i]) for v in vertices] for vertices in exact])
+        assert_within(f(radii, ts), want, np.abs(want) + condition(f, radii, ts)), coord
+    for j, quantity in enumerate(("perimeter", "area")):
+        f = lambda r, t: measured(quantity)(family.kind, r, t)  # noqa: E731
+        want = np.array([float(mp_measurement(vertices)[j]) for vertices in exact])
+        assert_within(f(radii, ts), want, np.abs(want) + condition(f, radii, ts), MEASURED_ULPS), quantity
 
 
 @pytest.mark.parametrize("theorem", ["1.1", "1.2", "1.3", "1.4"])

@@ -230,6 +230,36 @@ def test_verify_fails_a_bound_false_at_its_equality_case(capsys, monkeypatch):
     rep = json.loads(out)["reports"][0]
     assert rep["violations"] == 0
     assert rep["equality_abs_error"] > rep["equality_tolerance"]
+    assert rep["equality_tolerance"] == optimize.EQ_TOL  # absolute for a single polygon
+    assert rep["passed"] is False
+
+
+@pytest.mark.parametrize("k", [2, 100_000])
+def test_verify_holds_the_uniform_split_to_a_tolerance_scaled_to_the_bound(capsys, monkeypatch, k):
+    # at k = 100000 the left-to-right sum of the equal components misses a
+    # bound of 6.7e5 by 1.1e-6, rounding that the absolute EQ_TOL called a failure
+    code, out = run_cli(capsys, "verify", "--thm", "1.5", "--k", str(k), "--trials", "2")
+    assert code == 0
+    rep = json.loads(out)["reports"][0]
+    bound = bounds.thm5_total_peri_lower(6, k, rep["params"]["total"]).value
+    assert rep["equality_tolerance"] == optimize.EQ_TOL * bound
+    assert rep["equality_abs_error"] <= rep["equality_tolerance"]
+    if k > 2:
+        assert rep["equality_abs_error"] > optimize.EQ_TOL
+    # 1.5 raised by a relative 1e-6: the uniform split now falls below it,
+    # which only the equality check sees
+    thm5 = bounds.THEOREMS["1.5"]["func"]
+
+    def raised(*args):
+        res = thm5(*args)
+        return dataclasses.replace(res, value=res.value * (1.0 + 1e-6))
+
+    monkeypatch.setitem(bounds.THEOREMS["1.5"], "func", raised)
+    code, out = run_cli(capsys, "verify", "--thm", "1.5", "--k", str(k), "--trials", "2")
+    assert code == 1
+    rep = json.loads(out)["reports"][0]
+    assert rep["violations"] == 0
+    assert rep["equality_abs_error"] > rep["equality_tolerance"]
     assert rep["passed"] is False
 
 
@@ -318,11 +348,13 @@ def test_negative_cyclic_radius_exits_2_before_the_first_draw(capsys):
 
 def test_sample_of_radius_zero_exits_2(capsys):
     # the scalar draw's constructor rejects a radius of 0, so the block draws
-    # must too, rather than print polygons of perimeter 0
-    assert main(["sample", "--range", "0:0", "--trials", "3"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == ["error: Infeasible: circumradius must be positive, got 0.0"]
+    # must too, rather than print polygons of perimeter 0; a regular block
+    # builds one polygon, at its smallest radius, to the same end
+    for regular in ((), ("--regular",)):
+        assert main(["sample", "--range", "0:0", "--trials", "3", *regular]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: Infeasible: circumradius must be positive, got 0.0"]
 
 
 def test_verify_rejects_cor1(capsys):
@@ -613,13 +645,30 @@ def test_module_entry_point(run_module):
     assert proc.stdout.startswith(CSV_HEADER)
 
 
-def test_bench_tracer_wraps_and_restores_every_traced_name():
-    # bench/tracing.py looks up each traced name with getattr, so a deleted
-    # name fails here and not only under `bench/run.py --trace 1`
+def bench_tracing():
+    """bench/tracing.py, loaded under a name of its own; the file is only read."""
     path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("hypergon_bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_bench_traced_name_resolves():
+    # bench/tracing.py resolves each SPANS and COUNTERS name with getattr on
+    # its hypergon module, so deleting or renaming one of those functions
+    # breaks `bench/run.py --trace 1`; this names the ones that went
+    tracing = bench_tracing()
+    names = [(short, name) for short, names in tracing.SPANS.values() for name in names]
+    names += list(tracing.COUNTERS.values())
+    missing = [f"hypergon.{short}.{name}" for short, name in names
+               if not callable(getattr(importlib.import_module(f"hypergon.{short}"), name, None))]
+    assert names and missing == []
+
+
+def test_bench_tracer_wraps_and_restores_every_traced_name():
+    # the Tracer wraps every traced name while active and leaves no wrapper behind
+    tracing = bench_tracing()
     import hypergon.cli  # noqa: F401  every module the tracer patches
 
     modules = [m for name, m in sys.modules.items() if name == "hypergon" or name.startswith("hypergon.")]

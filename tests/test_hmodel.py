@@ -13,12 +13,9 @@ from hypergon.hmodel import (
     HPoint,
     dist,
     embed,
-    embed_cyclic,
-    embed_tangential,
     measured_area,
     measured_interior_angles,
     measured_perimeter,
-    mink,
     point_at,
     sheet_error,
 )
@@ -87,10 +84,6 @@ def test_sheet_error_small_on_constructed_points():
         assert sheet_error(p) <= 1e-12 * max(1.0, p.x0 * p.x0)
 
 
-def test_mink_of_origin_pair():
-    assert mink(ORIGIN, ORIGIN) == 1.0
-
-
 def test_triangle_inequality_seeded():
     for i in range(2000):
         rng = trial_rng(0x7A1, i)
@@ -104,7 +97,7 @@ def test_triangle_inequality_seeded():
 
 def test_embed_cyclic_structure():
     poly = CyclicPolygon.regular(6, 1.3)
-    emb = embed_cyclic(poly)
+    emb = embed(poly)
     assert emb.kind == "cyclic"
     assert len(emb.vertices) == 6
     assert dist(emb.center, ORIGIN) == 0.0
@@ -117,7 +110,7 @@ def test_embed_cyclic_structure():
 def test_embed_cyclic_chord_lengths():
     rng = trial_rng(0x7A3, 1)
     poly = random_cyclic_polygon(7, (0.3, 2.0), rng)
-    emb = embed_cyclic(poly)
+    emb = embed(poly)
     for i, theta in enumerate(poly.thetas):
         chord = dist(emb.vertices[i], emb.vertices[(i + 1) % poly.n])
         want = 2.0 * math.asinh(math.sin(0.5 * theta) * math.sinh(poly.R))
@@ -127,7 +120,7 @@ def test_embed_cyclic_chord_lengths():
 def test_embed_tangential_vertex_distances():
     rng = trial_rng(0x7A4, 2)
     poly = random_tangential_polygon(5, (0.2, 1.0), rng)
-    emb = embed_tangential(poly)
+    emb = embed(poly)
     for i, theta in enumerate(poly.thetas):
         b = tangential_tangent_length(theta, poly.r)
         want = math.acosh(math.cosh(poly.r) * math.cosh(b))
@@ -137,7 +130,7 @@ def test_embed_tangential_vertex_distances():
 def test_embed_tangential_side_decomposition():
     rng = trial_rng(0x7A5, 3)
     poly = random_tangential_polygon(6, (0.2, 1.1), rng)
-    emb = embed_tangential(poly)
+    emb = embed(poly)
     n = poly.n
     for i in range(n):
         side = dist(emb.vertices[i], emb.vertices[(i + 1) % n])
@@ -164,7 +157,7 @@ def test_embed_tangential_incircle_tangency():
         TangentialPolygon.regular(6, 0.8),
         TangentialPolygon(6, 0.5, (1.2, 0.9, 1.1, 1.0, 1.05, 2 * math.pi - 5.25)),
     ):
-        vs = embed_tangential(poly).vertices
+        vs = embed(poly).vertices
         for i in range(poly.n):
             foot = _distance_to_geodesic(vs[i], vs[(i + 1) % poly.n])
             assert abs(foot - poly.r) <= 1e-9
@@ -241,8 +234,25 @@ def test_measurement_overflow_is_out_of_range():
         measured_perimeter(emb)
 
 
+def _boost(p, s):
+    """p moved by the hyperbolic translation of length s along the x1 axis."""
+    return HPoint(math.cosh(s) * p.x0 + math.sinh(s) * p.x1, math.sinh(s) * p.x0 + math.cosh(s) * p.x1, p.x2)
+
+
+@pytest.mark.parametrize("poly", [CyclicPolygon.regular(5, 0.7),
+                                  TangentialPolygon(4, 0.4, (1.2, 1.9, 1.3, 2 * math.pi - 4.4))])
+def test_measurements_are_invariant_under_isometries(poly):
+    # translated by 1.5, the polygon is measured about its moved center;
+    # the origin is now outside it, and a fan about it counts some area twice
+    emb = embed(poly)
+    moved = Embedding(_boost(emb.center, 1.5), tuple(_boost(v, 1.5) for v in emb.vertices), emb.kind)
+    assert math.isclose(measured_area(moved), area(poly), rel_tol=1e-12)
+    assert math.isclose(measured_perimeter(moved), perimeter(poly), rel_tol=1e-12)
+    assert measured_area(Embedding(ORIGIN, moved.vertices, moved.kind)) > 1.1 * area(poly)
+
+
 def test_measured_area_rejects_off_sheet_points():
-    ring = embed_cyclic(CyclicPolygon.regular(4, 1.0)).vertices
+    ring = embed(CyclicPolygon.regular(4, 1.0)).vertices
     with pytest.raises(InvalidPoint):
         measured_area(Embedding(HPoint(1.5, 0.0, 0.0), ring, "cyclic"))
     with pytest.raises(InvalidPoint):

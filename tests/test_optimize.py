@@ -631,3 +631,16 @@ def test_array_solve_replaces_its_incumbent_in_scan_order(k, resolution):
     prob = SeparableProblem(name="wells", f=lambda x: ((x - 0.25) * (x - 0.75)) ** 2, k=k, c=0.5 * k,
                             interval=(0.0, 1.0), sense="minimize")
     assert assert_matches_the_loops(prob, resolution) > 1
+
+
+@pytest.mark.parametrize("k", [37, 200])
+def test_scan_sums_by_the_bits_of_its_multiplicities(k):
+    # the scan adds m equal values as their multiples by the powers of two
+    # in m; at k with several set bits (0b100101, 0b11001000) its values
+    # still equal math.fsum of the k values bit for bit, including at the
+    # points where the double well replaces its incumbent
+    assert_matches_the_loops(make_problem("thm5_radius", k=k, n=6))
+    assert_matches_the_loops(make_problem("cyclic_half_angle", k=k))
+    prob = SeparableProblem(name="wells", f=lambda x: ((x - 0.25) * (x - 0.75)) ** 2, k=k, c=0.5 * k,
+                            interval=(0.0, 1.0), sense="minimize")
+    assert assert_matches_the_loops(prob) > 1
