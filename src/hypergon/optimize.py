@@ -6,11 +6,11 @@ at the uniform point (c/k, ..., c/k) (maximum for concave f).  This module
 makes that fact checkable three independent ways: a finite-difference sign
 certificate for f'', a scan of every two-value split (x, ..., x, y, ..., y)
 of c, and an exhaustive grid oracle for k in {2, 3}.  An objective f maps a
-float64 array elementwise, and each of the three scores all its points with
-one or two calls of f, through _values, which turns a failure or a NaN of
-f into an EvaluationFailure.  The registered objectives are written once
-over arrays, the four sector ones as the polygon kernels.  The module also
-hosts the randomized per-theorem verification driver.
+float64 array elementwise, and each of the three scores its points in
+arrays through _values, which turns a failure or a NaN of f into an
+EvaluationFailure.  The registered objectives are written once over
+arrays, the four sector ones as the polygon kernels.  The module also hosts
+the randomized per-theorem verification driver.
 """
 
 from __future__ import annotations
@@ -112,8 +112,10 @@ def _streams(seed: int) -> Callable[[int], np.random.Generator]:
 # word's low half.  A row whose scalar draw reads past the row's words, or
 # raises, is replayed by that scalar draw on its own stream.
 
-# Words per block: a block's arrays stay this small whatever n is.
-BLOCK_WORDS = 1 << 13
+# Words per block, criterion-1 group and scan slice: their arrays stay this
+# small whatever n or k is.  Below it numpy's per-call cost dominates a
+# block; above it peak memory grows faster than the time falls.
+BLOCK_WORDS = 1 << 15
 # Least words per stream of _settled_rows' second read of redrawing rows.
 REREAD_WORDS = 64
 
@@ -573,9 +575,9 @@ def solve_equal_sum(problem: SeparableProblem, oracle_resolution: int | None = N
     (x, ..., x, y, ..., y).  That is the equal-variable method (V. Cirtoaje,
     JIPAM 8(1), 2007, art. 15).  For each m = 1 .. k-1 the scan takes
     GRID_POINTS interior x of the range where m copies of x and k-m copies
-    of y = (c - m*x)/(k - m) all lie in the open interval; one call of f
-    scores every x and one every y, and a split's value is math.fsum of its
-    k values.  Taken in order of m and x, a point replaces the best one so
+    of y = (c - m*x)/(k - m) all lie in the open interval; m goes in slices
+    where one call of f scores every x and one every y, and a split's value
+    is math.fsum of its k values.  Taken in order of m and x, a point replaces the best one so
     far only when it is better in the problem's sense by more than the
     slack of the best value, INEQ_TOL * max(1, |value|): the scanned split
     sums to c only up to rounding, and a few ulps gained from a smaller sum
@@ -598,26 +600,32 @@ def solve_equal_sum(problem: SeparableProblem, oracle_resolution: int | None = N
     needed = "positive" if problem.sense == "minimize" else "negative"
     flip = 1.0 if problem.sense == "minimize" else -1.0
 
-    m = np.repeat(np.arange(1, k), GRID_POINTS)
-    a = np.maximum(lo, (c - (k - m) * hi) / m)
-    b = np.minimum(hi, (c - (k - m) * lo) / m)
-    x = a + (b - a) * np.tile(np.arange(1, GRID_POINTS + 1), k - 1) / (GRID_POINTS + 1)
-    y = (c - m * x) / (k - m)
-    inside = (lo < x) & (x < hi) & (lo < y) & (y < hi)
-    m, x, y = m[inside], x[inside], y[inside]
     uniform = (c / k,) * k
     best_x = uniform
     best = uniform_value = problem.total(uniform)
-    fx, fy = _values(problem.f, x), _values(problem.f, y)
     # a split's value is math.fsum of its k values, which fsum_rows gives
-    # from the O(log k) _bit_terms, BLOCK_WORDS points at a time
+    # from the O(log k) _bit_terms; m goes in slices of about BLOCK_WORDS
+    # terms, so the scan's arrays stay this small whatever k is
     bits = np.arange(k.bit_length())
-    values = np.empty(len(m))
-    for t in (slice(s, s + BLOCK_WORDS) for s in range(0, len(m), BLOCK_WORDS)):
-        values[t] = fsum_rows(np.hstack([_bit_terms(fx[t], m[t], bits), _bit_terms(fy[t], k - m[t], bits)]))
-    for i, (mi, value) in enumerate(zip(m.tolist(), values.tolist())):
-        if flip * (best - value) > INEQ_TOL * max(1.0, abs(best)):  # _slack(best), in floats
-            best_x, best = (float(x[i]),) * mi + (float(y[i]),) * (k - mi), value
+    step = max(1, BLOCK_WORDS // (2 * GRID_POINTS * len(bits)))
+    scanned = 0
+    for start in range(1, k, step):
+        m = np.repeat(np.arange(start, min(start + step, k)), GRID_POINTS)
+        a = np.maximum(lo, (c - (k - m) * hi) / m)
+        b = np.minimum(hi, (c - (k - m) * lo) / m)
+        x = a + (b - a) * np.tile(np.arange(1, GRID_POINTS + 1), len(m) // GRID_POINTS) / (GRID_POINTS + 1)
+        y = (c - m * x) / (k - m)
+        inside = (lo < x) & (x < hi) & (lo < y) & (y < hi)
+        m, x, y = m[inside], x[inside], y[inside]
+        fx, fy = _values(problem.f, x), _values(problem.f, y)
+        values = fsum_rows(np.hstack([_bit_terms(fx, m, bits), _bit_terms(fy, k - m, bits)]))
+        scanned += len(m)
+        # a replacement improves on the slice's first incumbent, so only
+        # those points can replace one
+        for i in np.flatnonzero(flip * values < flip * best).tolist():
+            mi, value = int(m[i]), float(values[i])
+            if flip * (best - value) > INEQ_TOL * max(1.0, abs(best)):  # _slack(best), in floats
+                best_x, best = (float(x[i]),) * mi + (float(y[i]),) * (k - mi), value
 
     report = OptimizationReport(
         problem_name=problem.name,
@@ -631,7 +639,7 @@ def solve_equal_sum(problem: SeparableProblem, oracle_resolution: int | None = N
         max_deviation_from_uniform=max(abs(v - c / k) for v in best_x),
         certificate=cert,
         certified=cert.sign == needed,
-        iterations=len(x),
+        iterations=scanned,
     )
 
     if oracle_resolution is not None:

@@ -30,6 +30,7 @@ import dataclasses
 import itertools
 import math
 import re
+import sys
 
 import mpmath
 import numpy as np
@@ -385,6 +386,55 @@ def count_work(monkeypatch):
     return work, replays
 
 
+def first_reads(monkeypatch):
+    """The (streams, width) of every read that optimize._word_blocks makes,
+    in order; the re-reads of unsettled rows come from elsewhere."""
+    read = optimize._read
+    reads = []
+
+    def counted_read(seed, indices, width):
+        words = read(seed, indices, width)
+        if sys._getframe(1).f_code is optimize._word_blocks.__code__:
+            reads.append(words.shape)
+        return words
+
+    monkeypatch.setattr(optimize, "_read", counted_read)
+    return reads
+
+
+def assert_full_blocks(reads, count, width):
+    """The first reads of count streams at width hold at most
+    max(BLOCK_WORDS, width) words each, and all but the last as many rows
+    as fit in that budget."""
+    assert all(rows * w <= max(optimize.BLOCK_WORDS, width) and w == width for rows, w in reads)
+    size = max(1, optimize.BLOCK_WORDS // width)
+    assert [rows for rows, _ in reads] == [size] * (count // size) + [count % size] * (count % size > 0)
+    reads.clear()
+
+
+@pytest.mark.parametrize("n", [3, 12, 192])
+def test_draw_blocks_fill_the_word_budget(monkeypatch, n):
+    # verify's polygons and splits, and the samplers' polygons, over two
+    # block boundaries; at a budget below the width, a block is one stream
+    reads = first_reads(monkeypatch)
+    for theorem, entry in bounds.THEOREMS.items():
+        if entry["objective"] is None:
+            continue
+        width = 2 if entry["multi"] else n + 1
+        trials = 2 * max(1, optimize.BLOCK_WORDS // width) + 1
+        optimize.verify_theorem(theorem, n=n, k=2, trials=trials)
+        assert_full_blocks(reads, trials, width)
+    for budget in (optimize.BLOCK_WORDS, 100):
+        monkeypatch.setattr(optimize, "BLOCK_WORDS", budget)
+        for family, regular in itertools.product(FAMILIES, (False, True)):
+            width = 1 if regular else n + 1
+            count = 2 * max(1, budget // width) + 1
+            lo, hi = optimize._radius_window(family, n, (0.1, 2.0))
+            for _ in optimize.polygon_blocks(family, n, lo, hi, DEFAULT_SEED, count, regular):
+                pass
+            assert_full_blocks(reads, count, width)
+
+
 def test_verify_rows_settle_in_three_stages(monkeypatch):
     # n = 3 near the tangential limit, where random_partition rejects often
     # and most polygons have an ideal vertex.  A verify row is settled by
@@ -529,8 +579,9 @@ def crit1_replays(monkeypatch):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_criterion_1_draws_match_the_scalar_battery(monkeypatch, seed):
     # the blocks group the polygons by family and n, so compare them as
-    # sorted lists; three sizes: one block and a bit at the real sizes,
-    # blocks of 10 streams whose groups are settled every 140 apex angles,
+    # sorted lists; three sizes: the real ones, where the 700 streams fit in
+    # one block and every group is settled once, at the end, then blocks
+    # of 10 streams whose groups are settled every 140 apex angles,
     # and that with a re-read of four polygon attempts, where many rows
     # fall through to the scalar replay
     count = 700
@@ -564,10 +615,13 @@ def test_criterion_1_draws_match_the_scalar_battery(monkeypatch, seed):
 
 def test_criterion_1_replays_few_polygons(monkeypatch):
     # at the default seed, 2,295 of the 10^4 polygons need a second polygon
-    # attempt or a second partition the 14-word read holds no words for
+    # attempt or a second partition the 14-word read holds no words for;
+    # the 14-word reads come in blocks that fill the word budget
     replays = crit1_replays(monkeypatch)
+    reads = first_reads(monkeypatch)
     assert sum(len(radii) for _, radii, _ in cli._crit1_polygons(DEFAULT_SEED, 10_000)) == 10_000
     assert 0 < len(replays) <= 30
+    assert_full_blocks(reads, 10_000, 14)
 
 
 def test_block_uniform_and_integers_match_the_generator():

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -563,14 +564,15 @@ def reference_oracle(problem, resolution):
 
 def reference_scan(problem):
     """The two-value scan as a loop over its points, one f call per value:
-    (argmin, value, uniform value, points scored, incumbent replacements)."""
+    (argmin, value, uniform value, points scored, the m of each incumbent
+    replacement)."""
     lo, hi = problem.interval
     k, c = problem.k, problem.c
     f = pointwise(problem.f)
     flip = 1.0 if problem.sense == "minimize" else -1.0
     best_x = (c / k,) * k
     best = uniform_value = math.fsum(f(x) for x in best_x)
-    scanned = replaced = 0
+    scanned, replaced = 0, []
     for m in range(1, k):
         a = max(lo, (c - (k - m) * hi) / m)
         b = min(hi, (c - (k - m) * lo) / m)
@@ -583,13 +585,14 @@ def reference_scan(problem):
             value = math.fsum([f(x)] * m + [f(y)] * (k - m))
             if flip * (best - value) > INEQ_TOL * max(1.0, abs(best)):
                 best_x, best = (x,) * m + (y,) * (k - m), value
-                replaced += 1
+                replaced.append(m)
     return best_x, best, uniform_value, scanned, replaced
 
 
 def assert_matches_the_loops(problem, resolution=None):
     """solve_equal_sum, and grid_oracle at resolution, give what the loops
-    give, bit for bit; returns the scan's incumbent replacements."""
+    give, bit for bit; returns the m of each of the scan's incumbent
+    replacements."""
     rep = solve_equal_sum(problem, oracle_resolution=resolution)
     argmin, value, uniform_value, scanned, replaced = reference_scan(problem)
     assert rep.argmin == argmin
@@ -620,7 +623,7 @@ def test_array_solve_keeps_the_first_of_tied_points(k, resolution, sense):
     # first feasible point
     prob = SeparableProblem(name="flat", f=lambda x: np.ones_like(x), k=k, c=0.5 * k, interval=(0.0, 1.0),
                             sense=sense)
-    assert assert_matches_the_loops(prob, resolution) == 0
+    assert assert_matches_the_loops(prob, resolution) == []
 
 
 @pytest.mark.parametrize("k, resolution", [(2, 100), (3, 60), (5, None)])
@@ -630,17 +633,43 @@ def test_array_solve_replaces_its_incumbent_in_scan_order(k, resolution):
     # incumbent at each point on the way down
     prob = SeparableProblem(name="wells", f=lambda x: ((x - 0.25) * (x - 0.75)) ** 2, k=k, c=0.5 * k,
                             interval=(0.0, 1.0), sense="minimize")
-    assert assert_matches_the_loops(prob, resolution) > 1
+    assert len(assert_matches_the_loops(prob, resolution)) > 1
 
 
+@pytest.mark.parametrize("budget", [optimize.BLOCK_WORDS, 5000, 1])
 @pytest.mark.parametrize("k", [37, 200])
-def test_scan_sums_by_the_bits_of_its_multiplicities(k):
+def test_scan_sums_by_the_bits_of_its_multiplicities(monkeypatch, k, budget):
     # the scan adds m equal values as their multiples by the powers of two
     # in m; at k with several set bits (0b100101, 0b11001000) its values
     # still equal math.fsum of the k values bit for bit, including at the
-    # points where the double well replaces its incumbent
+    # points where the double well replaces its incumbent.  It walks m in
+    # slices of the word budget, one slice at the real one for k = 37, down
+    # to one m per slice at a budget of 1, and folds each slice into the
+    # incumbent in scan order
+    monkeypatch.setattr(optimize, "BLOCK_WORDS", budget)
+    step = max(1, budget // (2 * GRID_POINTS * k.bit_length()))  # values of m per slice
     assert_matches_the_loops(make_problem("thm5_radius", k=k, n=6))
     assert_matches_the_loops(make_problem("cyclic_half_angle", k=k))
-    prob = SeparableProblem(name="wells", f=lambda x: ((x - 0.25) * (x - 0.75)) ** 2, k=k, c=0.5 * k,
-                            interval=(0.0, 1.0), sense="minimize")
-    assert assert_matches_the_loops(prob) > 1
+    for sense, flip in (("minimize", 1.0), ("maximize", -1.0)):
+        prob = SeparableProblem(name="wells", f=lambda x: flip * ((x - 0.25) * (x - 0.75)) ** 2, k=k, c=0.5 * k,
+                                interval=(0.0, 1.0), sense=sense)
+        replaced = assert_matches_the_loops(prob)
+        assert len(replaced) > 1
+        if step < k - 1:  # an incumbent of one slice is replaced in a later one
+            assert len({(m - 1) // step for m in replaced}) > 1
+
+
+def test_scan_memory_does_not_grow_with_k(monkeypatch):
+    # the scan builds its points a slice of m at a time, so its peak
+    # allocation is the same at k = 250 and k = 1000, about 0.2 MB at this
+    # budget; a scan holding every point at once grows by 4.5 MB between them
+    monkeypatch.setattr(optimize, "BLOCK_WORDS", 1 << 12)
+    peaks = []
+    for k in (250, 1000):
+        tracemalloc.start()
+        try:
+            solve_equal_sum(make_problem("thm5_radius", k=k, n=6))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 1 << 20
