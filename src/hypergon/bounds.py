@@ -102,9 +102,15 @@ def area_radius_limit(n: int) -> float:
     return acosh1p((1.0 - sn) / sn)
 
 
+def thm9_theta_threshold(n: int) -> float:
+    """Sector angle below which the thm9 objective is convex."""
+    return 2.0 * math.asin(math.sqrt(1.0 - math.sin(math.pi / n)))
+
+
 def thm9_area_threshold(n: int) -> float:
-    """Per-polygon area above which the thm9 objective is certified convex."""
-    return (n - 2) * math.pi - 2 * n * math.asin(math.sqrt(1.0 - math.sin(math.pi / n)))
+    """Per-polygon area above which the thm9 objective is certified convex:
+    the area of the regular n-gon of sector angle thm9_theta_threshold(n)."""
+    return (n - 2) * math.pi - n * thm9_theta_threshold(n)
 
 
 def thm10_peri_threshold(n: int) -> float:

@@ -35,46 +35,28 @@ from .errors import HypergonError
 from .hypmath import RegularNGonSpec, regular_convert
 
 SCHEMA_VERSION = 2
-CSV_HEADER = "theorem,n,k,param,value,feasible,guard_margin"
+# The frozen CSV schema: the columns of every CSV row and the keys of every
+# bounds row, each the BoundResult field of its name.
+CSV_COLUMNS = ("theorem", "n", "k", "param", "value", "feasible", "guard_margin")
+CSV_HEADER = ",".join(CSV_COLUMNS)
 DEG = math.pi / 180.0
 
 
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _csv_row(theorem: str, n: int, k: int, param: float, value: float, feasible: bool, guard_margin: float) -> str:
-    return ",".join([
-        theorem,
-        str(n),
-        str(k),
-        _g17(param),
-        _g17(value),
-        "true" if feasible else "false",
-        _g17(guard_margin),
-    ])
+def _csv_cell(x) -> str:
+    """A flag as true/false, a name or an int as written, a float as %.17g."""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return str(x) if isinstance(x, (str, int)) else format(x, ".17g")
 
 
 def _csv_text(rows: list[dict]) -> str:
-    lines = [CSV_HEADER]
-    lines += [
-        _csv_row(r["theorem"], r["n"], r["k"], r["param"], r["value"], r["feasible"], r["guard_margin"])
-        for r in rows
-    ]
+    lines = [CSV_HEADER] + [",".join(_csv_cell(r[c]) for c in CSV_COLUMNS) for r in rows]
     return "\n".join(lines) + "\n"
 
 
 def _result_rows(res: _bounds.BoundResult) -> list[dict]:
     """CSV/JSON rows for one bound result; cor1 expands to an audit triple."""
-    base = {
-        "theorem": res.theorem,
-        "n": res.n,
-        "k": res.k,
-        "param": res.param,
-        "value": res.value,
-        "feasible": res.feasible,
-        "guard_margin": res.guard_margin,
-    }
+    base = {c: getattr(res, c) for c in CSV_COLUMNS}
     if res.theorem != "cor1":
         return [base]
     ref = _bounds.reference_r_from_R(res.n, res.param)
@@ -147,6 +129,26 @@ class SystemExit2(Exception):
     """Invalid input; main() turns this into exit status 2."""
 
 
+def _check_counts(args, *flags: str) -> None:
+    """Each of these count options must be at least 1."""
+    for flag in flags:
+        if getattr(args, flag) < 1:
+            raise SystemExit2(f"--{flag} must be at least 1, got {getattr(args, flag)}")
+
+
+def _check_asserted(empty: list[str]) -> None:
+    """A bound that asserted no draw gave no verdict: invalid input."""
+    if empty:
+        raise SystemExit2(f"nothing was asserted for {', '.join(empty)}: every draw fell outside the guard")
+
+
+def _radius_range(args) -> tuple[float, float]:
+    """The radius window --range names, or optimize's default one."""
+    if not args.range:
+        return _optimize.RADIUS_RANGE
+    return _parse_range(args.range, steps_required=False)[:2]
+
+
 def _check_degrees(args, theorem_ids) -> None:
     if not args.degrees:
         return
@@ -189,8 +191,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.trials < 1:
-        raise SystemExit2(f"--trials must be at least 1, got {args.trials}")
+    _check_counts(args, "trials")
     if args.thm == "all":
         ids = [t for t, entry in _bounds.THEOREMS.items() if entry["objective"]]
     else:
@@ -198,10 +199,7 @@ def cmd_verify(args) -> int:
         if not _bounds.THEOREMS[args.thm]["objective"]:
             raise SystemExit2(f"{args.thm} is an audit-only expression with no verification sampler")
     _check_degrees(args, ids)
-    radius_range = (0.1, 2.0)
-    if args.range:
-        lo, hi, _ = _parse_range(args.range, steps_required=False)
-        radius_range = (lo, hi)
+    radius_range = _radius_range(args)
     total = args.total
     if total is not None and args.degrees:
         total *= DEG
@@ -216,9 +214,7 @@ def cmd_verify(args) -> int:
     _emit_json({"manifest": _manifest(args, args.seed), "reports": reports}, args.out)
     if any(r["asserted"] and not r["passed"] for r in reports):
         return 1
-    empty = [r["theorem"] for r in reports if r["asserted"] == 0]
-    if empty:
-        raise SystemExit2(f"nothing was asserted for {', '.join(empty)}: every draw fell outside the guard")
+    _check_asserted([r["theorem"] for r in reports if r["asserted"] == 0])
     return 0
 
 
@@ -232,12 +228,10 @@ def _both_routes(kind: str, radii: np.ndarray, ts: np.ndarray) -> dict[str, np.n
 
 
 def cmd_sample(args) -> int:
-    if args.trials < 1:
-        raise SystemExit2(f"--trials must be at least 1, got {args.trials}")
+    _check_counts(args, "trials")
     _bounds._check_nk(args.n)
-    lo, hi, _ = _parse_range(args.range, steps_required=False) if args.range else (0.1, 2.0, 1)
     family = _polygon.TangentialPolygon if args.kind == "tangential" else _polygon.CyclicPolygon
-    lo, hi = _optimize._radius_window(family, args.n, (lo, hi))
+    lo, hi = _optimize._radius_window(family, args.n, _radius_range(args))
     samples = []
     for radii, ts, _ in _optimize.polygon_blocks(family, args.n, lo, hi, args.seed, args.trials, args.regular):
         routes = {name: values.tolist() for name, values in _both_routes(family.kind, radii, ts).items()}
@@ -258,9 +252,10 @@ def cmd_optimize(args) -> int:
     else:
         raise SystemExit2("optimize needs --objective or --thm")
     if args.degrees:
-        if name != "thm9_theta":
+        angular = sorted(e["objective"] for e in _bounds.THEOREMS.values() if e["param"] == "total_area")
+        if name not in angular:
             raise SystemExit2("--degrees only applies to angle-typed parameters; "
-                              "here only the thm9_theta objective qualifies")
+                              f"here only the {', '.join(angular)} objective qualifies")
         if args.total is not None:
             args.total = args.total * DEG
     problem = _optimize.make_problem(name, k=args.k, n=args.n, radius=args.radius, c=args.total)
@@ -318,21 +313,19 @@ def _crit1_polygons(seed: int, count: int):
     groups: dict[tuple[type, int], list[tuple[np.ndarray, np.ndarray]]] = {}
 
     def settle(family, n):
+        # an exact row's n took word 0 alone, and the polygon draw reads
+        # doubles from word 1 on: its words and replay skip one word
         held = groups.pop((family, n))
-        index = np.concatenate([i for i, _ in held])
         lo, hi = _optimize._radius_window(family, n, (0.05, 3.0))
-        radii, ts, _ = _optimize._settled_rows(
-            family, n, lo, hi, np.concatenate([w for _, w in held]),
-            lambda rows, width: _optimize._read(seed, index[rows], width + 1)[:, 1:],
-            lambda j: _crit1_draw(int(index[j]), stream(int(index[j]))))
+        radii, ts, _ = _optimize._settled_rows(family, n, lo, hi, seed, np.concatenate([i for i, _ in held]),
+                                               np.concatenate([w for _, w in held]), skip=1)
         return family.kind, radii, ts
 
-    for start, words in _optimize._word_blocks(seed, count, 14):  # n, radius, up to 12 angles
+    for index, words in _optimize._word_blocks(seed, count, 14):  # n, radius, up to 12 angles
         ns, exact = _optimize._integers(words[:, 0], 3, 13)
-        for j in np.flatnonzero(~exact).tolist():
-            poly = _crit1_draw(start + j, stream(start + j))
+        for i in index[~exact].tolist():
+            poly = _crit1_draw(i, stream(i))
             yield poly.kind, np.array([poly.radius]), np.array([poly.thetas])
-        index = start + np.arange(len(words))
         for family in (_polygon.CyclicPolygon, _polygon.TangentialPolygon):
             of_family = exact & ((index % 2 == 1) == (family is _polygon.TangentialPolygon))
             for n in range(3, 13):
@@ -425,26 +418,27 @@ def _crit5_oracles(n: int) -> tuple[bool, list[list[str]]]:
     return ok, rows
 
 
+def _relative_checks(checks: list[tuple[str, float, float]], tol: float, name: str) -> tuple[bool, list[str]]:
+    """Whether every (label, got, want) lies within relative tol of want,
+    and a line per check naming its relative `name`."""
+    rels = [abs(got - want) / abs(want) for _, got, want in checks]
+    lines = [f"{label}: relative {name} {_g12(rel)}" for (label, _, _), rel in zip(checks, rels)]
+    return all(rel <= tol for rel in rels), lines
+
+
 def _crit6_anchors(
     wants: tuple[float, float, float] = (4 * math.log(3.0), 12 * math.log(1.0 + math.sqrt(2.0)), 4 * math.pi),
 ) -> tuple[bool, list[str]]:
     """Equality cases of thm1-thm3 against wants = (4 ln 3, 12 ln(1 + sqrt 2), 4 pi)."""
     four_ln3, twelve_ln_silver, four_pi = wants
-    checks = [
+    ok, lines = _relative_checks([
         ("thm1(4, asinh 1/2) = 4 ln 3",
          _bounds.thm1_peri_lower(4, math.asinh(0.5)).value, four_ln3),
         ("thm2(6, asinh 2) = 12 ln(1+sqrt 2)",
          _bounds.thm2_peri_upper(6, math.asinh(2.0)).value, twelve_ln_silver),
         ("thm3(6, acosh 2) = 4 pi",
          _bounds.thm3_area_lower(6, math.acosh(2.0)).value, four_pi),
-    ]
-    lines = []
-    ok = True
-    for label, got, want in checks:
-        rel = abs(got - want) / abs(want)
-        good = rel <= 1e-12
-        ok = ok and good
-        lines.append(f"{label}: relative error {_g12(rel)}")
+    ], 1e-12, "error")
     # thm4 at R -> 0 vanishes quadratically with the Euclidean coefficient;
     # Richardson-extrapolate v/R^2 so truncation sits below the tolerance.
     R0 = 1e-4
@@ -460,35 +454,29 @@ def _crit6_anchors(
 
 def _crit7_euclidean(n: int) -> tuple[bool, list[str]]:
     x = 1e-4
-    checks = [
+    return _relative_checks([
         ("thm1 ~ 2n tan(pi/n) r", _bounds.thm1_peri_lower(n, x).value, 2 * n * math.tan(math.pi / n) * x),
         ("thm2 ~ 2n sin(pi/n) R", _bounds.thm2_peri_upper(n, x).value, 2 * n * math.sin(math.pi / n) * x),
         ("thm3 ~ n tan(pi/n) r^2", _bounds.thm3_area_lower(n, x).value, n * math.tan(math.pi / n) * x * x),
         ("thm4 ~ n sin(pi/n) cos(pi/n) R^2",
          _bounds.thm4_area_upper(n, x).value, n * math.sin(math.pi / n) * math.cos(math.pi / n) * x * x),
-    ]
-    lines = []
-    ok = True
-    for label, got, want in checks:
-        rel = abs(got - want) / want
-        good = rel <= 1e-5
-        ok = ok and good
-        lines.append(f"{label}: relative gap {_g12(rel)}")
-    return ok, lines
+    ], 1e-5, "gap")
 
 
-def _crit8_audit(n: int, radii=_COR1_RADII) -> tuple[bool, list[list[str]], float]:
-    rows = []
+def _crit8_audit(n: int, radii=_COR1_RADII) -> tuple[bool, list[list[str]], float, list[dict]]:
+    """The cor1 audit table and its CSV rows, one cor1 triple per radius,
+    and the worst relative error of the reference against regular_convert."""
+    table, csv_rows = [], []
     worst = 0.0
     for R in radii:
         R = float(R)
-        res = _bounds.cor1_inradius_lower(n, R)
-        ref = _bounds.reference_r_from_R(n, R)
+        triple = _result_rows(_bounds.cor1_inradius_lower(n, R))
+        printed, ref, diff = (row["value"] for row in triple)
         true_r = regular_convert(RegularNGonSpec(n=n, R=R)).r
         worst = max(worst, abs(ref - true_r) / true_r)
-        rows.append([_g12(R), _g12(res.value), _g12(ref), _g12(res.value - ref),
-                     "yes" if res.feasible else "no"])
-    return worst <= 1e-12, rows, worst
+        table.append([_g12(R), _g12(printed), _g12(ref), _g12(diff), "yes" if triple[0]["feasible"] else "no"])
+        csv_rows += triple
+    return worst <= 1e-12, table, worst, csv_rows
 
 
 def render_bundle(n: int, k: int, seed: int, polygons: int, trials: int, splits: int) -> tuple[dict[str, str], int]:
@@ -499,10 +487,6 @@ def render_bundle(n: int, k: int, seed: int, polygons: int, trials: int, splits:
     raises SystemExit2 naming every such bound instead of counting a failure.
     """
     criteria = _csv_text(_report_criteria_rows(n, k))
-
-    cor_csv_rows: list[dict] = []
-    for R in _COR1_RADII:
-        cor_csv_rows.extend(_result_rows(_bounds.cor1_inradius_lower(n, float(R))))
 
     results: list[tuple[str, bool | None, str]] = []
 
@@ -519,9 +503,7 @@ def render_bundle(n: int, k: int, seed: int, polygons: int, trials: int, splits:
 
     ok4, reps4, note4 = _crit4_guarded(n, splits, seed)
     results.append(("4. guarded total-area/total-perimeter bounds", ok4, note4))
-    empty = [_bound_label(rep) for rep in reps2 + reps3 + reps4 if rep.asserted == 0]
-    if empty:
-        raise SystemExit2(f"nothing was asserted for {', '.join(empty)}: every draw fell outside the guard")
+    _check_asserted([_bound_label(rep) for rep in reps2 + reps3 + reps4 if rep.asserted == 0])
 
     ok5, oracle_rows = _crit5_oracles(n)
     results.append(("5. equal-split optima vs grid oracle", ok5,
@@ -533,7 +515,7 @@ def render_bundle(n: int, k: int, seed: int, polygons: int, trials: int, splits:
     ok7, euclid_lines = _crit7_euclidean(n)
     results.append(("7. Euclidean limits at radius 1e-4", ok7, "relative tolerance 1e-5"))
 
-    ok8, cor_rows, worst_ref = _crit8_audit(n)
+    ok8, cor_rows, worst_ref, cor_csv_rows = _crit8_audit(n)
     results.append(("8. divergence audit with verified reference", ok8,
                     f"reference conversion max relative error {_g12(worst_ref)}"))
 
@@ -549,7 +531,7 @@ def render_bundle(n: int, k: int, seed: int, polygons: int, trials: int, splits:
     side = 1.10 * _bounds.thm10_peri_threshold(n) / n
     m = regular_convert(RegularNGonSpec(n=n, side=side))
     peri = n * side
-    cosh_variant = (n - 2) * math.pi - 2 * n * math.asin(math.cos(math.pi / n) / math.cosh(peri / (2 * n)))
+    cosh_bound = _bounds.thm10_total_area_upper(n, 1, peri).value
     cos_arg = math.cos(math.pi / n) / math.cos(peri / (2 * n))
     cos_note = ("undefined (argument outside [-1, 1])" if not -1.0 <= cos_arg <= 1.0
                 else _g12((n - 2) * math.pi - 2 * n * math.asin(cos_arg)))
@@ -627,7 +609,7 @@ def render_bundle(n: int, k: int, seed: int, polygons: int, trials: int, splits:
         "polygon area and the circular-cosine variant does not:",
         "",
         f"- regular area (direct): {_g12(m.area)}",
-        f"- bound with cosh:       {_g12(cosh_variant)}",
+        f"- bound with cosh:       {_g12(cosh_bound)}",
         f"- variant with cos:      {cos_note}",
         "",
         "## Direction and guard corrections",
@@ -653,9 +635,7 @@ def render_bundle(n: int, k: int, seed: int, polygons: int, trials: int, splits:
 
 def cmd_report(args) -> int:
     """Check the inputs, render the whole bundle, and only then write it."""
-    for flag in ("polygons", "trials", "splits"):
-        if getattr(args, flag) < 1:
-            raise SystemExit2(f"--{flag} must be at least 1, got {getattr(args, flag)}")
+    _check_counts(args, "polygons", "trials", "splits")
     _bounds._check_nk(args.n, args.k)
     _optimize.check_seed(args.seed)
     files, failures = render_bundle(args.n, args.k, args.seed, args.polygons, args.trials, args.splits)

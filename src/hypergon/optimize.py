@@ -24,6 +24,7 @@ import numpy as np
 
 from . import bounds as _bounds
 from . import polygon as _polygon
+from .bounds import thm9_theta_threshold
 from .errors import EvaluationFailure, IdealVertex, Infeasible, OracleTooLarge, OutOfRange
 from .hypmath import (LEG_MAX, RegularNGonSpec, fsum_rows, regular_convert, regular_convert_rows,
                       tangential_radius_limit)
@@ -34,6 +35,8 @@ from .polygon import CyclicPolygon, TangentialPolygon, TWO_PI
 # [seed, 0] and counter [0, 0, i, 0], which is where jumping a Philox keyed
 # by seed i times lands.
 DEFAULT_SEED = 0x1509_0001
+# The window radii are drawn from unless a caller names one.
+RADIUS_RANGE = (0.1, 2.0)
 # That layout, as the manifest of a seeded output names it.
 RNG_SCHEME = "1: Philox4x64-10, trial i on key [seed mod 2**64, seed >> 64], counter [0, 0, i, 0]"
 
@@ -164,12 +167,13 @@ def _read(seed: int, indices, width: int) -> np.ndarray:
     return np.stack([v0, v1, v2, v3], axis=-1).reshape(len(i), 4 * len(blocks))[:, :width]
 
 
-def _word_blocks(seed: int, count: int, width: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Blocks (start, words) covering streams 0 .. count-1 of seed, where row
-    j of words holds words 0 .. width-1 of stream start + j."""
+def _word_blocks(seed: int, count: int, width: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Blocks (index, words) covering streams 0 .. count-1 of seed, where row
+    j of words holds words 0 .. width-1 of stream index[j]."""
     size = max(1, BLOCK_WORDS // width)
     for start in range(0, count, size):
-        yield start, _read(seed, np.arange(start, min(start + size, count)), width)
+        index = np.arange(start, min(start + size, count))
+        yield index, _read(seed, index, width)
 
 
 def _uniform(words: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -246,22 +250,32 @@ def _polygon_rows(family: type, n: int, lo: float, hi: float, words: np.ndarray,
         rows = rows[plain & ~done]
 
 
-def _settled_rows(family: type, n: int, lo: float, hi: float, words: np.ndarray,
-                  reread: Callable[[np.ndarray, int], np.ndarray], replay: Callable[[int], _polygon.Polygon],
-                  redraw: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_polygon_rows to the end, as (radii, apex angles, ideal rows).  The
-    rows that words do not settle are read again, once, by reread(rows,
-    width) at four polygon attempts, or REREAD_WORDS if redrawing and more,
-    and walked again: words are a prefix of each stream.  Row j still
-    unsettled becomes the scalar replay(j), or ideal if it raises IdealVertex."""
+def _settled_rows(family: type, n: int, lo: float, hi: float, seed: int, index: np.ndarray, words: np.ndarray,
+                  skip: int = 0, redraw: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_polygon_rows to the end, as (radii, apex angles, ideal rows), where
+    row j of words holds words skip, skip + 1, ... of stream index[j] of
+    seed.  The rows that words do not settle are read again, once, at four
+    polygon attempts, or REREAD_WORDS if redrawing and more, and walked
+    again: words are a prefix of each stream after its first skip words.
+    A row still unsettled is replayed on its stream past those words, by
+    random_tangential_polygon when redrawing a tangential polygon and by
+    _draw_polygon otherwise, and is ideal if that raises IdealVertex."""
     radii, ts, settled, ideal = _polygon_rows(family, n, lo, hi, words, redraw)
     rows = np.flatnonzero(~settled)
     if len(rows):
-        wide = reread(rows, max(REREAD_WORDS if redraw else 0, 4 * (n + 1)))
+        width = max(REREAD_WORDS if redraw else 0, 4 * (n + 1))
+        wide = _read(seed, index[rows], skip + width)[:, skip:]
         radii[rows], ts[rows], settled[rows], ideal[rows] = _polygon_rows(family, n, lo, hi, wide, redraw)
-    for j in np.flatnonzero(~settled).tolist():
+    replays = np.flatnonzero(~settled).tolist()
+    stream = _streams(seed) if replays else None  # about 18 us to build, and most calls replay nothing
+    for j in replays:
+        rng = stream(int(index[j]))
+        rng.bit_generator.random_raw(skip)
         try:
-            poly = replay(j)
+            if redraw and family is TangentialPolygon:
+                poly = random_tangential_polygon(n, (lo, hi), rng)
+            else:
+                poly = _draw_polygon(family, n, lo, hi, rng)
         except IdealVertex:
             ideal[j] = True
             continue
@@ -276,10 +290,7 @@ def polygon_blocks(family: type, n: int, lo: float, hi: float, seed: int, count:
     random_tangential_polygon draws on its stream, or without redraw
     _draw_polygon, whose ideal rows are garbage, or with regular
     family.regular(n, rng.uniform(lo, hi)); (lo, hi) is a _radius_window."""
-    stream = _streams(seed)
-    draw = random_tangential_polygon if redraw and family is TangentialPolygon else (
-        lambda n, window, rng: _draw_polygon(family, n, *window, rng))
-    for start, words in _word_blocks(seed, count, 1 if regular else n + 1):
+    for index, words in _word_blocks(seed, count, 1 if regular else n + 1):
         if regular:
             # a regular polygon's apex angles do not depend on its radius, and
             # every radius lies in the window, where only a radius of 0 fails
@@ -288,8 +299,7 @@ def polygon_blocks(family: type, n: int, lo: float, hi: float, seed: int, count:
             thetas = family.regular(n, float(radii.min())).thetas
             yield radii, np.tile(thetas, (len(radii), 1)), np.zeros(len(radii), bool)
             continue
-        yield _settled_rows(family, n, lo, hi, words, lambda rows, width: _read(seed, start + rows, width),
-                            lambda j: draw(n, (lo, hi), stream(start + j)), redraw)
+        yield _settled_rows(family, n, lo, hi, seed, index, words, redraw=redraw)
 
 
 # ---------------------------------------------------------------------------
@@ -757,11 +767,6 @@ _OBJECTIVE_SPECS: dict[str, dict] = {
 }
 
 
-def thm9_theta_threshold(n: int) -> float:
-    """Sector angle below which the thm9 objective is convex."""
-    return 2.0 * math.asin(math.sqrt(1.0 - math.sin(math.pi / n)))
-
-
 OBJECTIVES = tuple(_OBJECTIVE_SPECS)
 
 
@@ -856,7 +861,7 @@ def verify_theorem(
     theorem_id: str,
     n: int = 6,
     k: int = 2,
-    radius_range: tuple[float, float] = (0.1, 2.0),
+    radius_range: tuple[float, float] = RADIUS_RANGE,
     total: float | None = None,
     trials: int = 1000,
     seed: int = DEFAULT_SEED,

@@ -114,7 +114,7 @@ def test_criterion_8_report_audits_expression_divergences(report_bundles):
     assert len(div) > 1
     # the reference conversion itself is exact on regular polygons
     for n in (3, 4, 6, 12):
-        ok, _, worst = cli._crit8_audit(n, (0.1, 0.7, 1.5, 3.0))
+        ok, _, worst, _ = cli._crit8_audit(n, (0.1, 0.7, 1.5, 3.0))
         assert ok, (n, worst)
 
 

@@ -564,15 +564,23 @@ def crit1_battery(monkeypatch, seed, count):
 
 
 def crit1_replays(monkeypatch):
-    """The streams criterion 1 hands to the scalar _crit1_draw from now on."""
-    crit1_draw = cli._crit1_draw
+    """The streams criterion 1 replays from now on, each once: those it
+    hands to the scalar _crit1_draw, and those whose polygon it draws again
+    with the scalar optimize._draw_polygon."""
+    crit1_draw, draw_polygon = cli._crit1_draw, optimize._draw_polygon
     replays = []
 
     def counted(i, rng):
         replays.append(i)
         return crit1_draw(i, rng)
 
+    def counted_draw(family, n, lo, hi, rng):
+        if replays[-1:] != [stream_index(rng)]:  # a redraw, or _crit1_draw's own draw
+            replays.append(stream_index(rng))
+        return draw_polygon(family, n, lo, hi, rng)
+
     monkeypatch.setattr(cli, "_crit1_draw", counted)
+    monkeypatch.setattr(optimize, "_draw_polygon", counted_draw)
     return replays
 
 

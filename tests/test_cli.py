@@ -55,6 +55,29 @@ def test_bounds_csv_sweep_monotone(capsys):
         assert bounds.thm2_peri_upper(6, p).value == v
 
 
+def test_bounds_csv_text_is_pinned(capsys):
+    # the frozen schema cell by cell: ints as written, floats as %.17g, a
+    # guard margin of inf, both flags, and cor1's reference and difference rows
+    code, out = run_cli(capsys, "bounds", "--thm", "cor1", "--n", "6", "--range", "0.25:1.5:2")
+    assert code == 0
+    assert out.splitlines() == [
+        "theorem,n,k,param,value,feasible,guard_margin",
+        "cor1,6,1,0.25,0.034168296009547898,true,inf",
+        "cor1_ref,6,1,0.25,0.2153753025575903,true,inf",
+        "cor1_diff,6,1,0.25,-0.18120700654804239,true,inf",
+        "cor1,6,1,1.5,-0.069928056274827732,false,inf",
+        "cor1_ref,6,1,1.5,1.0553597029342672,true,inf",
+        "cor1_diff,6,1,1.5,-1.1252877592090949,false,inf",
+    ]
+    code, out = run_cli(capsys, "bounds", "--thm", "1.10", "--n", "6", "--k", "2", "--range", "1:20:2")
+    assert code == 0
+    assert out.splitlines() == [
+        "theorem,n,k,param,value,feasible,guard_margin",
+        "1.10,6,2,1,0.03601152572682409,false,-7.4017473815488994",
+        "1.10,6,2,20,8.6777050533930762,true,2.0982526184511006",
+    ]
+
+
 def test_bounds_all_row_count(capsys):
     code, out = run_cli(
         capsys, "bounds", "--thm", "all", "--range", "0.9:0.9:1", "--format", "csv"
@@ -414,7 +437,7 @@ def test_sample_cyclic_keys(capsys):
     }
 
 
-def test_sample_near_the_tangential_limit_exits_2(capsys):
+def test_sample_near_the_tangential_limit_exits_2(capsys, monkeypatch):
     # the window (0.548, 0.5488) sits just below the 3-gon's ideal-vertex
     # limit: no row of the block walk settles, even read again wide, so
     # every row goes to the scalar replay, which gives up after its 1000
@@ -423,12 +446,15 @@ def test_sample_near_the_tangential_limit_exits_2(capsys):
     seed = optimize.DEFAULT_SEED
     replayed = []
 
-    def replay(j):
-        replayed.append(j)
+    def replay(n, window, rng):
+        replayed.append(rng.bit_generator.state["state"]["counter"][2])
         raise IdealVertex("replayed")
 
-    _, _, ideal = optimize._settled_rows(polygon.TangentialPolygon, 3, lo, hi, optimize._read(seed, range(10), 4),
-                                         lambda rows, width: optimize._read(seed, rows, width), replay)
+    index = np.arange(10)
+    with monkeypatch.context() as m:
+        m.setattr(optimize, "random_tangential_polygon", replay)
+        _, _, ideal = optimize._settled_rows(polygon.TangentialPolygon, 3, lo, hi, seed, index,
+                                             optimize._read(seed, index, 4))
     assert replayed == list(range(10))
     assert ideal.all()
     assert main(["sample", "--kind", "tangential", "--n", "3", "--range", "0.548:0.6"]) == 2
@@ -574,6 +600,23 @@ def test_a_nan_route_gap_fails_criterion_1(monkeypatch, call):
     assert failures == 1
     assert "- [FAIL] 1. closed-form vs measured metrics: 300 polygons, worst perimeter gap" in files["report.md"]
     assert files["report.md"].split("\n- [FAIL] 1.")[1].split("\n")[0].endswith("worst area gap nan")
+
+
+def test_report_prints_the_shipped_fixed_perimeter_bound(monkeypatch):
+    # the "bound with cosh" line is bounds.thm10_total_area_upper's value,
+    # not a copy of its formula: a bound moved by 1% shows in the report
+    thm10 = bounds.thm10_total_area_upper
+    moved = []
+
+    def moved_thm10(n, k, T):
+        res = thm10(n, k, T)
+        moved.append(dataclasses.replace(res, value=1.01 * res.value))
+        return moved[-1]
+
+    monkeypatch.setattr(bounds, "thm10_total_area_upper", moved_thm10)
+    files, _ = cli.render_bundle(6, 2, 7, 300, 20, 20)
+    [res] = [r for r in moved if r.k == 1]
+    assert f"- bound with cosh:       {res.value:.12g}" in files["report.md"].splitlines()
 
 
 def test_report_with_a_bad_seed_writes_nothing(tmp_path, capsys):
