@@ -42,7 +42,6 @@ from .polygon import (
     area,
     cyclic_half_angle,
     cyclic_half_side,
-    interior_angles,
     perimeter,
     tangential_interior_angle,
     tangential_tangent_length,
@@ -56,7 +55,6 @@ from .hmodel import (
     measured_area,
     measured_interior_angles,
     measured_perimeter,
-    point_at,
 )
 from .bounds import (
     THEOREMS,

@@ -136,10 +136,22 @@ def _check_counts(args, *flags: str) -> None:
             raise SystemExit2(f"--{flag} must be at least 1, got {getattr(args, flag)}")
 
 
-def _check_asserted(empty: list[str]) -> None:
+# Why a bound asserted no draw, by whether it bounds a split: a
+# single-polygon bound skips only draws with an ideal vertex, and a split
+# bound only splits outside its guard window.
+_NOTHING_ASSERTED = {False: "every draw had an ideal vertex", True: "every split fell outside the guard window"}
+
+
+def _check_asserted(reps) -> None:
     """A bound that asserted no draw gave no verdict: invalid input."""
-    if empty:
-        raise SystemExit2(f"nothing was asserted for {', '.join(empty)}: every draw fell outside the guard")
+    reasons = []
+    for multi, reason in _NOTHING_ASSERTED.items():
+        empty = [_bound_label(rep) for rep in reps
+                 if rep.asserted == 0 and _bounds.THEOREMS[rep.theorem]["multi"] == multi]
+        if empty:
+            reasons.append(f"{', '.join(empty)}: {reason}")
+    if reasons:
+        raise SystemExit2(f"nothing was asserted for {'; for '.join(reasons)}")
 
 
 def _radius_range(args) -> tuple[float, float]:
@@ -203,18 +215,14 @@ def cmd_verify(args) -> int:
     total = args.total
     if total is not None and args.degrees:
         total *= DEG
-    reports = []
-    for t in ids:
-        rep = _optimize.verify_theorem(
-            t, n=args.n, k=args.k, radius_range=radius_range,
-            total=total if _bounds.THEOREMS[t]["multi"] else None,
-            trials=args.trials, seed=args.seed,
-        )
-        reports.append(rep.to_json_dict())
-    _emit_json({"manifest": _manifest(args, args.seed), "reports": reports}, args.out)
-    if any(r["asserted"] and not r["passed"] for r in reports):
+    reps = [_optimize.verify_theorem(t, n=args.n, k=args.k, radius_range=radius_range,
+                                     total=total if _bounds.THEOREMS[t]["multi"] else None,
+                                     trials=args.trials, seed=args.seed)
+            for t in ids]
+    _emit_json({"manifest": _manifest(args, args.seed), "reports": [rep.to_json_dict() for rep in reps]}, args.out)
+    if any(rep.asserted and not rep.passed for rep in reps):
         return 1
-    _check_asserted([r["theorem"] for r in reports if r["asserted"] == 0])
+    _check_asserted(reps)
     return 0
 
 
@@ -233,7 +241,8 @@ def cmd_sample(args) -> int:
     family = _polygon.TangentialPolygon if args.kind == "tangential" else _polygon.CyclicPolygon
     lo, hi = _optimize._radius_window(family, args.n, _radius_range(args))
     samples = []
-    for radii, ts, _ in _optimize.polygon_blocks(family, args.n, lo, hi, args.seed, args.trials, args.regular):
+    blocks = _optimize.polygon_blocks(family, args.n, lo, hi, args.seed, np.arange(args.trials), args.regular)
+    for radii, ts, _ in blocks:
         routes = {name: values.tolist() for name, values in _both_routes(family.kind, radii, ts).items()}
         for j, (radius, thetas) in enumerate(zip(radii.tolist(), ts.tolist())):
             samples.append({"polygon": _polygon.row_json(family.kind, args.n, radius, thetas),
@@ -297,45 +306,22 @@ def _g12(x: float | None) -> str:
     return "-" if x is None else format(float(x), ".12g")
 
 
-def _crit1_draw(i: int, rng: np.random.Generator) -> _polygon.Polygon:
-    """Polygon i of the metric-equivalence battery: n in [3, 13), cyclic at even i."""
-    n = int(rng.integers(3, 13))
-    draw = _optimize.random_cyclic_polygon if i % 2 == 0 else _optimize.random_tangential_polygon
-    return draw(n, (0.05, 3.0), rng)
+# Radius window of the metric-equivalence battery's polygons.
+_CRIT1_RANGE = (0.05, 3.0)
 
 
 def _crit1_polygons(seed: int, count: int):
-    """_crit1_draw on streams 0 .. count-1 of seed, as (kind, radii, apex
-    angles) arrays of one family and one n.  Each block's streams join the
-    group of their family and n; a group is settled and yielded once it
-    holds BLOCK_WORDS apex angles, and whatever is left at the end."""
-    stream = _optimize._streams(seed)
-    groups: dict[tuple[type, int], list[tuple[np.ndarray, np.ndarray]]] = {}
-
-    def settle(family, n):
-        # an exact row's n took word 0 alone, and the polygon draw reads
-        # doubles from word 1 on: its words and replay skip one word
-        held = groups.pop((family, n))
-        lo, hi = _optimize._radius_window(family, n, (0.05, 3.0))
-        radii, ts, _ = _optimize._settled_rows(family, n, lo, hi, seed, np.concatenate([i for i, _ in held]),
-                                               np.concatenate([w for _, w in held]), skip=1)
-        return family.kind, radii, ts
-
-    for index, words in _optimize._word_blocks(seed, count, 14):  # n, radius, up to 12 angles
-        ns, exact = _optimize._integers(words[:, 0], 3, 13)
-        for i in index[~exact].tolist():
-            poly = _crit1_draw(i, stream(i))
-            yield poly.kind, np.array([poly.radius]), np.array([poly.thetas])
-        for family in (_polygon.CyclicPolygon, _polygon.TangentialPolygon):
-            of_family = exact & ((index % 2 == 1) == (family is _polygon.TangentialPolygon))
-            for n in range(3, 13):
-                rows = np.flatnonzero(of_family & (ns == n))
-                held = groups.setdefault((family, n), [])
-                held.append((index[rows], words[rows, 1:]))
-                if n * sum(len(i) for i, _ in held) >= _optimize.BLOCK_WORDS:
-                    yield settle(family, n)
-    for family, n in list(groups):
-        yield settle(family, n)
+    """Polygon i of the metric-equivalence battery, for i < count, is what
+    random_cyclic_polygon (even i) or random_tangential_polygon (odd i)
+    draws with n = 3 + (i // 2) % 10 in _CRIT1_RANGE on stream i of seed.
+    So cell j = i % 20 holds the streams j, j + 20, ... of one family and
+    one n; yields each cell's polygon_blocks as (kind, radii, apex angles)."""
+    for j in range(20):
+        family = (_polygon.CyclicPolygon, _polygon.TangentialPolygon)[j % 2]
+        n = 3 + j // 2
+        lo, hi = _optimize._radius_window(family, n, _CRIT1_RANGE)
+        for radii, ts, _ in _optimize.polygon_blocks(family, n, lo, hi, seed, np.arange(j, count, 20)):
+            yield family.kind, radii, ts
 
 
 def _crit1_equivalence(seed: int, count: int) -> tuple[bool, str]:
@@ -503,7 +489,7 @@ def render_bundle(n: int, k: int, seed: int, polygons: int, trials: int, splits:
 
     ok4, reps4, note4 = _crit4_guarded(n, splits, seed)
     results.append(("4. guarded total-area/total-perimeter bounds", ok4, note4))
-    _check_asserted([_bound_label(rep) for rep in reps2 + reps3 + reps4 if rep.asserted == 0])
+    _check_asserted(reps2 + reps3 + reps4)
 
     ok5, oracle_rows = _crit5_oracles(n)
     results.append(("5. equal-split optima vs grid oracle", ok5,

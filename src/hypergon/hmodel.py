@@ -49,14 +49,6 @@ def _validate(p: HPoint) -> None:
         raise InvalidPoint(f"not on the unit sheet: {p}")
 
 
-def point_at(d: float, alpha: float) -> HPoint:
-    """The point at hyperbolic distance d from the origin, at bearing alpha."""
-    if d < 0.0:
-        raise InvalidPoint(f"distance must be nonnegative, got {d!r}")
-    sh = math.sinh(d)
-    return HPoint(math.cosh(d), sh * math.cos(alpha), sh * math.sin(alpha))
-
-
 def _coords(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The coordinates of points as three (1, len(points)) arrays."""
     return tuple(np.array([[getattr(p, x) for p in points]]) for x in ("x0", "x1", "x2"))

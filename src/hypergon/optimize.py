@@ -109,15 +109,14 @@ def _streams(seed: int) -> Callable[[int], np.random.Generator]:
 #
 # A block computes the first `width` words of each of its streams at once,
 # as numpy arrays of Philox4x64-10 blocks, and turns them into draws with
-# numpy, exactly as the Generator methods that the scalar draws call would:
-# uniform(lo, hi) is lo + (hi - lo) * (word >> 11) * 2**-53, and
-# integers(lo, hi) on a range below 2**32 is Lemire's multiply-shift of the
-# word's low half.  A row whose scalar draw reads past the row's words, or
-# raises, is replayed by that scalar draw on its own stream.
+# numpy, exactly as Generator.uniform(lo, hi), which the scalar draws call,
+# would: lo + (hi - lo) * (word >> 11) * 2**-53.  A row whose scalar draw
+# reads past the row's words, or raises, is replayed by that scalar draw on
+# its own stream.
 
-# Words per block, criterion-1 group and scan slice: their arrays stay this
-# small whatever n or k is.  Below it numpy's per-call cost dominates a
-# block; above it peak memory grows faster than the time falls.
+# Words per block and scan slice: their arrays stay this small whatever n or
+# k is.  Below it numpy's per-call cost dominates a block; above it peak
+# memory grows faster than the time falls.
 BLOCK_WORDS = 1 << 15
 # Least words per stream of _settled_rows' second read of redrawing rows.
 REREAD_WORDS = 64
@@ -167,13 +166,13 @@ def _read(seed: int, indices, width: int) -> np.ndarray:
     return np.stack([v0, v1, v2, v3], axis=-1).reshape(len(i), 4 * len(blocks))[:, :width]
 
 
-def _word_blocks(seed: int, count: int, width: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Blocks (index, words) covering streams 0 .. count-1 of seed, where row
-    j of words holds words 0 .. width-1 of stream index[j]."""
+def _word_blocks(seed: int, index: np.ndarray, width: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Blocks (streams, words) that cut the stream indices index of seed in
+    order, where row j of words holds words 0 .. width-1 of stream streams[j]."""
     size = max(1, BLOCK_WORDS // width)
-    for start in range(0, count, size):
-        index = np.arange(start, min(start + size, count))
-        yield index, _read(seed, index, width)
+    for start in range(0, len(index), size):
+        streams = index[start:start + size]
+        yield streams, _read(seed, streams, width)
 
 
 def _uniform(words: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -182,14 +181,6 @@ def _uniform(words: np.ndarray, lo: float, hi: float) -> np.ndarray:
     if not 0.0 <= span < math.inf:
         raise Infeasible(f"need finite lo <= hi, got ({lo!r}, {hi!r})")
     return lo + span * ((words >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0))
-
-
-def _integers(words: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Generator.integers(lo, hi) from each word, for 0 < hi - lo < 2**32, and
-    the rows where it certainly reads no further word."""
-    span = np.uint64(hi - lo)
-    m = (words & np.uint64(0xFFFF_FFFF)) * span
-    return lo + (m >> np.uint64(32)).astype(np.int64), (m & np.uint64(0xFFFF_FFFF)) >= span
 
 
 def _at_cursor(words: np.ndarray, rows: np.ndarray, cursor: np.ndarray, k: int) -> np.ndarray:
@@ -251,26 +242,23 @@ def _polygon_rows(family: type, n: int, lo: float, hi: float, words: np.ndarray,
 
 
 def _settled_rows(family: type, n: int, lo: float, hi: float, seed: int, index: np.ndarray, words: np.ndarray,
-                  skip: int = 0, redraw: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  redraw: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_polygon_rows to the end, as (radii, apex angles, ideal rows), where
-    row j of words holds words skip, skip + 1, ... of stream index[j] of
-    seed.  The rows that words do not settle are read again, once, at four
-    polygon attempts, or REREAD_WORDS if redrawing and more, and walked
-    again: words are a prefix of each stream after its first skip words.
-    A row still unsettled is replayed on its stream past those words, by
+    row j of words holds the first words of stream index[j] of seed.  The
+    rows that words do not settle are read again, once, at four polygon
+    attempts, or REREAD_WORDS if redrawing and more, and walked again.  A
+    row still unsettled is replayed on its stream, by
     random_tangential_polygon when redrawing a tangential polygon and by
     _draw_polygon otherwise, and is ideal if that raises IdealVertex."""
     radii, ts, settled, ideal = _polygon_rows(family, n, lo, hi, words, redraw)
     rows = np.flatnonzero(~settled)
     if len(rows):
-        width = max(REREAD_WORDS if redraw else 0, 4 * (n + 1))
-        wide = _read(seed, index[rows], skip + width)[:, skip:]
+        wide = _read(seed, index[rows], max(REREAD_WORDS if redraw else 0, 4 * (n + 1)))
         radii[rows], ts[rows], settled[rows], ideal[rows] = _polygon_rows(family, n, lo, hi, wide, redraw)
     replays = np.flatnonzero(~settled).tolist()
     stream = _streams(seed) if replays else None  # about 18 us to build, and most calls replay nothing
     for j in replays:
         rng = stream(int(index[j]))
-        rng.bit_generator.random_raw(skip)
         try:
             if redraw and family is TangentialPolygon:
                 poly = random_tangential_polygon(n, (lo, hi), rng)
@@ -283,14 +271,15 @@ def _settled_rows(family: type, n: int, lo: float, hi: float, seed: int, index: 
     return radii, ts, ideal
 
 
-def polygon_blocks(family: type, n: int, lo: float, hi: float, seed: int, count: int,
+def polygon_blocks(family: type, n: int, lo: float, hi: float, seed: int, index: np.ndarray,
                    regular: bool = False, redraw: bool = True) -> Iterator[tuple[np.ndarray, ...]]:
-    """The polygons of streams 0 .. count-1 of seed, as blocks of (radii,
-    apex angles, ideal rows) arrays.  Each is what random_cyclic_polygon or
-    random_tangential_polygon draws on its stream, or without redraw
-    _draw_polygon, whose ideal rows are garbage, or with regular
-    family.regular(n, rng.uniform(lo, hi)); (lo, hi) is a _radius_window."""
-    for index, words in _word_blocks(seed, count, 1 if regular else n + 1):
+    """The polygons of the stream indices index of seed, in order, as blocks
+    of (radii, apex angles, ideal rows) arrays.  Each is what
+    random_cyclic_polygon or random_tangential_polygon draws on its stream,
+    or without redraw _draw_polygon, whose ideal rows are garbage, or with
+    regular family.regular(n, rng.uniform(lo, hi)); (lo, hi) is a
+    _radius_window."""
+    for streams, words in _word_blocks(seed, index, 1 if regular else n + 1):
         if regular:
             # a regular polygon's apex angles do not depend on its radius, and
             # every radius lies in the window, where only a radius of 0 fails
@@ -299,7 +288,7 @@ def polygon_blocks(family: type, n: int, lo: float, hi: float, seed: int, count:
             thetas = family.regular(n, float(radii.min())).thetas
             yield radii, np.tile(thetas, (len(radii), 1)), np.zeros(len(radii), bool)
             continue
-        yield _settled_rows(family, n, lo, hi, seed, index, words, redraw=redraw)
+        yield _settled_rows(family, n, lo, hi, seed, streams, words, redraw)
 
 
 # ---------------------------------------------------------------------------
@@ -933,7 +922,7 @@ def _polygon_draws(entry: dict, n: int, radius_range: tuple[float, float]) -> tu
     lo, hi = _radius_window(family, n, radius_range)
 
     def blocks(seed, trials):
-        for radii, ts, ideal in polygon_blocks(family, n, lo, hi, seed, trials, redraw=False):
+        for radii, ts, ideal in polygon_blocks(family, n, lo, hi, seed, np.arange(trials), redraw=False):
             rows = np.flatnonzero(~ideal)
             r, t = radii[rows], ts[rows]
             bound = entry["rows"](n, r)
@@ -973,7 +962,7 @@ def _split_draws(entry: dict, n: int, k: int, total: float) -> tuple[Callable, f
         return rows, sums
 
     def blocks(seed, trials):
-        for _, words in _word_blocks(seed, trials, k):
+        for _, words in _word_blocks(seed, np.arange(trials), k):
             u = _uniform(words, 0.1, 1.0)
             splits = u * (total / u.sum(axis=1))[:, None]
             rows, sums = metrics(splits)

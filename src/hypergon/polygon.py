@@ -15,9 +15,9 @@ and the hypmath rows kernels.  The *_rows functions take a block of
 polygons of one family and one n, as an array of radii and a (polygons, n)
 array of apex angles, call the kernels on it and sum each row with one
 math.fsum.  An element's value does not depend on the rest of its array,
-so perimeter, area and interior_angles, the one-row calls of their rows
-functions, equal a block's row bit for bit; ideal_rows makes the
-constructor's ideal-vertex decision.
+so perimeter and area, the one-row calls of their rows functions, equal
+a block's row bit for bit; ideal_rows makes the constructor's ideal-vertex
+decision.
 """
 
 from __future__ import annotations
@@ -208,17 +208,13 @@ def perimeter_rows(kind: str, radii: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return 2.0 * fsum_rows(half(ts, radii[:, None]))
 
 
-def interior_angles(p: Polygon) -> tuple[float, ...]:
-    """Interior angle at each vertex, indexed to match the embedding order.
+def interior_angles_rows(kind: str, radii: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Interior angle at each vertex of every row's polygon, as a (polygons,
+    n) array, indexed to match the embedding order.
 
     Cyclic vertex i joins chords i-1 and i, so its angle is the sum of the
     neighbouring half-angles; tangential vertex i lies inside sector i.
     """
-    return tuple(_one_row(interior_angles_rows, p).tolist())
-
-
-def interior_angles_rows(kind: str, radii: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """interior_angles of every row's polygon, as a (polygons, n) array."""
     if kind == "cyclic":
         halves = cyclic_half_angle(ts, radii[:, None])
         return np.roll(halves, 1, axis=1) + halves

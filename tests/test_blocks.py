@@ -236,7 +236,7 @@ def test_partition_attempts_match_random_partition(monkeypatch, n, seed):
     attempts = collections.Counter()
     for family in FAMILIES:
         lo, hi = optimize._radius_window(family, n, (0.1, 2.0))
-        rows = [row for _, words in optimize._word_blocks(seed, 300, width)
+        rows = [row for _, words in optimize._word_blocks(seed, np.arange(300), width)
                 for row in zip(*optimize._polygon_rows(family, n, lo, hi, words, redraw=False))]
         assert len(rows) == 300
         for i, (radius, ts, plain, ideal) in enumerate(rows):
@@ -430,7 +430,7 @@ def test_draw_blocks_fill_the_word_budget(monkeypatch, n):
             width = 1 if regular else n + 1
             count = 2 * max(1, budget // width) + 1
             lo, hi = optimize._radius_window(family, n, (0.1, 2.0))
-            for _ in optimize.polygon_blocks(family, n, lo, hi, DEFAULT_SEED, count, regular):
+            for _ in optimize.polygon_blocks(family, n, lo, hi, DEFAULT_SEED, np.arange(count), regular):
                 pass
             assert_full_blocks(reads, count, width)
 
@@ -529,7 +529,7 @@ def test_polygon_blocks_match_the_sample_draws(monkeypatch, family, n, window, r
     sampler = optimize.random_tangential_polygon if family is TangentialPolygon else optimize.random_cyclic_polygon
     for seed in SEEDS:
         for count in boundary_counts(1 if regular else n + 1):
-            blocks = list(optimize.polygon_blocks(family, n, lo, hi, seed, count, regular))
+            blocks = list(optimize.polygon_blocks(family, n, lo, hi, seed, np.arange(count), regular))
             radii = np.concatenate([r for r, _, _ in blocks])
             ts = np.concatenate([t for _, t, _ in blocks])
             assert not np.concatenate([ideal for _, _, ideal in blocks]).any()
@@ -539,113 +539,142 @@ def test_polygon_blocks_match_the_sample_draws(monkeypatch, family, n, window, r
             assert [hexes(row) for row in ts] == [hexes(p.thetas) for p in want]
 
 
+@pytest.mark.parametrize("mode", ["redraw", "no redraw", "regular"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_polygon_blocks_draw_any_streams(monkeypatch, family, mode):
+    # a strided index, cut into blocks of 7 streams at n = 3 (4 words a
+    # stream) and of 28 when regular: row j is the draw on stream index[j]
+    # and on no other, through the block read, the re-read and the replay
+    n = 3
+    lo, hi = optimize._radius_window(family, n, (0.4, 0.6))
+    monkeypatch.setattr(optimize, "BLOCK_WORDS", 28)
+    index = np.arange(5, 5 + 7 * 300, 7)
+    regular = mode == "regular"
+    blocks = list(optimize.polygon_blocks(family, n, lo, hi, DEFAULT_SEED, index, regular, mode == "redraw"))
+    size = 28 if regular else 7
+    assert [len(r) for r, _, _ in blocks] == [len(index[k:k + size]) for k in range(0, len(index), size)]
+    radii, ts, ideal = (np.concatenate(arrays) for arrays in zip(*blocks))
+    sampler = optimize.random_tangential_polygon if family is TangentialPolygon else optimize.random_cyclic_polygon
+    for j, i in enumerate(index.tolist()):
+        rng = optimize.trial_rng(DEFAULT_SEED, i)
+        if regular:
+            want = family.regular(n, rng.uniform(lo, hi))
+        elif mode == "redraw":
+            want = sampler(n, (lo, hi), rng)
+        else:
+            want = scalar_polygon(family, n, lo, hi, rng)
+        assert ideal[j] == (want is None)
+        if want is not None:
+            assert radii[j].hex() == want.radius.hex()
+            assert hexes(ts[j]) == hexes(want.thetas)
+    assert ideal.any() == (family is TangentialPolygon and mode == "no redraw")
+
+
 def words_read(rng):
     """How many words of its stream a generator has handed out."""
     state = rng.bit_generator.state
     return 4 * state["state"]["counter"][0] - 4 + state["buffer_pos"]
 
 
-def crit1_battery(monkeypatch, seed, count):
-    """_crit1_draw on each stream, as (polygon, polygon attempts, words read)."""
+def crit1_cell(i):
+    """The family and n of polygon i of the metric-equivalence battery."""
+    return FAMILIES[i % 2], 3 + (i // 2) % 10
+
+
+def replayed_streams(monkeypatch):
+    """The streams that reach the scalar optimize._draw_polygon from now
+    on, each once however often its polygon is drawn again."""
     draw_polygon = optimize._draw_polygon
-    attempts = []
-
-    def counted(*args):
-        attempts[-1] += 1
-        return draw_polygon(*args)
-
-    battery = []
-    with monkeypatch.context() as m:
-        m.setattr(optimize, "_draw_polygon", counted)
-        for i, rng in enumerate(streams(seed, count)):
-            attempts.append(0)
-            battery.append((cli._crit1_draw(i, rng), attempts[-1], words_read(rng)))
-    return battery
-
-
-def crit1_replays(monkeypatch):
-    """The streams criterion 1 replays from now on, each once: those it
-    hands to the scalar _crit1_draw, and those whose polygon it draws again
-    with the scalar optimize._draw_polygon."""
-    crit1_draw, draw_polygon = cli._crit1_draw, optimize._draw_polygon
     replays = []
 
-    def counted(i, rng):
-        replays.append(i)
-        return crit1_draw(i, rng)
-
-    def counted_draw(family, n, lo, hi, rng):
-        if replays[-1:] != [stream_index(rng)]:  # a redraw, or _crit1_draw's own draw
+    def counted(family, n, lo, hi, rng):
+        if replays[-1:] != [stream_index(rng)]:
             replays.append(stream_index(rng))
         return draw_polygon(family, n, lo, hi, rng)
 
-    monkeypatch.setattr(cli, "_crit1_draw", counted)
-    monkeypatch.setattr(optimize, "_draw_polygon", counted_draw)
+    monkeypatch.setattr(optimize, "_draw_polygon", counted)
     return replays
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_criterion_1_draws_match_the_scalar_battery(monkeypatch, seed):
-    # the blocks group the polygons by family and n, so compare them as
-    # sorted lists; three sizes: the real ones, where the 700 streams fit in
-    # one block and every group is settled once, at the end, then blocks
-    # of 10 streams whose groups are settled every 140 apex angles,
-    # and that with a re-read of four polygon attempts, where many rows
-    # fall through to the scalar replay
+def test_criterion_1_draws_each_cell_through_polygon_blocks(monkeypatch, seed):
+    # polygon i is random_cyclic_polygon at even i and
+    # random_tangential_polygon at odd i, with n = 3 + (i // 2) % 10, in the
+    # window (0.05, 3.0), on stream i.  Three budgets: the real one, where
+    # each cell's 35 streams are one block, blocks of 140 words, where a
+    # cell spans blocks, and those with a re-read of four polygon attempts,
+    # where many rows fall through to the scalar replay
     count = 700
-    battery = crit1_battery(monkeypatch, seed, count)
-    want = sorted((p.kind, p.radius.hex(), tuple(hexes(p.thetas))) for p, _, _ in battery)
-    assert {min(a, 3) for _, a, _ in battery} == {1, 2, 3}  # settled on polygon attempt 1, 2, 3 or later
-    replays = crit1_replays(monkeypatch)
+    want, used = [], []
+    attempts = collections.Counter()
+    draw_polygon = optimize._draw_polygon
+
+    def counted(family, n, lo, hi, rng):
+        attempts[stream_index(rng)] += 1
+        return draw_polygon(family, n, lo, hi, rng)
+
+    with monkeypatch.context() as m:
+        m.setattr(optimize, "_draw_polygon", counted)
+        for i in range(count):
+            rng = optimize.trial_rng(seed, i)
+            family, n = crit1_cell(i)
+            sampler = optimize.random_cyclic_polygon if family is CyclicPolygon else optimize.random_tangential_polygon
+            want.append(sampler(n, (0.05, 3.0), rng))
+            used.append(words_read(rng))
+    assert {min(a, 3) for a in attempts.values()} == {1, 2, 3}  # settled on polygon attempt 1, 2, 3 or later
+    replays = replayed_streams(monkeypatch)
     real = optimize.BLOCK_WORDS
     for block_words, reread_words in ((real, optimize.REREAD_WORDS), (140, optimize.REREAD_WORDS), (140, 0)):
         monkeypatch.setattr(optimize, "BLOCK_WORDS", block_words)
         monkeypatch.setattr(optimize, "REREAD_WORDS", reread_words)
         replays.clear()
-        groups = collections.Counter()
-        got = []
+        cells = collections.defaultdict(list)
         for kind, radii, ts in cli._crit1_polygons(seed, count):
-            groups[kind, ts.shape[1]] += 1
-            got += [(kind, r.hex(), tuple(hexes(t))) for r, t in zip(radii.tolist(), ts)]
-        assert sorted(got) == want
-        # a row is settled by the 14-word read, by the re-read of 1 + wide
-        # words, or by the scalar replay, by how many words it draws
-        wide = [1 + max(reread_words, 4 * (p.n + 1)) for p, _, _ in battery]
-        stage = [0 if used <= 14 else 1 if used <= w else 2 for (_, _, used), w in zip(battery, wide)]
+            cells[kind, ts.shape[1]].append((radii, ts))
+        assert list(cells) == [(f.kind, n) for f, n in map(crit1_cell, range(20))]
+        for j, ((kind, n), blocks) in enumerate(cells.items()):
+            # cell j holds streams j, j + 20, ..., each once and in order
+            streams = range(j, count, 20)
+            radii, ts = np.concatenate([r for r, _ in blocks]), np.concatenate([t for _, t in blocks])
+            assert hexes(radii) == hexes(want[i].radius for i in streams)
+            assert [hexes(row) for row in ts] == [hexes(want[i].thetas) for i in streams]
+            size = max(1, block_words // (n + 1))
+            assert len(blocks) == -(-len(streams) // size)
+        # a row is settled by the read of one polygon attempt, by the re-read
+        # of four or REREAD_WORDS, or by the scalar replay, by how many
+        # words it draws
+        wide = [max(reread_words, 4 * (p.n + 1)) for p in want]
+        stage = [0 if u <= p.n + 1 else 1 if u <= w else 2 for u, p, w in zip(used, want, wide)]
         assert sorted(replays) == [i for i, s in enumerate(stage) if s == 2]
         assert {0, 1} <= set(stage) and (2 in stage or reread_words > 0)
-        assert len(groups) == 20
-        if block_words == real:
-            assert set(groups.values()) == {1}  # every group is settled once, at the end
-        else:
-            assert max(groups.values()) >= 3
+        if block_words != real:
+            assert max(len(blocks) for blocks in cells.values()) >= 2
 
 
-def test_criterion_1_replays_few_polygons(monkeypatch):
-    # at the default seed, 2,295 of the 10^4 polygons need a second polygon
-    # attempt or a second partition the 14-word read holds no words for;
-    # the 14-word reads come in blocks that fill the word budget
-    replays = crit1_replays(monkeypatch)
+def test_criterion_1_cells_fill_the_word_budget(monkeypatch):
+    # at the default seed the 10^4 polygons need 8 scalar replays; each
+    # cell's first reads, at one polygon attempt per stream, fill the
+    # word budget
+    replays = replayed_streams(monkeypatch)
     reads = first_reads(monkeypatch)
+    polygon_blocks = optimize.polygon_blocks
+    cells = []
+
+    def cell(family, n, lo, hi, seed, index, *args):
+        yield from polygon_blocks(family, n, lo, hi, seed, index, *args)
+        assert_full_blocks(reads, len(index), n + 1)
+        cells.append((family, n, index.tolist()))
+
+    monkeypatch.setattr(optimize, "polygon_blocks", cell)
     assert sum(len(radii) for _, radii, _ in cli._crit1_polygons(DEFAULT_SEED, 10_000)) == 10_000
+    assert cells == [(*crit1_cell(j), list(range(j, 10_000, 20))) for j in range(20)]
     assert 0 < len(replays) <= 30
-    assert_full_blocks(reads, 10_000, 14)
 
 
-def test_block_uniform_and_integers_match_the_generator():
-    words = next(optimize._word_blocks(DEFAULT_SEED, 500, 3))[1]
-    ints, exact = optimize._integers(words[:, 0], 3, 13)
+def test_block_uniform_matches_the_generator():
+    words = next(optimize._word_blocks(DEFAULT_SEED, np.arange(500), 3))[1]
     for i, rng in enumerate(streams(DEFAULT_SEED, 500)):
-        assert exact[i]
-        assert int(rng.integers(3, 13)) == ints[i]
-        assert [rng.uniform(0.05, 3.0), rng.uniform(0.05, 3.0)] == optimize._uniform(words[i, 1:], 0.05, 3.0).tolist()
-
-
-def test_block_integers_flag_every_rejection():
-    # a low half of 0 leaves a remainder of 0 < 10, where Lemire's method
-    # may draw again; the block never guesses there
-    ints, exact = optimize._integers(np.array([0, 2**32 - 1, 2**32], dtype=np.uint64), 3, 13)
-    assert exact.tolist() == [False, True, False]
+        assert [rng.uniform(0.05, 3.0) for _ in range(3)] == optimize._uniform(words[i], 0.05, 3.0).tolist()
 
 
 # ---------------------------------------------------------------------------

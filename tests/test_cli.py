@@ -7,6 +7,7 @@ import math
 import os
 import sys
 import platform
+import re
 import warnings
 from pathlib import Path
 
@@ -53,6 +54,16 @@ def test_bounds_csv_sweep_monotone(capsys):
     # %.17g makes the printed floats round-trip exactly
     for p, v in zip(params, values):
         assert bounds.thm2_peri_upper(6, p).value == v
+
+
+def test_help_names_the_csv_columns(capsys):
+    # the module docstring is the `hypergon --help` description and spells
+    # out the frozen columns a second time: a schema change must change it too
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    columns = re.search(r"frozen column set\s+(\S+) with", capsys.readouterr().out)
+    assert columns is not None and columns.group(1) == CSV_HEADER
 
 
 def test_bounds_csv_text_is_pinned(capsys):
@@ -230,6 +241,21 @@ def test_verify_rejects_runs_that_check_nothing(capsys):
     rep = json.loads(out)["reports"][0]
     assert rep["asserted"] == 0
     assert rep["passed"] is False
+
+
+@pytest.mark.parametrize("argv, skipped, reason", [
+    # 1.1 has no guard inside the tangential window: both polygons drawn at
+    # n = 6 have an ideal vertex
+    (("--thm", "1.1", "--trials", "2"), 2, "1.1: every draw had an ideal vertex"),
+    (("--thm", "1.7", "--total", "100", "--trials", "3"), 3, "1.7 at k=2: every split fell outside the guard window"),
+])
+def test_verify_names_why_a_bound_asserted_nothing(capsys, argv, skipped, reason):
+    code = main(["verify", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    rep = json.loads(captured.out)["reports"][0]
+    assert (rep["asserted"], rep["skipped"]) == (0, skipped)
+    assert captured.err == f"error: nothing was asserted for {reason}\n"
 
 
 def test_verify_fails_a_bound_false_at_its_equality_case(capsys, monkeypatch):
@@ -576,14 +602,14 @@ def test_report_where_a_bound_asserted_nothing_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == ("error: nothing was asserted for 1.1, 1.3, 1.9 at k=3, 1.10 at k=3: "
-                            "every draw fell outside the guard\n")
+    assert captured.err == ("error: nothing was asserted for 1.1, 1.3: every draw had an ideal vertex; "
+                            "for 1.9 at k=3, 1.10 at k=3: every split fell outside the guard window\n")
     assert not bundle.exists()
 
 
 @pytest.mark.parametrize("call", [0, 1, 5])
 def test_a_nan_route_gap_fails_criterion_1(monkeypatch, call):
-    # a NaN gap in any group of polygons, first or later, is the worst gap
+    # a NaN gap in any block of polygons, first or later, is the worst gap
     both_routes = cli._both_routes
     calls = []
 
@@ -600,6 +626,15 @@ def test_a_nan_route_gap_fails_criterion_1(monkeypatch, call):
     assert failures == 1
     assert "- [FAIL] 1. closed-form vs measured metrics: 300 polygons, worst perimeter gap" in files["report.md"]
     assert files["report.md"].split("\n- [FAIL] 1.")[1].split("\n")[0].endswith("worst area gap nan")
+
+
+@pytest.mark.parametrize("polygons", [1, 19])
+def test_criterion_1_passes_with_empty_cells(polygons):
+    # fewer polygons than the 20 (family, n) cells leave cells with no stream
+    files, failures = cli.render_bundle(6, 2, 7, polygons, 20, 20)
+    assert failures == 0
+    line, = [line for line in files["report.md"].splitlines() if "1. closed-form vs measured metrics" in line]
+    assert line.startswith(f"- [PASS] 1. closed-form vs measured metrics: {polygons} polygons, worst perimeter gap ")
 
 
 def test_report_prints_the_shipped_fixed_perimeter_bound(monkeypatch):

@@ -2,6 +2,7 @@ import math
 
 import frozen
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -16,7 +17,6 @@ from hypergon.hmodel import (
     measured_area,
     measured_interior_angles,
     measured_perimeter,
-    point_at,
     sheet_error,
 )
 from hypergon.optimize import random_cyclic_polygon, random_tangential_polygon, trial_rng
@@ -24,13 +24,19 @@ from hypergon.polygon import (
     CyclicPolygon,
     TangentialPolygon,
     area,
-    interior_angles,
+    interior_angles_rows,
     perimeter,
     tangential_tangent_length,
 )
 
 bearings = st.floats(min_value=-10.0, max_value=10.0)
 dists = st.floats(min_value=0.0, max_value=15.0)
+
+
+def point_at(d, alpha):
+    """The point at hyperbolic distance d >= 0 from the origin, at bearing alpha."""
+    sh = math.sinh(d)
+    return HPoint(math.cosh(d), sh * math.cos(alpha), sh * math.sin(alpha))
 
 
 def test_point_at_origin():
@@ -180,7 +186,7 @@ def test_measured_metrics_match_closed_forms():
         assert abs(measured_perimeter(emb) - perimeter(poly)) <= 1e-9 * (1 + perimeter(poly))
         assert abs(measured_area(emb) - area(poly)) <= 1e-8
         got = measured_interior_angles(emb)
-        want = interior_angles(poly)
+        want = interior_angles_rows(poly.kind, np.array([poly.radius]), np.array([poly.thetas]))[0]
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-8
 
 

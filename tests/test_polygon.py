@@ -1,6 +1,7 @@
 import math
 
 import frozen
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,11 +17,16 @@ from hypergon.polygon import (
     area,
     cyclic_half_angle,
     cyclic_half_side,
-    interior_angles,
+    interior_angles_rows,
     perimeter,
     tangential_interior_angle,
     tangential_tangent_length,
 )
+
+
+def interior_angles(p):
+    """The interior angles of p, from a one-row interior_angles_rows call."""
+    return interior_angles_rows(p.kind, np.array([p.radius]), np.array([p.thetas]))[0].tolist()
 
 
 def second_difference(f, x, h):
