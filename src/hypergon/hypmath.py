@@ -16,8 +16,8 @@ stable_atanh and acosh1p, which the scalar bounds call many times, stay on
 the math module; their rows kernels take the same branches and raise the
 same errors, and agree with them to a few ulp (the tests bound both against
 a 40-digit reference).  fsum_rows returns math.fsum's correctly rounded sum
-of every row, bit for bit, deciding it with error-free array arithmetic and
-calling math.fsum only on the rows that arithmetic leaves undecided.
+of every row, bit for bit, from two error-free extractions of every row,
+calling math.fsum only on the rows those leave undecided.
 """
 from __future__ import annotations
 
@@ -101,61 +101,61 @@ def hyp_hypotenuse(b: float, c: float) -> float:
 _FSUM_ABS_MAX = 2.0 ** 1020
 
 
-def _two_sum_tree(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of t added pairwise with TwoSum (Knuth), as (the sum row, the
-    rows of rounding errors).  TwoSum's error is exact, so the rows of t add
-    up exactly to the sum row plus the error rows."""
-    errs = []
-    while len(t) > 1:
-        h = len(t) // 2
-        a, b = t[:h], t[h:2 * h]
-        s = a + b
-        bv = s - a
-        errs.append((a - (s - bv)) + (b - bv))
-        t = np.concatenate([s, t[2 * h:]]) if len(t) % 2 else s
-    return t[0], np.concatenate(errs) if errs else t[:0]
-
-
 def fsum_rows(a: np.ndarray) -> np.ndarray:
     """math.fsum of every row of a 2-d array: its exact sum, correctly rounded.
 
-    The columns go through a pairwise TwoSum tree, so a row's exact sum S is
-    s + sum(errs), and errs through a second tree, so sum(errs) is
-    e + sum(errs2) (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26(6),
-    2005).  Where every errs2 of a row is 0, S = s + e exactly, and
-    r = fl(s + e) is S correctly rounded, ties to even, as math.fsum rounds.
-    Otherwise S - r = rho + sum(errs2), where rho = s + e - r is exact by
-    TwoSum, and sum(errs2), the rounding of e, is at most delta in
-    magnitude: the float sum of |errs2|, which has at most len(errs2)
-    roundings, widened by (len(errs2) + 2) * 2**-52.  If rho + delta is
-    below half the gap from r up to the next float, and delta - rho below
-    half the gap down, S lies strictly inside r's rounding interval and
-    rounds to r.  The comparisons are made on 2 * fl(rho + delta) and the
-    whole gap, which rounding cannot turn true: the gap is a power of two
-    and every float a multiple of 2**-1074.  Exactness is decided by
-    errs2 == 0 itself, not by delta == 0, so that no rounding of delta can
-    declare a row exact.  A row with S = 0 sums to +0.0, as with math.fsum:
-    no TwoSum error is -0.0, so e is not, and s + e is -0.0 only when both
-    are.  The rows not decided, and those holding a non-finite or huge
-    value (zeroed in the trees), go to math.fsum itself, which raises its
-    ValueError or OverflowError there.
+    Two ExtractVector passes (Rump, Ogita and Oishi, SIAM J. Sci. Comput.
+    31(1), 2008) split the transposed rows t without error.  A row gets
+    sigma = 2**(M + 1 + floor(log2 max|t|)) with 2**M >= cols + 2, so that
+    |t| < 2**-M * sigma; a zero or subnormal max reads as 2**-1023, which
+    only makes sigma larger.  Then q = (t + sigma) - sigma is exact by
+    Sterbenz's lemma, t - q is the exact rounding error of t + sigma, at most
+    2**-53 * sigma, and the row sum s of q is exact in any order: each
+    partial sum is a multiple of 2**-53 * sigma below sigma in magnitude.  A
+    second pass with sigma * 2**(M - 52) leaves e and the residuals errs2, so
+    the exact row sum is S = s + e + sum(errs2).  Under the cap, sigma is at
+    most 2**1022 (2**1023 for one column), and t + sigma < 2 * sigma does not
+    overflow.  The second sigma is exact down to 2**-1074, and the steps stay
+    exact among subnormals; below that it rounds to 0, but then every
+    residual, a multiple of 2**-1074 and at most 2**(-1076 - M), is 0.  Where
+    every errs2 of a row is 0, r = fl(s + e) is S correctly rounded, ties to
+    even, as math.fsum rounds.  Otherwise S - r = rho + sum(errs2), with
+    rho = s + e - r exact by TwoSum and |sum(errs2)| at most delta: the float
+    sum of |errs2|, widened by (cols + 2) * 2**-52.  If 2 * fl(rho + delta)
+    is below the gap from r up to the next float and 2 * fl(delta - rho)
+    below the gap down, S rounds to r; rounding cannot turn these true, as
+    the gap is a power of two and every float a multiple of 2**-1074.
+    Exactness asks errs2 != 0, not their float sum, which can cancel to 0.
+    S = 0 gives +0.0, as with math.fsum: x - x is +0.0, so no q, s or e is
+    -0.0.  Undecided rows, and those holding a non-finite or huge value
+    (zeroed in t), go to math.fsum, which raises its errors there.
     """
     rows, cols = a.shape
     if not cols:
         return np.zeros(rows)
     t = a.T.copy()
-    ok = np.abs(t).max(axis=0) <= _FSUM_ABS_MAX / cols
+    q = np.abs(t)
+    mu = q.max(axis=0)
+    ok = mu <= _FSUM_ABS_MAX / cols
     if not ok.all():
         t[:, ~ok] = 0.0
-    s, errs = _two_sum_tree(t)
-    e, errs2 = _two_sum_tree(errs) if len(errs) else (np.zeros(rows), errs)
+        mu[~ok] = 0.0
+    m = (cols + 1).bit_length()  # the least M with 2**M >= cols + 2
+    sigma = (((mu.view(np.int64) >> 52) + (m + 1)) << 52).view(np.float64)
+    sums = []
+    for sig in (sigma, sigma * 2.0 ** (m - 52)):
+        np.add(t, sig, out=q)
+        q -= sig
+        t -= q
+        sums.append(q.sum(axis=0))
+    s, e = sums
     r = s + e
-    check = np.flatnonzero((errs2 != 0.0).any(axis=0))
+    check = np.flatnonzero((t != 0.0).any(axis=0))
     if len(check):
         sc, ec, rc = s[check], e[check], r[check]
         bv = rc - sc
         rho = (sc - (rc - bv)) + (ec - bv)
-        delta = np.abs(errs2[:, check]).sum(axis=0) * (1.0 + (len(errs2) + 2) * 2.0 ** -52)
+        delta = np.abs(t[:, check]).sum(axis=0) * (1.0 + (cols + 2) * 2.0 ** -52)
         up, down = np.nextafter(rc, np.inf) - rc, rc - np.nextafter(rc, -np.inf)
         ok[check] &= (2.0 * (rho + delta) < up) & (2.0 * (delta - rho) < down)
     for j in np.flatnonzero(~ok).tolist():

@@ -860,16 +860,16 @@ def verify_theorem(
     A single-polygon bound draws random polygons of its family from
     radius_range and ignores k and total.  A fixed-total bound draws random
     splits of total (default: the record's) into k >= 2 regular polygons.
-    Draws that violate an admissibility guard are skipped, not resampled,
-    so an out-of-region total shows up as skipped == trials.  Inequalities
-    are asserted with a slack of INEQ_TOL (1e-12) times the bound's size,
-    max(1, |bound|), so that a rounding error in a large bound is not a
-    violation.  The equality configuration is asserted with EQ_TOL (1e-9)
-    for a single polygon, and with EQ_TOL * max(1, |bound|) for the uniform
-    split, whose left-to-right sum of k equal terms rounds by up to about
-    k**2 * eps * |term| / 4.
-    The draws come in blocks, and each block's verdicts are reduced with
-    numpy exactly as a loop over its draws in stream order would.
+    Draws are skipped, not resampled: a polygon only for an ideal vertex, a
+    split only outside its guard window, so an out-of-region total shows up
+    as skipped == trials.  Inequalities are asserted with a slack of
+    INEQ_TOL (1e-12) times the bound's size, max(1, |bound|), so that a
+    rounding error in a large bound is not a violation.  The equality
+    configuration is asserted with EQ_TOL (1e-9) for a single polygon, and
+    with EQ_TOL * max(1, |bound|) for the uniform split, whose left-to-right
+    sum of k equal terms rounds by up to about k**2 * eps * |term| / 4.  The
+    draws come in blocks, each block's verdicts reduced with numpy exactly
+    as a loop over its draws in stream order would.
     """
     entry = _bounds.THEOREMS.get(theorem_id)
     if entry is None or entry["objective"] is None:

@@ -4,11 +4,13 @@ import re
 import frozen
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hypergon import optimize, polygon
 from hypergon.errors import AmbiguousInput, DegenerateTriangle, Infeasible, OutOfRange
 from hypergon.hypmath import (
+    _FSUM_ABS_MAX,
     LEG_MAX,
     RegularNGonSpec,
     acos_snapped,
@@ -325,3 +327,96 @@ def test_fsum_rows_non_finite_rows_fall_back(monkeypatch):
     got, fallbacks = fsum_rows_counted(monkeypatch, rows)
     assert got == fsum_each(rows)
     assert fallbacks == 4
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cols=st.integers(1, 260), rows=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+       lo=st.integers(-1100, 1000), span=st.integers(0, 2100), signs=st.sampled_from(["+", "-", "+-"]),
+       zeros=st.floats(0.0, 1.0), cancel=st.booleans())
+def test_fsum_rows_is_fsum_over_the_double_range(monkeypatch, cols, rows, seed, lo, span, signs, zeros, cancel):
+    # random magnitudes with exponents in [lo, lo + span] clipped to the
+    # doubles below 2**1000 (subnormals and underflow to 0 included), some
+    # zeros of either sign, and rows that cancel exactly
+    rng = np.random.default_rng(seed)
+    half = cols // 2 if cancel else cols
+    exponents = rng.integers(lo, min(lo + span, 1000) + 1, (rows, half))
+    x = np.ldexp(rng.uniform(0.5, 1.0, (rows, half)), exponents)
+    if signs != "+":
+        x = -x if signs == "-" else np.where(rng.random((rows, half)) < 0.5, -x, x)
+    x = np.where(rng.random((rows, half)) < zeros, np.where(rng.random((rows, half)) < 0.5, -0.0, 0.0), x)
+    if cancel:
+        x = rng.permuted(np.concatenate([x, -x, np.zeros((rows, cols % 2))], axis=1), axis=1)
+    got, fallbacks = fsum_rows_counted(monkeypatch, x)
+    assert got == fsum_each(x)
+    if span <= 32:
+        # magnitudes within 2**33 of the row's largest leave no residual
+        # after the two extractions (2**M <= 512), so the row is exact; with
+        # a wider span, s + e of the larger values can land on a tie that
+        # the residuals break, and the row is left to math.fsum
+        assert fallbacks == 0
+
+
+@pytest.mark.parametrize("cols", [1, 2, 3, 192])
+def test_fsum_rows_at_the_cap(monkeypatch, cols):
+    top = _FSUM_ABS_MAX / cols
+    rng = np.random.default_rng(cols)
+    rows = np.stack([
+        np.full(cols, top), np.full(cols, -top),
+        top * np.where(np.arange(cols) % 2, -1.0, 1.0),
+        np.concatenate([[top], rng.uniform(-1.0, 1.0, cols - 1) * top]),
+        np.concatenate([[-top], np.ldexp(rng.uniform(-1.0, 1.0, cols - 1), rng.integers(-1074, 1000, cols - 1))]),
+    ])
+    with np.errstate(over="raise", invalid="raise"):
+        assert fsum_rows_counted(monkeypatch, rows) == (fsum_each(rows), 0)
+    # one value a float above the cap sends its row, and only its row, to math.fsum
+    above = np.nextafter(top, math.inf)
+    for j in range(len(rows)):
+        bumped = rows.copy()
+        bumped[j, rng.integers(cols)] = above if j % 2 == 0 else -above
+        with np.errstate(over="raise", invalid="raise"):
+            assert fsum_rows_counted(monkeypatch, bumped) == (fsum_each(bumped), 1)
+
+
+def test_fsum_rows_decides_production_rows_alone(monkeypatch):
+    # every row sum the draws and the equal-split scan ask for is decided
+    # without math.fsum: the normalized partitions of polygon_blocks at
+    # n = 3, 12 and 192, and the bit-term sums of a k = 3000 scan
+    seen = []
+    fsum = polygon.fsum_rows
+    for module in (polygon, optimize):
+        monkeypatch.setattr(module, "fsum_rows", lambda a: seen.append(a.copy()) or fsum(a))
+    for family in (polygon.CyclicPolygon, polygon.TangentialPolygon):
+        for n, count in ((3, 2000), (12, 1500), (192, 300)):
+            lo, hi = optimize._radius_window(family, n, (1e-3, 15.0))
+            for _ in optimize.polygon_blocks(family, n, lo, hi, 0x15090001, np.arange(count)):
+                pass
+    draws = len(seen)
+    optimize.solve_equal_sum(optimize.make_problem("thm7_radius", k=3000, n=6))
+    monkeypatch.undo()
+    assert draws >= 6 and len(seen) > draws
+    shapes = {a.shape[1] for a in seen}
+    assert {3, 12, 192} <= shapes and max(shapes) > 12
+    for rows in seen:
+        assert fsum_rows_counted(monkeypatch, rows)[1] == 0
+
+
+@pytest.mark.parametrize("cols", [2, 3, 4, 5, 6, 7, 8, 14, 30, 62, 64, 126, 192, 254])
+def test_fsum_rows_rows_of_one_sign_near_their_largest(monkeypatch, cols):
+    # sums close to cols * max|t|, the most a first extraction has to hold
+    # exactly; a negative t's share is an odd multiple of the finest step
+    # about as often as not
+    rng = np.random.default_rng(cols)
+    for lo, hi in ((0.5, 1.0), (-1.0, -0.5), (-1.0, -0.999)):
+        rows = rng.uniform(lo, hi, (400, cols)) * 2.0 ** rng.integers(-1000, 1000 - cols.bit_length(), (400, 1))
+        assert fsum_rows_counted(monkeypatch, rows) == (fsum_each(rows), 0)
+
+
+def test_fsum_rows_residuals_that_cancel_only_in_floats(monkeypatch):
+    # the residuals u**2, u**3 and -u**2 of 1 + u (u = 2**-53) sum to 0 in
+    # floats but to u**3 exactly, which lifts a tie to even above it: the
+    # row is not exact, and only math.fsum decides it
+    u = 2.0 ** -53
+    rows = np.array([[1.0, u, u * u, u ** 3, -u * u], [-1.0, -u, -u * u, -u ** 3, u * u]])
+    got, fallbacks = fsum_rows_counted(monkeypatch, rows)
+    assert got == fsum_each(rows) == [(1.0 + 2 * u).hex(), (-1.0 - 2 * u).hex()]
+    assert fallbacks == 2
