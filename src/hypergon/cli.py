@@ -136,20 +136,20 @@ def _check_counts(args, *flags: str) -> None:
             raise SystemExit2(f"--{flag} must be at least 1, got {getattr(args, flag)}")
 
 
-# Why a bound asserted no draw, by whether it bounds a split: a
-# single-polygon bound skips only draws with an ideal vertex, and a split
-# bound only splits outside its guard window.
-_NOTHING_ASSERTED = {False: "every draw had an ideal vertex", True: "every split fell outside the guard window"}
+# What a verified bound skips, and the one reason why, by whether it bounds a
+# split: a single-polygon bound skips only draws with an ideal vertex, and a
+# split bound only splits outside its guard window.
+_SKIPS = {False: ("draw", "had an ideal vertex"), True: ("split", "fell outside the guard window")}
 
 
 def _check_asserted(reps) -> None:
     """A bound that asserted no draw gave no verdict: invalid input."""
     reasons = []
-    for multi, reason in _NOTHING_ASSERTED.items():
+    for multi, (noun, why) in _SKIPS.items():
         empty = [_bound_label(rep) for rep in reps
                  if rep.asserted == 0 and _bounds.THEOREMS[rep.theorem]["multi"] == multi]
         if empty:
-            reasons.append(f"{', '.join(empty)}: {reason}")
+            reasons.append(f"{', '.join(empty)}: every {noun} {why}")
     if reasons:
         raise SystemExit2(f"nothing was asserted for {'; for '.join(reasons)}")
 
@@ -238,14 +238,13 @@ def _both_routes(kind: str, radii: np.ndarray, ts: np.ndarray) -> dict[str, np.n
 def cmd_sample(args) -> int:
     _check_counts(args, "trials")
     _bounds._check_nk(args.n)
-    family = _polygon.TangentialPolygon if args.kind == "tangential" else _polygon.CyclicPolygon
-    lo, hi = _optimize._radius_window(family, args.n, _radius_range(args))
+    lo, hi = _optimize._radius_window(args.kind, args.n, _radius_range(args))
     samples = []
-    blocks = _optimize.polygon_blocks(family, args.n, lo, hi, args.seed, np.arange(args.trials), args.regular)
+    blocks = _optimize.polygon_blocks(args.kind, args.n, lo, hi, args.seed, np.arange(args.trials), args.regular)
     for radii, ts, _ in blocks:
-        routes = {name: values.tolist() for name, values in _both_routes(family.kind, radii, ts).items()}
+        routes = {name: values.tolist() for name, values in _both_routes(args.kind, radii, ts).items()}
         for j, (radius, thetas) in enumerate(zip(radii.tolist(), ts.tolist())):
-            samples.append({"polygon": _polygon.row_json(family.kind, args.n, radius, thetas),
+            samples.append({"polygon": _polygon.row_json(args.kind, args.n, radius, thetas),
                             **{name: values[j] for name, values in routes.items()}})
     _emit_json({"samples": samples}, args.out)
     return 0
@@ -317,11 +316,10 @@ def _crit1_polygons(seed: int, count: int):
     So cell j = i % 20 holds the streams j, j + 20, ... of one family and
     one n; yields each cell's polygon_blocks as (kind, radii, apex angles)."""
     for j in range(20):
-        family = (_polygon.CyclicPolygon, _polygon.TangentialPolygon)[j % 2]
-        n = 3 + j // 2
-        lo, hi = _optimize._radius_window(family, n, _CRIT1_RANGE)
-        for radii, ts, _ in _optimize.polygon_blocks(family, n, lo, hi, seed, np.arange(j, count, 20)):
-            yield family.kind, radii, ts
+        kind, n = ("cyclic", "tangential")[j % 2], 3 + j // 2
+        lo, hi = _optimize._radius_window(kind, n, _CRIT1_RANGE)
+        for radii, ts, _ in _optimize.polygon_blocks(kind, n, lo, hi, seed, np.arange(j, count, 20)):
+            yield kind, radii, ts
 
 
 def _crit1_equivalence(seed: int, count: int) -> tuple[bool, str]:
@@ -536,12 +534,14 @@ def render_bundle(n: int, k: int, seed: int, polygons: int, trials: int, splits:
     ]
     for label, ok, note in results:
         lines.append(f"- [{'PASS' if ok else 'FAIL'}] {label}: {note}")
+    (draw, draw_why), (split, split_why) = _SKIPS.values()
     lines += [
         "",
         "## Random-polygon verification",
         "",
-        "Draws that violate an admissibility guard are skipped, never",
-        "resampled; equality is re-checked at the regular/uniform",
+        f"A single-polygon {draw} is skipped only if it {draw_why}, and a",
+        f"{split} only if it {split_why}; neither is resampled.",
+        "Equality is re-checked at the regular/uniform",
         f"configuration (tolerance {_optimize.EQ_TOL:g} for a polygon and",
         f"{_optimize.EQ_TOL:g} * max(1, |bound|) for a split).",
         "",

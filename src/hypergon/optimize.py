@@ -10,7 +10,8 @@ float64 array elementwise, and each of the three scores its points in
 arrays through _values, which turns a failure or a NaN of f into an
 EvaluationFailure.  The registered objectives are written once over
 arrays, the four sector ones as the polygon kernels.  The module also hosts
-the randomized per-theorem verification driver.
+verify_theorem, the randomized per-theorem check, and its draws, in blocks
+of streams, each polygon decided by polygon.validate_rows.
 """
 
 from __future__ import annotations
@@ -88,38 +89,21 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(bit_gen)
 
 
-def _streams(seed: int) -> Callable[[int], np.random.Generator]:
-    """stream(i): one generator, re-pointed to stream i of seed at each call,
-    for the scalar replays of rows a block does not settle."""
-    state = _stream_state(seed, 0)
-    counter = state["state"]["counter"]
-    rng = np.random.Generator(np.random.Philox())
-    bit_gen = rng.bit_generator
-
-    def stream(i: int) -> np.random.Generator:
-        counter[2] = i
-        bit_gen.state = state
-        return rng
-
-    return stream
-
-
 # ---------------------------------------------------------------------------
 # draws in blocks
 #
 # A block computes the first `width` words of each of its streams at once,
 # as numpy arrays of Philox4x64-10 blocks, and turns them into draws with
 # numpy, exactly as Generator.uniform(lo, hi), which the scalar draws call,
-# would: lo + (hi - lo) * (word >> 11) * 2**-53.  A row whose scalar draw
-# reads past the row's words, or raises, is replayed by that scalar draw on
-# its own stream.
+# would: lo + (hi - lo) * (word >> 11) * 2**-53.  The words are a prefix
+# of each stream, which a counter-based generator addresses directly, so a
+# row whose draw reads past them is read again from word 0, wider, and
+# retraces the same draw; no draw falls back to the scalar functions.
 
 # Words per block and scan slice: their arrays stay this small whatever n or
 # k is.  Below it numpy's per-call cost dominates a block; above it peak
 # memory grows faster than the time falls.
 BLOCK_WORDS = 1 << 15
-# Least words per stream of _settled_rows' second read of redrawing rows.
-REREAD_WORDS = 64
 
 # Philox4x64-10 (Salmon et al., SC 2011, and Random123): the two round
 # multipliers, split into 32-bit halves, and the two Weyl key increments.
@@ -166,13 +150,14 @@ def _read(seed: int, indices, width: int) -> np.ndarray:
     return np.stack([v0, v1, v2, v3], axis=-1).reshape(len(i), 4 * len(blocks))[:, :width]
 
 
-def _word_blocks(seed: int, index: np.ndarray, width: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Blocks (streams, words) that cut the stream indices index of seed in
-    order, where row j of words holds words 0 .. width-1 of stream streams[j]."""
+def _word_blocks(seed: int, index: np.ndarray, width: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """Blocks (part, words) that cut the stream indices index of seed in
+    order, where row j of words holds words 0 .. width-1 of stream
+    index[part][j]."""
     size = max(1, BLOCK_WORDS // width)
     for start in range(0, len(index), size):
-        streams = index[start:start + size]
-        yield streams, _read(seed, streams, width)
+        part = slice(start, start + size)
+        yield part, _read(seed, index[part], width)
 
 
 def _uniform(words: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -192,24 +177,25 @@ def _at_cursor(words: np.ndarray, rows: np.ndarray, cursor: np.ndarray, k: int) 
     return words[rows[:, None], c[:, None] + np.arange(k)]
 
 
-def _polygon_rows(family: type, n: int, lo: float, hi: float, words: np.ndarray,
+def _polygon_rows(kind: str, n: int, lo: float, hi: float, words: np.ndarray,
                   redraw: bool) -> tuple[np.ndarray, ...]:
-    """_draw_polygon(family, n, lo, hi, rng) from each row of words, as
-    (radii, apex angles, settled rows, rows with an ideal vertex).
+    """_draw_polygon(kind's family, n, lo, hi, rng) from each row of words,
+    as (radii, apex angles, settled rows, rows with an ideal vertex).
 
     A cursor walks each row's words in polygon attempts: the radius word,
     then n words per random_partition attempt until one is accepted.  A row
-    is settled when an attempt fits in its words, the radius is positive
-    and the constructor keeps the polygon as it is.  A tangential polygon
-    with an ideal vertex is drawn again from the next word when redraw is
-    set, as random_tangential_polygon does, and is otherwise settled as an
-    ideal row.  Unsettled rows are garbage."""
+    is settled when an attempt fits in its words and validate_rows accepts
+    the polygon.  A tangential polygon with an ideal vertex is drawn again
+    from the next word when redraw is set, as random_tangential_polygon
+    does, which gives up after 1000 attempts, and is otherwise settled as
+    an ideal row.  An invalid polygon raises its error.  Unsettled rows
+    are garbage."""
     count, width = words.shape
     radii, ts = np.zeros(count), np.zeros((count, n))
     settled, ideal = np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
     cursor = np.zeros(count, dtype=np.intp)
     rows = np.arange(count)
-    while True:
+    for _ in range(1000):
         rows = rows[cursor[rows] + 1 + n <= width]  # room for a radius and one partition
         if not len(rows):
             return radii, ts, settled, ideal
@@ -229,66 +215,59 @@ def _polygon_rows(family: type, n: int, lo: float, hi: float, words: np.ndarray,
                 t[pending], taken[pending[accept]] = attempt, True
             pending = pending[~accept]
             pending = pending[cursor[rows[pending]] + n <= width]
-        t, plain = _polygon.normalized_rows(t)
-        plain &= taken & (r > 0.0)
-        bad = plain & _polygon.ideal_rows(r, t) if family is TangentialPolygon else np.zeros_like(plain)
-        done = plain & ~bad if redraw else plain
+        t, status, error = _polygon.validate_rows(kind, r, t)
+        invalid = np.flatnonzero(taken & (status == _polygon.INVALID))
+        if len(invalid):
+            raise error(invalid[0])
+        bad = taken & (status == _polygon.IDEAL)
+        done = taken & ~bad if redraw else taken
         if len(rows) == count:  # no row is settled yet: these arrays become the result
             radii, ts, settled, ideal = r, t, done, bad & done
         else:
             radii[rows[done]], ts[rows[done]] = r[done], t[done]
             settled[rows[done]], ideal[rows[done]] = True, bad[done]
-        rows = rows[plain & ~done]
+        rows = rows[taken & ~done]
+    if len(rows):
+        raise Infeasible(f"could not sample a tangential {n}-gon in {(lo, hi)}")
+    return radii, ts, settled, ideal
 
 
-def _settled_rows(family: type, n: int, lo: float, hi: float, seed: int, index: np.ndarray, words: np.ndarray,
+def _settled_rows(kind: str, n: int, lo: float, hi: float, seed: int, index: np.ndarray, words: np.ndarray,
                   redraw: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_polygon_rows to the end, as (radii, apex angles, ideal rows), where
     row j of words holds the first words of stream index[j] of seed.  The
-    rows that words do not settle are read again, once, at four polygon
-    attempts, or REREAD_WORDS if redrawing and more, and walked again.  A
-    row still unsettled is replayed on its stream, by
-    random_tangential_polygon when redrawing a tangential polygon and by
-    _draw_polygon otherwise, and is ideal if that raises IdealVertex."""
-    radii, ts, settled, ideal = _polygon_rows(family, n, lo, hi, words, redraw)
-    rows = np.flatnonzero(~settled)
-    if len(rows):
-        wide = _read(seed, index[rows], max(REREAD_WORDS if redraw else 0, 4 * (n + 1)))
-        radii[rows], ts[rows], settled[rows], ideal[rows] = _polygon_rows(family, n, lo, hi, wide, redraw)
-    replays = np.flatnonzero(~settled).tolist()
-    stream = _streams(seed) if replays else None  # about 18 us to build, and most calls replay nothing
-    for j in replays:
-        rng = stream(int(index[j]))
-        try:
-            if redraw and family is TangentialPolygon:
-                poly = random_tangential_polygon(n, (lo, hi), rng)
-            else:
-                poly = _draw_polygon(family, n, lo, hi, rng)
-        except IdealVertex:
-            ideal[j] = True
-            continue
-        radii[j], ts[j] = poly.radius, poly.thetas
+    rows a read leaves unsettled are read again from word 0 of their own
+    streams, through _word_blocks, and walked again: at four polygon
+    attempts, 4(n + 1) words, and at four times the previous width in each
+    round after, until every row is settled."""
+    radii, ts, settled, ideal = _polygon_rows(kind, n, lo, hi, words, redraw)
+    rows, width = np.flatnonzero(~settled), 4 * (n + 1)
+    while len(rows):
+        for part, wide in _word_blocks(seed, index[rows], width):
+            at = rows[part]
+            radii[at], ts[at], settled[at], ideal[at] = _polygon_rows(kind, n, lo, hi, wide, redraw)
+        rows, width = rows[~settled[rows]], 4 * width
     return radii, ts, ideal
 
 
-def polygon_blocks(family: type, n: int, lo: float, hi: float, seed: int, index: np.ndarray,
+def polygon_blocks(kind: str, n: int, lo: float, hi: float, seed: int, index: np.ndarray,
                    regular: bool = False, redraw: bool = True) -> Iterator[tuple[np.ndarray, ...]]:
-    """The polygons of the stream indices index of seed, in order, as blocks
-    of (radii, apex angles, ideal rows) arrays.  Each is what
-    random_cyclic_polygon or random_tangential_polygon draws on its stream,
-    or without redraw _draw_polygon, whose ideal rows are garbage, or with
-    regular family.regular(n, rng.uniform(lo, hi)); (lo, hi) is a
-    _radius_window."""
-    for streams, words in _word_blocks(seed, index, 1 if regular else n + 1):
+    """The polygons of the family `kind` on the stream indices index of
+    seed, in order, as blocks of (radii, apex angles, ideal rows) arrays.
+    Each is what random_cyclic_polygon or random_tangential_polygon draws
+    on its stream, or without redraw _draw_polygon, whose ideal rows are
+    garbage, or with regular the regular polygon at rng.uniform(lo, hi);
+    (lo, hi) is a _radius_window."""
+    for part, words in _word_blocks(seed, index, 1 if regular else n + 1):
         if regular:
             # a regular polygon's apex angles do not depend on its radius, and
             # every radius lies in the window, where only a radius of 0 fails
             # the constructor: the smallest one stands for the block
             radii = _uniform(words[:, 0], lo, hi)
-            thetas = family.regular(n, float(radii.min())).thetas
+            thetas = _polygon.regular(kind, n, float(radii.min())).thetas
             yield radii, np.tile(thetas, (len(radii), 1)), np.zeros(len(radii), bool)
             continue
-        yield _settled_rows(family, n, lo, hi, seed, streams, words, redraw)
+        yield _settled_rows(kind, n, lo, hi, seed, index[part], words, redraw)
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +299,13 @@ def random_cyclic_polygon(n: int, radius_range: tuple[float, float], rng: np.ran
     return _draw_polygon(CyclicPolygon, n, *radius_range, rng)
 
 
-def _radius_window(family: type, n: int, radius_range: tuple[float, float]) -> tuple[float, float]:
-    """The window `family` radii are drawn from, checked before the first draw.
+def _radius_window(kind: str, n: int, radius_range: tuple[float, float]) -> tuple[float, float]:
+    """The window radii of the family `kind` are drawn from, checked before the first draw.
 
     A tangential window is capped just below the ideal-vertex limit.
     """
     lo, hi = radius_range
-    if family is TangentialPolygon:
+    if kind == "tangential":
         hi = min(hi, 0.999 * tangential_radius_limit(n))
         if not lo < hi:
             raise Infeasible(f"radius range {radius_range} has no tangential window for n={n}")
@@ -340,7 +319,7 @@ def _radius_window(family: type, n: int, radius_range: tuple[float, float]) -> t
 def random_tangential_polygon(n: int, radius_range: tuple[float, float], rng: np.random.Generator) -> TangentialPolygon:
     """A valid tangential polygon in the tangential window of radius_range;
     draws with an ideal vertex are redrawn."""
-    lo, hi = _radius_window(TangentialPolygon, n, radius_range)
+    lo, hi = _radius_window("tangential", n, radius_range)
     for _ in range(1000):
         try:
             return _draw_polygon(TangentialPolygon, n, lo, hi, rng)
@@ -918,11 +897,11 @@ def _polygon_draws(entry: dict, n: int, radius_range: tuple[float, float]) -> tu
     bound at its radius; the equality case is re-checked at every radius.
     A draw is _draw_polygon's, from polygon_blocks without redraw, and a
     tangential polygon with an ideal vertex is skipped."""
-    family = TangentialPolygon if entry["family"] == "tangential" else CyclicPolygon
-    lo, hi = _radius_window(family, n, radius_range)
+    kind = entry["family"]
+    lo, hi = _radius_window(kind, n, radius_range)
 
     def blocks(seed, trials):
-        for radii, ts, ideal in polygon_blocks(family, n, lo, hi, seed, np.arange(trials), redraw=False):
+        for radii, ts, ideal in polygon_blocks(kind, n, lo, hi, seed, np.arange(trials), redraw=False):
             rows = np.flatnonzero(~ideal)
             r, t = radii[rows], ts[rows]
             bound = entry["rows"](n, r)
@@ -932,10 +911,10 @@ def _polygon_draws(entry: dict, n: int, radius_range: tuple[float, float]) -> tu
 
             def witness(i: int) -> dict:
                 radius = float(r[i])
-                return {"polygon": _polygon.row_json(family.kind, n, radius, t[i].tolist()),
+                return {"polygon": _polygon.row_json(kind, n, radius, t[i].tolist()),
                         "bound": entry["func"](n, radius).to_json_dict()}
 
-            yield (len(ideal) - len(rows), _margins(bound.kind, metric(family.kind, r, t), bound.value),
+            yield (len(ideal) - len(rows), _margins(bound.kind, metric(kind, r, t), bound.value),
                    bound.value, np.abs(equal - bound.value[bound.equality]), witness)
 
     return blocks, None, EQ_TOL, {"radius_range": [lo, hi]}
@@ -986,5 +965,5 @@ def _split_draws(entry: dict, n: int, k: int, total: float) -> tuple[Callable, f
 def _regular_polygon_json(spec: RegularNGonSpec) -> dict:
     """Full polygon JSON for a regular polygon: tangential when given by inradius."""
     m = regular_convert(spec)
-    poly = TangentialPolygon.regular(spec.n, m.r) if spec.r is not None else CyclicPolygon.regular(spec.n, m.R)
-    return _polygon.to_json_dict(poly)
+    kind, radius = ("tangential", m.r) if spec.r is not None else ("cyclic", m.R)
+    return _polygon.to_json_dict(_polygon.regular(kind, spec.n, radius))

@@ -16,14 +16,17 @@ polygons of one family and one n, as an array of radii and a (polygons, n)
 array of apex angles, call the kernels on it and sum each row with one
 math.fsum.  An element's value does not depend on the rest of its array,
 so perimeter and area, the one-row calls of their rows functions, equal
-a block's row bit for bit; ideal_rows makes the constructor's ideal-vertex
-decision.
+a block's row bit for bit.  The polygon rule is written once, on rows:
+validate_rows scales each row's apex angles to 2*pi and decides whether
+the row is a polygon, has an ideal vertex or is no polygon at all, for
+the block draws and, as its one-row call, for the constructors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -93,45 +96,67 @@ def _sector_args(theta, radius) -> tuple[np.ndarray, np.ndarray]:
         raise Infeasible(f"sector angle must lie in (0, pi), got {float(theta[bad][0])!r}")
     bad = ~((0.0 <= radius) & (radius <= LEG_MAX))
     if bad.any():
-        _check_radius_cap(float(radius[bad][0]))
-        raise Infeasible(f"radius must be nonnegative, got {float(radius[bad][0])!r}")
+        r = float(radius[bad][0])
+        raise _beyond_cap(r) if r > LEG_MAX else Infeasible(f"radius must be nonnegative, got {r!r}")
     return theta, radius
 
 
-def _check_radius_cap(radius: float) -> None:
-    if radius > LEG_MAX:
-        raise OutOfRange(f"radius {radius!r} beyond {LEG_MAX}; cosh would overflow")
+def _beyond_cap(radius: float) -> OutOfRange:
+    return OutOfRange(f"radius {radius!r} beyond {LEG_MAX}; cosh would overflow")
 
 
-def _normalized_partition(n: int, thetas) -> tuple[float, ...]:
-    if not isinstance(n, int) or n < 3:
-        raise Infeasible(f"need integer n >= 3, got {n!r}")
-    ts = tuple(float(t) for t in thetas)
-    if len(ts) != n:
-        raise Infeasible(f"expected {n} sector angles, got {len(ts)}")
-    total = math.fsum(ts)
-    if abs(total - TWO_PI) > PARTITION_TOL:
-        raise Infeasible(f"sector angles sum to {total!r}, not 2*pi")
-    if total != TWO_PI:
-        scale = TWO_PI / total
-        ts = tuple(t * scale for t in ts)
-    for t in ts:
-        if not 0.0 < t < math.pi:
-            raise Infeasible(f"sector angle {t!r} outside (0, pi)")
-    return ts
+# validate_rows' statuses: a polygon, one with a vertex at infinity, no polygon.
+ACCEPTED, IDEAL, INVALID = 0, 1, 2
 
 
-def normalized_rows(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_normalized_partition of every row of ts, and the rows it accepts."""
+def validate_rows(kind: str, radii: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, Callable]:
+    """The polygon rule on every row of a block of one family: (apex angles
+    scaled by 2*pi over their math.fsum, status, error).  A row is INVALID
+    when its radius is not positive or beyond LEG_MAX, its angles sum
+    farther than PARTITION_TOL from 2*pi or a scaled angle lies outside
+    (0, pi); else IDEAL when the family is tangential and some
+    tan(theta/2)*sinh r >= 1; else ACCEPTED.  error(j) is the exception the
+    constructor raises on row j, for the first fault in that order, or None.
+    """
+    radii, ts = np.asarray(radii, dtype=np.float64), np.asarray(ts, dtype=np.float64)
     totals = fsum_rows(ts)
-    ts = ts * (TWO_PI / totals)[:, None]
-    ok = (np.abs(totals - TWO_PI) <= PARTITION_TOL) & ((ts > 0.0) & (ts < math.pi)).all(axis=1)
-    return ts, ok
+    with np.errstate(all="ignore"):  # only an invalid row reaches a value that is not finite
+        ts = ts * (TWO_PI / totals)[:, None]
+        vertex = np.tan(0.5 * ts) * np.sinh(radii)[:, None] >= 1.0 if kind == "tangential" else np.zeros(ts.shape, bool)
+    positive, capped = radii > 0.0, radii <= LEG_MAX
+    summed = np.abs(totals - TWO_PI) <= PARTITION_TOL
+    inside = (ts > 0.0) & (ts < math.pi)
+    valid = positive & capped & summed & inside.all(axis=1)
+    status = np.where(valid, np.where(vertex.any(axis=1), IDEAL, ACCEPTED), INVALID)
+
+    def error(j: int) -> Exception | None:
+        radius = float(radii[j])
+        if not positive[j]:
+            return Infeasible(f"{'circumradius' if kind == 'cyclic' else 'inradius'} must be positive, got {radius!r}")
+        if not capped[j]:
+            return _beyond_cap(radius)
+        if not summed[j]:
+            return Infeasible(f"sector angles sum to {float(totals[j])!r}, not 2*pi")
+        if not inside[j].all():
+            return Infeasible(f"sector angle {float(ts[j][~inside[j]][0])!r} outside (0, pi)")
+        if status[j] == IDEAL:
+            return IdealVertex(f"sector angle {float(ts[j][vertex[j]][0])!r} with inradius {radius!r} has an ideal vertex")
+        return None
+
+    return ts, status, error
 
 
-def ideal_rows(r: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """The rows a TangentialPolygon with inradius r and apex angles ts rejects as ideal."""
-    return (np.tan(0.5 * ts) * np.sinh(r)[:, None] >= 1.0).any(axis=1)
+def _validate(p: "Polygon") -> None:
+    """The constructors' checks of n and of the count of angles, then validate_rows on p's row."""
+    if not isinstance(p.n, int) or p.n < 3:
+        raise Infeasible(f"need integer n >= 3, got {p.n!r}")
+    ts = tuple(float(t) for t in p.thetas)
+    if len(ts) != p.n:
+        raise Infeasible(f"expected {p.n} sector angles, got {len(ts)}")
+    ts, status, error = validate_rows(p.kind, [p.radius], [ts])
+    if status[0] != ACCEPTED:
+        raise error(0)
+    object.__setattr__(p, "thetas", tuple(ts[0].tolist()))
 
 
 @dataclass(frozen=True)
@@ -143,10 +168,7 @@ class CyclicPolygon:
     thetas: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.R > 0.0:
-            raise Infeasible(f"circumradius must be positive, got {self.R!r}")
-        _check_radius_cap(self.R)
-        object.__setattr__(self, "thetas", _normalized_partition(self.n, self.thetas))
+        _validate(self)
 
     kind = "cyclic"
 
@@ -168,15 +190,7 @@ class TangentialPolygon:
     thetas: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.r > 0.0:
-            raise Infeasible(f"inradius must be positive, got {self.r!r}")
-        _check_radius_cap(self.r)
-        ts = _normalized_partition(self.n, self.thetas)
-        object.__setattr__(self, "thetas", ts)
-        sr = math.sinh(self.r)
-        for t in ts:
-            if math.tan(0.5 * t) * sr >= 1.0:
-                raise IdealVertex(f"sector angle {t!r} with inradius {self.r!r} has an ideal vertex")
+        _validate(self)
 
     kind = "tangential"
 
@@ -190,6 +204,11 @@ class TangentialPolygon:
 
 
 Polygon = CyclicPolygon | TangentialPolygon
+
+
+def regular(kind: str, n: int, radius: float) -> Polygon:
+    """The regular n-gon of the family `kind` with the given radius."""
+    return (CyclicPolygon if kind == "cyclic" else TangentialPolygon).regular(n, radius)
 
 
 def _one_row(rows_kernel, p: Polygon) -> np.ndarray:

@@ -3,8 +3,10 @@
 Every constant here was produced by a 60-digit mpmath evaluation and
 rounded to the nearest binary64; test_frozen.py re-derives each one and
 fails if a literal drifts.  The VERIFY_* records at the end are outputs of
-seeded verify_theorem runs; test_frozen.py re-runs them, so a change to the
-random streams, or to one bit of a VERIFY_BITS_* margin, fails there.
+seeded verify_theorem runs, and POLYGON_BLOCK_DRAWS hashes of seeded
+polygon_blocks draws; test_frozen.py re-runs them, so a change to the
+random streams, to the polygon rule, or to one bit of a VERIFY_BITS_*
+margin, fails there.
 Package code must never import this module.
 """
 
@@ -108,3 +110,69 @@ VERIFY_BITS_1_8 = (dict(theorem_id="1.8", n=3, k=5, trials=500, seed=7),
                    458, 42, 0, "0x1.a9d2e992f5e00p-6", "0x1.0000000000000p-51")
 VERIFY_BITS_1_9 = (dict(theorem_id="1.9", n=12, k=2, trials=500, seed=7),
                    425, 75, 0, "0x1.a35f27f180000p-13", "0x0.0p+0")
+
+# sha256 of the draws polygon_blocks(kind, n, *_radius_window(kind, n,
+# window), DEFAULT_SEED, np.arange(count), redraw=redraw) yields: the
+# ideal-row flags as bytes, then the float64 bytes (little-endian) of the
+# radii and of the apex angles of the rows that are not ideal.  Recorded
+# while the rows a block read left unsettled were still replayed by the
+# scalar draws, in windows where that happened (the cyclic and tangential
+# 3-gons at (0.05, 3.0) and (0.1, 2.0), the tangential 6-gon there, and
+# the tangential 3-gon in (0.4, 0.6), capped just below its ideal-vertex
+# limit): the one polygon rule now decides the draws and the references
+# alike, so only a record can show a drift in it.
+# (kind, n, window, redraw, count, sha256)
+POLYGON_BLOCK_DRAWS = (
+    ("cyclic", 3, (0.05, 3.0), True, 3000,
+     "8ac1ab591430b068a6dca0a5f1d18c98a06de8cb6c98f54f064501bf8988c94a"),
+    ("cyclic", 3, (0.05, 3.0), False, 3000,
+     "8ac1ab591430b068a6dca0a5f1d18c98a06de8cb6c98f54f064501bf8988c94a"),
+    ("cyclic", 6, (0.05, 3.0), True, 3000,
+     "45be5d8ce85cca81a96e2de1bab18b408018922ad08c65a1aed39a2f1d458203"),
+    ("cyclic", 6, (0.05, 3.0), False, 3000,
+     "45be5d8ce85cca81a96e2de1bab18b408018922ad08c65a1aed39a2f1d458203"),
+    ("cyclic", 192, (0.05, 3.0), True, 400,
+     "3ec8be799247f1668cfebd9b7553139ca795165a3f593b3a6821052a40aca0bd"),
+    ("cyclic", 192, (0.05, 3.0), False, 400,
+     "3ec8be799247f1668cfebd9b7553139ca795165a3f593b3a6821052a40aca0bd"),
+    ("tangential", 3, (0.05, 3.0), True, 3000,
+     "fc3acb383df36c9d28f7d9c6d8cfea2d9ecf4bd96b59994d12641fb508a31c6c"),
+    ("tangential", 3, (0.05, 3.0), False, 3000,
+     "53c658df5934f197b3c405ebcb1d2ec2072e5a3b2ed59e4dc124cc66d9fc6134"),
+    ("tangential", 6, (0.05, 3.0), True, 3000,
+     "a5c44350e58725e939d4dd21f493d087a550dce5cb95f0bbd63385aadf9bbcbd"),
+    ("tangential", 6, (0.05, 3.0), False, 3000,
+     "762dfd69c851b14170e80a058b10084c4d4d8cbfec8c8c458f13f80ed13afae9"),
+    ("tangential", 192, (0.05, 3.0), True, 400,
+     "3ec8be799247f1668cfebd9b7553139ca795165a3f593b3a6821052a40aca0bd"),
+    ("tangential", 192, (0.05, 3.0), False, 400,
+     "3ec8be799247f1668cfebd9b7553139ca795165a3f593b3a6821052a40aca0bd"),
+    ("cyclic", 3, (0.1, 2.0), True, 3000,
+     "8183e1d5448d1e7873b69e10950e23c7bf442e142cdc44277fc5ec9b633293a0"),
+    ("cyclic", 3, (0.1, 2.0), False, 3000,
+     "8183e1d5448d1e7873b69e10950e23c7bf442e142cdc44277fc5ec9b633293a0"),
+    ("cyclic", 6, (0.1, 2.0), True, 3000,
+     "1a9c2a37595385ee260906e7aa9d0145b782ce232e565d0c31a6eef611237ddc"),
+    ("cyclic", 6, (0.1, 2.0), False, 3000,
+     "1a9c2a37595385ee260906e7aa9d0145b782ce232e565d0c31a6eef611237ddc"),
+    ("cyclic", 192, (0.1, 2.0), True, 400,
+     "47f64cbf390905d8919ada5c7cfdd5f57b3c570253567882cfc0577ec6dcfaec"),
+    ("cyclic", 192, (0.1, 2.0), False, 400,
+     "47f64cbf390905d8919ada5c7cfdd5f57b3c570253567882cfc0577ec6dcfaec"),
+    ("tangential", 3, (0.1, 2.0), True, 3000,
+     "bf2c80312db579f42bfbbd8040a4d8260e6811ed9899292a5f625c8b93166179"),
+    ("tangential", 3, (0.1, 2.0), False, 3000,
+     "4238ba56f85dbe5cd3ba753e3a69c975c353d474f645e198bf9a75c4e37efd0b"),
+    ("tangential", 6, (0.1, 2.0), True, 3000,
+     "a61a833da504d2d1038dad5279cc1489d04e770d12711f9a42d0e546f1fc0738"),
+    ("tangential", 6, (0.1, 2.0), False, 3000,
+     "340ddb083543f2337b2366a9aba81fdb24b733536d06a8140b26ef2592ed699d"),
+    ("tangential", 192, (0.1, 2.0), True, 400,
+     "47f64cbf390905d8919ada5c7cfdd5f57b3c570253567882cfc0577ec6dcfaec"),
+    ("tangential", 192, (0.1, 2.0), False, 400,
+     "47f64cbf390905d8919ada5c7cfdd5f57b3c570253567882cfc0577ec6dcfaec"),
+    ("tangential", 3, (0.4, 0.6), True, 3000,
+     "e00965a7c1917faf5a3f532adec0c21402a2c0e824a3e313e6ba35d0f2c28d4a"),
+    ("tangential", 3, (0.4, 0.6), False, 3000,
+     "d3711ce07b3a34b7f3100c601a58409204debc7271411f23a678a4cdfc3265a4"),
+)

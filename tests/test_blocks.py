@@ -3,9 +3,10 @@
 Two contracts, tested separately:
 
 - Draws are exact.  Radii, apex angles, settled rows, ideal-vertex
-  decisions, replays, counts and counterexample indices equal the scalar
-  draws' (_streams with _draw_polygon, random_*_polygon or random_split),
-  compared with float.hex or exact equality of whole structures.
+  decisions, re-read rounds, counts and counterexample indices equal the
+  scalar draws' (stream_pointer with _draw_polygon, random_*_polygon or
+  random_split), compared with float.hex or exact equality of whole
+  structures.  The block walker never calls a scalar draw.
 - Values are accurate, not bit-identical.  The block kernels evaluate
   transcendentals with numpy's ufuncs; the scalar stable_asinh,
   stable_atanh and acosh1p use the math module, so they may differ from
@@ -30,7 +31,6 @@ import dataclasses
 import itertools
 import math
 import re
-import sys
 
 import mpmath
 import numpy as np
@@ -110,10 +110,26 @@ def boundary_counts(width):
     return size - 1, size, size + 1
 
 
+def stream_pointer(seed):
+    """stream(i): one generator, re-pointed to stream i of seed at each call;
+    about 18 us cheaper a stream than optimize.trial_rng, which builds one."""
+    state = optimize._stream_state(seed, 0)
+    counter = state["state"]["counter"]
+    rng = np.random.Generator(np.random.Philox())
+    bit_gen = rng.bit_generator
+
+    def stream(i):
+        counter[2] = i
+        bit_gen.state = state
+        return rng
+
+    return stream
+
+
 def streams(seed, count):
     """The generators of streams 0 .. count-1 of seed, in order: one Philox,
-    re-pointed by optimize._streams before each is handed out."""
-    return map(optimize._streams(seed), range(count))
+    re-pointed by stream_pointer before each is handed out."""
+    return map(stream_pointer(seed), range(count))
 
 
 def scalar_polygon(family, n, lo, hi, rng):
@@ -144,7 +160,7 @@ def test_verify_polygon_draws_match_scalar_draws(monkeypatch, theorem, n, window
     monkeypatch.setattr(optimize, "BLOCK_WORDS", SMALL_BLOCK)
     entry = bounds.THEOREMS[theorem]
     family = TangentialPolygon if entry["family"] == "tangential" else CyclicPolygon
-    lo, hi = optimize._radius_window(family, n, window)
+    lo, hi = optimize._radius_window(family.kind, n, window)
     blocks, _, _, _ = optimize._polygon_draws(entry, n, window)
     for count in boundary_counts(verify_width(n)):
         scalar = [scalar_polygon(family, n, lo, hi, rng) for rng in streams(seed, count)]
@@ -229,15 +245,15 @@ def test_partition_attempts_match_random_partition(monkeypatch, n, seed):
     # the walker without redraws on rows of three random_partition attempts,
     # below n = 12, where random_partition can reject one; blocks of 37 rows
     # cut the run mid-way.  Rows that need a fourth attempt are not plain:
-    # they are left to the re-read and the scalar replay, which
-    # test_verify_rows_settle_in_three_stages compares at n = 3.
+    # they are left to the re-reads, which
+    # test_verify_rows_settle_round_by_round compares at n = 3.
     width = 1 + 3 * n
     monkeypatch.setattr(optimize, "BLOCK_WORDS", 37 * width + 5)
     attempts = collections.Counter()
     for family in FAMILIES:
-        lo, hi = optimize._radius_window(family, n, (0.1, 2.0))
+        lo, hi = optimize._radius_window(family.kind, n, (0.1, 2.0))
         rows = [row for _, words in optimize._word_blocks(seed, np.arange(300), width)
-                for row in zip(*optimize._polygon_rows(family, n, lo, hi, words, redraw=False))]
+                for row in zip(*optimize._polygon_rows(family.kind, n, lo, hi, words, redraw=False))]
         assert len(rows) == 300
         for i, (radius, ts, plain, ideal) in enumerate(rows):
             rng = optimize.trial_rng(seed, i)
@@ -318,7 +334,7 @@ def scalar_verify(theorem, n, k, trials, seed, window=(0.1, 2.0)):
             draws.append((margin, res.value, witness, None))
     else:
         family = TangentialPolygon if entry["family"] == "tangential" else CyclicPolygon
-        lo, hi = optimize._radius_window(family, n, window)
+        lo, hi = optimize._radius_window(family.kind, n, window)
         for rng in streams(seed, trials):
             poly = scalar_polygon(family, n, lo, hi, rng)
             if poly is None:
@@ -359,56 +375,56 @@ def test_verify_theorem_matches_the_scalar_loop(monkeypatch, theorem, tightened)
     assert violated == tightened
 
 
-def stream_index(rng):
-    """The stream a generator from optimize._streams was pointed to."""
-    return rng.bit_generator.state["state"]["counter"][2]
+def no_scalar_draws(monkeypatch):
+    """Make every scalar draw raise, so that a block walk that reaches one fails."""
+    def scalar(*args):
+        raise AssertionError("a block walk called a scalar draw")
+
+    for name in ("_draw_polygon", "random_partition", "random_cyclic_polygon", "random_tangential_polygon"):
+        monkeypatch.setattr(optimize, name, scalar)
 
 
-def count_work(monkeypatch):
-    """Counters of the streams optimize._read computes, per width, and of
-    the streams handed to the scalar _draw_polygon, under "replays"."""
-    read, draw_polygon = optimize._read, optimize._draw_polygon
-    work = collections.Counter()
-    replays = []
-
-    def counted_read(seed, indices, width):
-        words = read(seed, indices, width)
-        work[width] += len(words)
-        return words
-
-    def counted_draw(family, n, lo, hi, rng):
-        work["replays"] += 1
-        replays.append(stream_index(rng))
-        return draw_polygon(family, n, lo, hi, rng)
-
-    monkeypatch.setattr(optimize, "_read", counted_read)
-    monkeypatch.setattr(optimize, "_draw_polygon", counted_draw)
-    return work, replays
-
-
-def first_reads(monkeypatch):
-    """The (streams, width) of every read that optimize._word_blocks makes,
-    in order; the re-reads of unsettled rows come from elsewhere."""
+def record_reads(monkeypatch):
+    """The (stream indices, width) of every read optimize._read makes, in order."""
     read = optimize._read
     reads = []
 
-    def counted_read(seed, indices, width):
-        words = read(seed, indices, width)
-        if sys._getframe(1).f_code is optimize._word_blocks.__code__:
-            reads.append(words.shape)
-        return words
+    def recorded(seed, indices, width):
+        reads.append((np.asarray(indices).tolist(), width))
+        return read(seed, indices, width)
 
-    monkeypatch.setattr(optimize, "_read", counted_read)
+    monkeypatch.setattr(optimize, "_read", recorded)
     return reads
+
+
+def streams_per_width(reads):
+    """How many streams the reads compute at each width."""
+    work = collections.Counter()
+    for streams, width in reads:
+        work[width] += len(streams)
+    return work
+
+
+def rounds(used, width):
+    """The re-read rounds a row needs whose scalar draw reads `used` words,
+    when it is read first at width and each round at four times the last."""
+    j = 0
+    while used > width * 4**j:
+        j += 1
+    return j
 
 
 def assert_full_blocks(reads, count, width):
     """The first reads of count streams at width hold at most
     max(BLOCK_WORDS, width) words each, and all but the last as many rows
-    as fit in that budget."""
-    assert all(rows * w <= max(optimize.BLOCK_WORDS, width) and w == width for rows, w in reads)
+    as fit in that budget; every other read is a re-read, at width times a
+    power of four and within max(BLOCK_WORDS, its width)."""
+    first = [len(streams) for streams, w in reads if w == width]
     size = max(1, optimize.BLOCK_WORDS // width)
-    assert [rows for rows, _ in reads] == [size] * (count // size) + [count % size] * (count % size > 0)
+    assert first == [size] * (count // size) + [count % size] * (count % size > 0)
+    for streams, w in reads:
+        assert len(streams) * w <= max(optimize.BLOCK_WORDS, w)
+        assert w // width in (4**j for j in range(12)) and w % width == 0
     reads.clear()
 
 
@@ -416,7 +432,7 @@ def assert_full_blocks(reads, count, width):
 def test_draw_blocks_fill_the_word_budget(monkeypatch, n):
     # verify's polygons and splits, and the samplers' polygons, over two
     # block boundaries; at a budget below the width, a block is one stream
-    reads = first_reads(monkeypatch)
+    reads = record_reads(monkeypatch)
     for theorem, entry in bounds.THEOREMS.items():
         if entry["objective"] is None:
             continue
@@ -429,36 +445,37 @@ def test_draw_blocks_fill_the_word_budget(monkeypatch, n):
         for family, regular in itertools.product(FAMILIES, (False, True)):
             width = 1 if regular else n + 1
             count = 2 * max(1, budget // width) + 1
-            lo, hi = optimize._radius_window(family, n, (0.1, 2.0))
-            for _ in optimize.polygon_blocks(family, n, lo, hi, DEFAULT_SEED, np.arange(count), regular):
+            lo, hi = optimize._radius_window(family.kind, n, (0.1, 2.0))
+            for _ in optimize.polygon_blocks(family.kind, n, lo, hi, DEFAULT_SEED, np.arange(count), regular):
                 pass
             assert_full_blocks(reads, count, width)
 
 
-def test_verify_rows_settle_in_three_stages(monkeypatch):
+def test_verify_rows_settle_round_by_round(monkeypatch):
     # n = 3 near the tangential limit, where random_partition rejects often
     # and most polygons have an ideal vertex.  A verify row is settled by
-    # the read of one polygon attempt, n + 1 words, by the re-read of four,
-    # or by the scalar replay, by how many words its scalar draw reads; a
-    # row with an ideal vertex is skipped at every stage, never redrawn
+    # the read of one polygon attempt, n + 1 words, or by the j-th re-read
+    # of its own stream, at 4**j (n + 1) words, by how many words its scalar
+    # draw reads; a row with an ideal vertex is skipped at every round,
+    # never redrawn
     n, count, window = 3, 2000, (0.4, 0.6)
     monkeypatch.setattr(optimize, "BLOCK_WORDS", SMALL_BLOCK)
-    lo, hi = optimize._radius_window(TangentialPolygon, n, window)
-    want, stage = [], []
+    lo, hi = optimize._radius_window("tangential", n, window)
+    want, need = [], []
     for rng in streams(DEFAULT_SEED, count):
         want.append(scalar_polygon(TangentialPolygon, n, lo, hi, rng))
-        used = words_read(rng)
-        stage.append(0 if used <= n + 1 else 1 if used <= 4 * (n + 1) else 2)
-    assert {(s, p is None) for s, p in zip(stage, want)} == set(itertools.product((0, 1, 2), (False, True)))
-    work, replays = count_work(monkeypatch)
+        need.append(rounds(words_read(rng), n + 1))
+    assert {(min(j, 2), p is None) for j, p in zip(need, want)} == set(itertools.product((0, 1, 2), (False, True)))
     entry = bounds.THEOREMS["1.3"]
     blocks, _, _, _ = optimize._polygon_draws(entry, n, window)
     kept = []
-    for _, margins, _, _, witness in blocks(DEFAULT_SEED, count):
-        kept += [witness(i)["polygon"] for i in range(len(margins))]
+    with monkeypatch.context() as m:
+        no_scalar_draws(m)
+        reads = record_reads(m)
+        for _, margins, _, _, witness in blocks(DEFAULT_SEED, count):
+            kept += [witness(i)["polygon"] for i in range(len(margins))]
     assert kept == [polygon.to_json_dict(p) for p in want if p is not None]
-    assert dict(work) == {n + 1: count, 4 * (n + 1): stage.count(1) + stage.count(2), "replays": stage.count(2)}
-    assert replays == [i for i, s in enumerate(stage) if s == 2]
+    assert streams_per_width(reads) == {(n + 1) * 4**j: sum(1 for r in need if r >= j) for j in range(max(need) + 1)}
     # the counterexample a tightened bound finds is the scalar loop's first
     tighten(monkeypatch, "1.3")
     rep = optimize.verify_theorem("1.3", n=n, radius_range=window, trials=count)
@@ -469,17 +486,20 @@ def test_verify_rows_settle_in_three_stages(monkeypatch):
 def test_verify_reads_one_polygon_attempt_per_stream(monkeypatch):
     # Philox blocks of four words: at n = 6 a verify row reads two, and the
     # few rows whose first partition is rejected are read again at 28 words
-    work, _ = count_work(monkeypatch)
+    no_scalar_draws(monkeypatch)
+    reads = record_reads(monkeypatch)
     optimize.verify_theorem("1.2", n=6, trials=10_000)
+    work = streams_per_width(reads)
     assert set(work) <= {7, 28}
     assert work[7] == 10_000 and work[28] <= 10
     assert sum(streams * -(-width // 4) for width, streams in work.items()) == 2 * 10_000 + 7 * work[28]
-    # the verify benchmark's n = 3 cell replays under 1% of its rows
+    # the verify benchmark's n = 3 cell reads under 1% of its rows a third
+    # time, past four polygon attempts
     for window in WINDOWS:
-        work.clear()
+        reads.clear()
         optimize.verify_theorem("1.3", n=3, radius_range=window, trials=2000)
-        assert set(work) <= {4, 16, "replays"}
-        assert work[4] == 2000 and work["replays"] < 20
+        work = streams_per_width(reads)
+        assert work[4] == 2000 and 0 < work[16] and sum(v for w, v in work.items() if w > 16) < 20
 
 
 NAN = math.nan
@@ -521,15 +541,15 @@ def test_block_reduction_keeps_the_scalar_loops_choices(monkeypatch, blocks):
 @pytest.mark.parametrize("n", [3, 6, 12, 192])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_polygon_blocks_match_the_sample_draws(monkeypatch, family, n, window, regular):
-    # the redrawing samplers of `hypergon sample`, which replay every
+    # the redrawing samplers of `hypergon sample`, which redraw every
     # tangential draw with an ideal vertex on its own stream; a regular
     # draw reads one word, so its blocks are cut at 50 streams
     monkeypatch.setattr(optimize, "BLOCK_WORDS", 50 if regular else SMALL_BLOCK)
-    lo, hi = optimize._radius_window(family, n, window)
+    lo, hi = optimize._radius_window(family.kind, n, window)
     sampler = optimize.random_tangential_polygon if family is TangentialPolygon else optimize.random_cyclic_polygon
     for seed in SEEDS:
         for count in boundary_counts(1 if regular else n + 1):
-            blocks = list(optimize.polygon_blocks(family, n, lo, hi, seed, np.arange(count), regular))
+            blocks = list(optimize.polygon_blocks(family.kind, n, lo, hi, seed, np.arange(count), regular))
             radii = np.concatenate([r for r, _, _ in blocks])
             ts = np.concatenate([t for _, t, _ in blocks])
             assert not np.concatenate([ideal for _, _, ideal in blocks]).any()
@@ -544,13 +564,13 @@ def test_polygon_blocks_match_the_sample_draws(monkeypatch, family, n, window, r
 def test_polygon_blocks_draw_any_streams(monkeypatch, family, mode):
     # a strided index, cut into blocks of 7 streams at n = 3 (4 words a
     # stream) and of 28 when regular: row j is the draw on stream index[j]
-    # and on no other, through the block read, the re-read and the replay
+    # and on no other, through the block read and the re-reads
     n = 3
-    lo, hi = optimize._radius_window(family, n, (0.4, 0.6))
+    lo, hi = optimize._radius_window(family.kind, n, (0.4, 0.6))
     monkeypatch.setattr(optimize, "BLOCK_WORDS", 28)
     index = np.arange(5, 5 + 7 * 300, 7)
     regular = mode == "regular"
-    blocks = list(optimize.polygon_blocks(family, n, lo, hi, DEFAULT_SEED, index, regular, mode == "redraw"))
+    blocks = list(optimize.polygon_blocks(family.kind, n, lo, hi, DEFAULT_SEED, index, regular, mode == "redraw"))
     size = 28 if regular else 7
     assert [len(r) for r, _, _ in blocks] == [len(index[k:k + size]) for k in range(0, len(index), size)]
     radii, ts, ideal = (np.concatenate(arrays) for arrays in zip(*blocks))
@@ -581,36 +601,21 @@ def crit1_cell(i):
     return FAMILIES[i % 2], 3 + (i // 2) % 10
 
 
-def replayed_streams(monkeypatch):
-    """The streams that reach the scalar optimize._draw_polygon from now
-    on, each once however often its polygon is drawn again."""
-    draw_polygon = optimize._draw_polygon
-    replays = []
-
-    def counted(family, n, lo, hi, rng):
-        if replays[-1:] != [stream_index(rng)]:
-            replays.append(stream_index(rng))
-        return draw_polygon(family, n, lo, hi, rng)
-
-    monkeypatch.setattr(optimize, "_draw_polygon", counted)
-    return replays
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 def test_criterion_1_draws_each_cell_through_polygon_blocks(monkeypatch, seed):
     # polygon i is random_cyclic_polygon at even i and
     # random_tangential_polygon at odd i, with n = 3 + (i // 2) % 10, in the
-    # window (0.05, 3.0), on stream i.  Three budgets: the real one, where
-    # each cell's 35 streams are one block, blocks of 140 words, where a
-    # cell spans blocks, and those with a re-read of four polygon attempts,
-    # where many rows fall through to the scalar replay
+    # window (0.05, 3.0), on stream i.  Two budgets: the real one, where
+    # each cell's 35 streams are one block, and blocks of 140 words, where
+    # a cell spans blocks; at both, a stream is read again, round by round
+    # at four times the width, until its draw fits, and never by a scalar draw
     count = 700
-    want, used = [], []
+    want, need = [], []
     attempts = collections.Counter()
     draw_polygon = optimize._draw_polygon
 
     def counted(family, n, lo, hi, rng):
-        attempts[stream_index(rng)] += 1
+        attempts[rng] += 1
         return draw_polygon(family, n, lo, hi, rng)
 
     with monkeypatch.context() as m:
@@ -620,14 +625,14 @@ def test_criterion_1_draws_each_cell_through_polygon_blocks(monkeypatch, seed):
             family, n = crit1_cell(i)
             sampler = optimize.random_cyclic_polygon if family is CyclicPolygon else optimize.random_tangential_polygon
             want.append(sampler(n, (0.05, 3.0), rng))
-            used.append(words_read(rng))
+            need.append(rounds(words_read(rng), n + 1))
     assert {min(a, 3) for a in attempts.values()} == {1, 2, 3}  # settled on polygon attempt 1, 2, 3 or later
-    replays = replayed_streams(monkeypatch)
-    real = optimize.BLOCK_WORDS
-    for block_words, reread_words in ((real, optimize.REREAD_WORDS), (140, optimize.REREAD_WORDS), (140, 0)):
+    assert {min(j, 2) for j in need} == {0, 1, 2}  # by the first read, the first re-read or a later one
+    no_scalar_draws(monkeypatch)
+    reads = record_reads(monkeypatch)
+    for block_words in (optimize.BLOCK_WORDS, 140):
         monkeypatch.setattr(optimize, "BLOCK_WORDS", block_words)
-        monkeypatch.setattr(optimize, "REREAD_WORDS", reread_words)
-        replays.clear()
+        reads.clear()
         cells = collections.defaultdict(list)
         for kind, radii, ts in cli._crit1_polygons(seed, count):
             cells[kind, ts.shape[1]].append((radii, ts))
@@ -640,35 +645,62 @@ def test_criterion_1_draws_each_cell_through_polygon_blocks(monkeypatch, seed):
             assert [hexes(row) for row in ts] == [hexes(want[i].thetas) for i in streams]
             size = max(1, block_words // (n + 1))
             assert len(blocks) == -(-len(streams) // size)
-        # a row is settled by the read of one polygon attempt, by the re-read
-        # of four or REREAD_WORDS, or by the scalar replay, by how many
-        # words it draws
-        wide = [max(reread_words, 4 * (p.n + 1)) for p in want]
-        stage = [0 if u <= p.n + 1 else 1 if u <= w else 2 for u, p, w in zip(used, want, wide)]
-        assert sorted(replays) == [i for i, s in enumerate(stage) if s == 2]
-        assert {0, 1} <= set(stage) and (2 in stage or reread_words > 0)
-        if block_words != real:
+        widths = collections.defaultdict(list)
+        for streams, width in reads:
+            for i in streams:
+                widths[i].append(width)
+        assert widths == {i: [(p.n + 1) * 4**r for r in range(j + 1)] for i, (p, j) in enumerate(zip(want, need))}
+        if block_words != optimize.BLOCK_WORDS:
             assert max(len(blocks) for blocks in cells.values()) >= 2
 
 
 def test_criterion_1_cells_fill_the_word_budget(monkeypatch):
-    # at the default seed the 10^4 polygons need 8 scalar replays; each
-    # cell's first reads, at one polygon attempt per stream, fill the
-    # word budget
-    replays = replayed_streams(monkeypatch)
-    reads = first_reads(monkeypatch)
+    # each cell's first reads, at one polygon attempt per stream, fill the
+    # word budget; at the default seed 278 reads of the 10^4 polygons go
+    # past the first re-read (272 streams at a second round, 6 at a third),
+    # and none reaches a scalar draw
+    reads = record_reads(monkeypatch)
+    no_scalar_draws(monkeypatch)
     polygon_blocks = optimize.polygon_blocks
-    cells = []
+    cells, late = [], []
 
-    def cell(family, n, lo, hi, seed, index, *args):
-        yield from polygon_blocks(family, n, lo, hi, seed, index, *args)
+    def cell(kind, n, lo, hi, seed, index, *args):
+        yield from polygon_blocks(kind, n, lo, hi, seed, index, *args)
+        late.extend(len(streams) for streams, width in reads if width > 4 * (n + 1))
         assert_full_blocks(reads, len(index), n + 1)
-        cells.append((family, n, index.tolist()))
+        cells.append((kind, n, index.tolist()))
 
     monkeypatch.setattr(optimize, "polygon_blocks", cell)
     assert sum(len(radii) for _, radii, _ in cli._crit1_polygons(DEFAULT_SEED, 10_000)) == 10_000
-    assert cells == [(*crit1_cell(j), list(range(j, 10_000, 20))) for j in range(20)]
-    assert 0 < len(replays) <= 30
+    assert cells == [(f.kind, n, list(range(j, 10_000, 20))) for j, (f, n) in enumerate(map(crit1_cell, range(20)))]
+    assert 0 < sum(late) <= 300
+
+
+def jumped_rng(seed, index):
+    return np.random.Generator(np.random.Philox(key=seed).jumped(index))
+
+
+def draws(rng):
+    # doubles, bounded integers and normals read the stream in different ways
+    return (list(rng.uniform(0.1, 1.0, 5)), list(rng.integers(3, 13, 4)), list(rng.standard_normal(3)))
+
+
+@pytest.mark.parametrize("seed", [0, DEFAULT_SEED, 2**70 + 3, 2**128 - 1])
+def test_streams_match_jumped_streams(seed):
+    stream = stream_pointer(seed)
+    got = [draws(stream(i)) for i in range(6)]
+    assert got == [draws(jumped_rng(seed, i)) for i in range(6)]
+
+
+def test_streams_reset_the_output_buffer():
+    stream = stream_pointer(5)
+    rng = stream(0)
+    rng.random()
+    rng.integers(0, 2**32, dtype=np.uint32)  # leaves half a 64-bit word buffered
+    assert rng.bit_generator.state["has_uint32"] == 1
+    rng, fresh = stream(1), jumped_rng(5, 1)
+    assert list(rng.integers(0, 2**32, 3, dtype=np.uint32)) == list(fresh.integers(0, 2**32, 3, dtype=np.uint32))
+    assert draws(rng) == draws(fresh)
 
 
 def test_block_uniform_matches_the_generator():
@@ -682,7 +714,7 @@ def test_block_uniform_matches_the_generator():
 
 
 def random_polygons(family, n, window, count, seed=0x81):
-    lo, hi = optimize._radius_window(family, n, window)
+    lo, hi = optimize._radius_window(family.kind, n, window)
     polys = [scalar_polygon(family, n, lo, hi, rng) for rng in streams(seed, count)]
     return [p for p in polys if p is not None]
 

@@ -1,5 +1,7 @@
 """End-to-end tests of the command line front end, in process."""
 
+import ast
+import collections
 import dataclasses
 import importlib.util
 import json
@@ -20,7 +22,7 @@ import frozen
 import hypergon
 from hypergon import bounds, cli, optimize, polygon
 from hypergon.cli import CSV_HEADER, main
-from hypergon.errors import IdealVertex
+from hypergon.errors import Infeasible
 
 
 def run_cli(capsys, *argv):
@@ -465,28 +467,59 @@ def test_sample_cyclic_keys(capsys):
 
 def test_sample_near_the_tangential_limit_exits_2(capsys, monkeypatch):
     # the window (0.548, 0.5488) sits just below the 3-gon's ideal-vertex
-    # limit: no row of the block walk settles, even read again wide, so
-    # every row goes to the scalar replay, which gives up after its 1000
-    # attempts
-    lo, hi = optimize._radius_window(polygon.TangentialPolygon, 3, (0.548, 0.6))
+    # limit, so no row settles: each round reads every row again from word 0
+    # at four times the width, 16 words, 64, ..., until one row's 1000
+    # polygon attempts fit in its words, and it gives up there as
+    # random_tangential_polygon does, with no scalar draw run
+    lo, hi = optimize._radius_window("tangential", 3, (0.548, 0.6))
     seed = optimize.DEFAULT_SEED
-    replayed = []
-
-    def replay(n, window, rng):
-        replayed.append(rng.bit_generator.state["state"]["counter"][2])
-        raise IdealVertex("replayed")
-
     index = np.arange(10)
+    need = []
+    for i in index.tolist():
+        rng = optimize.trial_rng(seed, i)
+        with pytest.raises(Infeasible):
+            optimize.random_tangential_polygon(3, (lo, hi), rng)
+        state = rng.bit_generator.state
+        used = 4 * state["state"]["counter"][0] - 4 + state["buffer_pos"]
+        need.append(next(j for j in range(20) if used <= 4 * 4**j))
+    read, reads = optimize._read, []
+
+    def counted(seed, indices, width):
+        reads.append((np.asarray(indices).tolist(), width))
+        return read(seed, indices, width)
+
     with monkeypatch.context() as m:
-        m.setattr(optimize, "random_tangential_polygon", replay)
-        _, _, ideal = optimize._settled_rows(polygon.TangentialPolygon, 3, lo, hi, seed, index,
-                                             optimize._read(seed, index, 4))
-    assert replayed == list(range(10))
-    assert ideal.all()
+        m.setattr(optimize, "_read", counted)
+        for name in ("_draw_polygon", "random_partition", "random_tangential_polygon"):
+            m.setattr(optimize, name, None)  # calling one raises TypeError
+        with pytest.raises(Infeasible, match="could not sample a tangential 3-gon"):
+            optimize._settled_rows("tangential", 3, lo, hi, seed, index, read(seed, index, 4))
+    rounds = {}
+    for streams, width in reads:
+        rounds.setdefault(width, []).extend(streams)
+    assert list(rounds) == [16 * 4**j for j in range(min(need))]
+    assert all(streams == index.tolist() for width, streams in rounds.items() if width < 4 * 4**min(need))
     assert main(["sample", "--kind", "tangential", "--n", "3", "--range", "0.548:0.6"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: Infeasible: could not sample a tangential 3-gon in {(lo, hi)}"]
+
+
+def test_every_draw_runs_without_the_scalar_draws(capsys, monkeypatch):
+    # sample, verify and the battery's polygons settle every row in the
+    # block walker, at n = 3 where partitions are redrawn and most tangential
+    # draws have an ideal vertex; the scalar draws stay only as references
+    def scalar(*args):
+        raise AssertionError("a scalar draw ran")
+
+    for name in ("_draw_polygon", "random_partition", "random_cyclic_polygon", "random_tangential_polygon"):
+        monkeypatch.setattr(optimize, name, scalar)
+    for kind in ("cyclic", "tangential"):
+        code, out = run_cli(capsys, "sample", "--kind", kind, "--n", "3", "--trials", "500")
+        assert code == 0 and len(json.loads(out)["samples"]) == 500
+    code, out = run_cli(capsys, "verify", "--thm", "all", "--n", "3")
+    assert code == 0 and len(json.loads(out)["reports"]) == 10
+    assert sum(len(radii) for _, radii, _ in cli._crit1_polygons(optimize.DEFAULT_SEED, 10_000)) == 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -742,6 +775,39 @@ def test_every_bench_traced_name_resolves():
     missing = [f"hypergon.{short}.{name}" for short, name in names
                if not callable(getattr(importlib.import_module(f"hypergon.{short}"), name, None))]
     assert names and missing == []
+
+
+# The top-level src/ definitions that no other src/ code names, apart from
+# the __init__ re-exports: the public calls kept for their users, the
+# tests' scalar references and bench/tracing.py's spans.
+UNREFERENCED = {
+    "bounds.equality_value",
+    "hmodel.embed", "hmodel.measured_perimeter", "hmodel.measured_area", "hmodel.measured_interior_angles",
+    "hypmath.coshm1", "hypmath.acos_snapped", "hypmath.hyp_hypotenuse",
+    "optimize.trial_rng", "optimize.random_split", "optimize.random_cyclic_polygon",
+    "optimize.random_tangential_polygon",
+}
+
+
+def test_unreferenced_src_definitions_are_the_known_ones():
+    # an AST scan of src/: a function or class defined at module level
+    # counts as referenced when another src/ statement names it, as a name,
+    # an attribute or an import, outside its own definition.  A new
+    # definition nothing reaches fails here, and so does deleting one of
+    # UNREFERENCED or giving it a caller without updating the set
+    modules = {path.stem: ast.parse(path.read_text()) for path in Path(hypergon.__file__).parent.glob("*.py")
+               if path.name != "__init__.py"}
+    defined = {(mod, node.name): node for mod, tree in modules.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    named = collections.Counter()
+    for mod, tree in modules.items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+                        else node.name if isinstance(node, ast.alias) else None)
+                if name is not None and defined.get((mod, name)) is not top:
+                    named[name] += 1
+    assert {f"{mod}.{name}" for mod, name in defined if not named[name]} == UNREFERENCED
 
 
 def test_bench_tracer_wraps_and_restores_every_traced_name():

@@ -1,6 +1,10 @@
 """Re-derive every frozen constant at 60 digits and pin the binary64 rounding."""
 
+import hashlib
+
 import frozen
+import numpy as np
+from hypergon import optimize
 from hypergon.cli import simd_target
 from hypergon.optimize import verify_theorem
 from mpmath import mp, mpf, acosh, asinh, atanh, asin, atan, cos, cosh, log, pi, sin, sinh, sqrt, tan, tanh
@@ -97,3 +101,12 @@ def test_seeded_verification_bits():
         rep = verify_theorem(**args)
         got = (rep.asserted, rep.skipped, rep.violations, rep.worst_margin.hex(), rep.equality_abs_error.hex())
         assert got == (asserted, skipped, violations, worst, eq_err), args
+
+
+def test_polygon_block_draws():
+    for kind, n, window, redraw, count, digest in frozen.POLYGON_BLOCK_DRAWS:
+        lo, hi = optimize._radius_window(kind, n, window)
+        blocks = optimize.polygon_blocks(kind, n, lo, hi, optimize.DEFAULT_SEED, np.arange(count), redraw=redraw)
+        radii, ts, ideal = (np.concatenate(arrays) for arrays in zip(*blocks))
+        got = hashlib.sha256(ideal.tobytes() + radii[~ideal].tobytes() + ts[~ideal].tobytes()).hexdigest()
+        assert got == digest, (kind, n, window, redraw)

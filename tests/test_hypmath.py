@@ -385,10 +385,10 @@ def test_fsum_rows_decides_production_rows_alone(monkeypatch):
     fsum = polygon.fsum_rows
     for module in (polygon, optimize):
         monkeypatch.setattr(module, "fsum_rows", lambda a: seen.append(a.copy()) or fsum(a))
-    for family in (polygon.CyclicPolygon, polygon.TangentialPolygon):
+    for kind in ("cyclic", "tangential"):
         for n, count in ((3, 2000), (12, 1500), (192, 300)):
-            lo, hi = optimize._radius_window(family, n, (1e-3, 15.0))
-            for _ in optimize.polygon_blocks(family, n, lo, hi, 0x15090001, np.arange(count)):
+            lo, hi = optimize._radius_window(kind, n, (1e-3, 15.0))
+            for _ in optimize.polygon_blocks(kind, n, lo, hi, 0x15090001, np.arange(count)):
                 pass
     draws = len(seen)
     optimize.solve_equal_sum(optimize.make_problem("thm7_radius", k=3000, n=6))

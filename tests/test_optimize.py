@@ -355,29 +355,11 @@ def draws(rng):
     return (list(rng.uniform(0.1, 1.0, 5)), list(rng.integers(3, 13, 4)), list(rng.standard_normal(3)))
 
 
-@pytest.mark.parametrize("seed", [0, DEFAULT_SEED, 2**70 + 3, 2**128 - 1])
-def test_streams_match_jumped_streams(seed):
-    stream = optimize._streams(seed)
-    got = [draws(stream(i)) for i in range(6)]
-    assert got == [draws(jumped_rng(seed, i)) for i in range(6)]
-
-
 @pytest.mark.parametrize("index", [0, 1, 2**53 + 1, 2**63 + 7, 2**64 - 1])
 def test_trial_rng_matches_jumped_stream(index):
     # 2**53 + 1 is the first int float64 cannot hold; np.asarray turns a tuple
     # holding 2**63 + 7 into float64, so Philox(counter=tuple) reads stream 2**63
     assert draws(trial_rng(DEFAULT_SEED, index)) == draws(jumped_rng(DEFAULT_SEED, index))
-
-
-def test_streams_reset_the_output_buffer():
-    stream = optimize._streams(5)
-    rng = stream(0)
-    rng.random()
-    rng.integers(0, 2**32, dtype=np.uint32)  # leaves half a 64-bit word buffered
-    assert rng.bit_generator.state["has_uint32"] == 1
-    rng, fresh = stream(1), jumped_rng(5, 1)
-    assert list(rng.integers(0, 2**32, 3, dtype=np.uint32)) == list(fresh.integers(0, 2**32, 3, dtype=np.uint32))
-    assert draws(rng) == draws(fresh)
 
 
 def reference_read(seed, indices, width):
@@ -417,8 +399,6 @@ def test_trial_rng_generators_are_independent():
 def test_seed_outside_the_key_range_is_infeasible(seed):
     with pytest.raises(Infeasible):
         trial_rng(seed, 0)
-    with pytest.raises(Infeasible):
-        optimize._streams(seed)
     with pytest.raises(Infeasible):
         optimize._read(seed, [0], 4)
 

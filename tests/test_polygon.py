@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hypergon.errors import IdealVertex, Infeasible
-from hypergon.hypmath import RegularNGonSpec, regular_convert, tangential_radius_limit
+from hypergon.errors import IdealVertex, Infeasible, OutOfRange
+from hypergon.hypmath import LEG_MAX, RegularNGonSpec, regular_convert, tangential_radius_limit
 from hypergon.optimize import random_cyclic_polygon, random_tangential_polygon, trial_rng
 from hypergon.polygon import (
+    ACCEPTED,
+    IDEAL,
+    INVALID,
     PARTITION_TOL,
     TWO_PI,
     CyclicPolygon,
@@ -21,6 +24,7 @@ from hypergon.polygon import (
     perimeter,
     tangential_interior_angle,
     tangential_tangent_length,
+    validate_rows,
 )
 
 
@@ -141,6 +145,75 @@ def test_tangential_ideal_vertex_guard():
         TangentialPolygon.regular(3, r)
     p = TangentialPolygon.regular(3, 0.999 * r)
     assert p.thetas == (TWO_PI / 3,) * 3
+
+
+def constructor_verdicts(n, radii, ts):
+    """Per row, whether TangentialPolygon(n, r, thetas) raises IdealVertex."""
+    out = []
+    for r, thetas in zip(radii.tolist(), ts.tolist()):
+        try:
+            TangentialPolygon(n, r, thetas)
+        except IdealVertex:
+            out.append(True)
+        else:
+            out.append(False)
+    return out
+
+
+def test_constructor_rejects_exactly_the_rows_validate_rows_marks_ideal():
+    # one rule decides an ideal vertex, tan(theta/2)*sinh r >= 1: the
+    # constructor and the block draws must agree on the boundary itself.
+    # The regular n-gon at tangential_radius_limit(n) sits on it (a math
+    # evaluation keeps the 8-gon there that numpy calls ideal), and so do
+    # the random partitions below, each at the inradius that puts its widest
+    # sector's vertex at infinity, moved by -3 .. 3 ulp
+    for n in range(3, 13):
+        r = np.array([tangential_radius_limit(n)])
+        ts = np.full((1, n), TWO_PI / n)
+        _, status, _ = validate_rows("tangential", r, ts)
+        assert status[0] in (ACCEPTED, IDEAL)
+        assert constructor_verdicts(n, r, ts) == [status[0] == IDEAL], n
+    rng = np.random.default_rng(0x1DEA1)
+    seen = np.zeros(2, dtype=int)
+    for n in range(3, 13):
+        u = rng.uniform(0.1, 1.0, (2000, n))
+        u = u[2.0 * u.max(axis=1) < u.sum(axis=1)][:1000]
+        ts = u * (TWO_PI / u.sum(axis=1))[:, None]
+        radii = np.arcsinh(1.0 / np.tan(0.5 * ts.max(axis=1)))
+        for _ in range(3):
+            step = rng.integers(-1, 2, len(radii))
+            radii = np.where(step > 0, np.nextafter(radii, np.inf), np.where(step < 0, np.nextafter(radii, 0), radii))
+        scaled, status, error = validate_rows("tangential", radii, ts)
+        assert set(status.tolist()) <= {ACCEPTED, IDEAL}
+        ideal = status == IDEAL
+        assert ideal.tolist() == (np.tan(0.5 * scaled) * np.sinh(radii)[:, None] >= 1.0).any(axis=1).tolist()
+        assert constructor_verdicts(n, radii, ts) == ideal.tolist(), n
+        seen += np.bincount(ideal, minlength=2)
+        j = int(np.argmax(ideal))
+        assert isinstance(error(j), IdealVertex) and error(int(np.argmin(ideal))) is None
+    assert seen.sum() == 10_000 and seen.min() > 1000
+
+
+def test_validate_rows_raises_what_the_constructors_raised():
+    base = [TWO_PI / 3] * 3
+    cases = [
+        ("cyclic", 0.0, base, Infeasible, "circumradius must be positive, got 0.0"),
+        ("tangential", -1.0, base, Infeasible, "inradius must be positive, got -1.0"),
+        ("cyclic", math.nan, base, Infeasible, "circumradius must be positive, got nan"),
+        ("cyclic", 1e9, base, OutOfRange, f"radius 1000000000.0 beyond {LEG_MAX}; cosh would overflow"),
+        ("cyclic", 1.0, [1.0, 1.0, 1.0], Infeasible, "sector angles sum to 3.0, not 2*pi"),
+        ("cyclic", 1.0, [math.pi, math.pi / 2, math.pi / 2], Infeasible, f"sector angle {math.pi!r} outside (0, pi)"),
+        ("tangential", 1.0, base, IdealVertex,
+         f"sector angle {TWO_PI / 3!r} with inradius 1.0 has an ideal vertex"),
+    ]
+    for kind, radius, thetas, error_type, message in cases:
+        ts, status, error = validate_rows(kind, np.array([radius]), np.array([thetas]))
+        assert status[0] == (IDEAL if error_type is IdealVertex else INVALID)
+        assert type(error(0)) is error_type and str(error(0)) == message
+        family = CyclicPolygon if kind == "cyclic" else TangentialPolygon
+        with pytest.raises(error_type) as raised:
+            family(3, radius, thetas)
+        assert str(raised.value) == message
 
 
 # metrics
