@@ -91,6 +91,7 @@ from .optimize import (
     random_cyclic_polygon,
     random_tangential_polygon,
     solve_equal_sum,
+    verify_bounds,
     verify_theorem,
 )
 

@@ -207,7 +207,7 @@ def _at(b: BoundRows, theorem: str, n: int, k: int, x: float, T: float) -> Bound
 
 
 # The single-polygon bounds at every radius of an array; the THEOREMS
-# records give them to verify_theorem as `rows`.
+# records give them to verify_bounds as `rows`.
 def _thm1_rows(n: int, r: np.ndarray) -> BoundRows:
     return _tangential_peri_rows(n, 1, r)
 
@@ -407,6 +407,17 @@ def _record(func, param, sweep, family=None, objective=None, rows=None, spec=Non
             "sweep": sweep}
 
 
+# The regular polygon a split component defines by its circumradius or
+# inradius.  Split bounds whose records hold the same spec function, and
+# agree on window and total, share one conversion per block of draws.
+def _circumradius_spec(n: int, x) -> RegularNGonSpec:
+    return RegularNGonSpec(n=n, R=x)
+
+
+def _inradius_spec(n: int, x) -> RegularNGonSpec:
+    return RegularNGonSpec(n=n, r=x)
+
+
 def _thm9_sweep(n: int) -> tuple[float, float]:
     thr, amax = thm9_area_threshold(n), (n - 2) * math.pi
     return thr + 0.05 * (amax - thr), thr + 0.95 * (amax - thr)
@@ -422,7 +433,7 @@ def _thm10_sweep(n: int) -> tuple[float, float]:
     return 1.05 * thr, 3.0 * thr
 
 
-# The one record per theorem id; the CLI, verify_theorem and the report read
+# The one record per theorem id; the CLI, verify_bounds and the report read
 # every fact about a bound from here, looking func up at call time.
 #   func       the bound, func(n, p) or, when multi, func(n, k, p)
 #   param      what the swept argument means; "total_area" is the only
@@ -447,18 +458,18 @@ THEOREMS: dict[str, dict] = {
     "1.4": _record(thm4_area_upper, "R", lambda n: (0.1, 2.0),
                    family="cyclic", objective="cyclic_half_angle", rows=_thm4_rows),
     "1.5": _record(thm5_total_peri_lower, "total_circumradius", lambda n: (0.25, 1.5),
-                   objective="thm5_radius", spec=lambda n, x: RegularNGonSpec(n=n, R=x),
+                   objective="thm5_radius", spec=_circumradius_spec,
                    window=lambda n: (0.0, LEG_MAX), total=lambda n, k: k * 1.0),
     "1.6": _record(thm6_total_peri_lower, "total_inradius", lambda n: (0.1, 0.9 * tangential_radius_limit(n)),
-                   objective="thm6_radius", spec=lambda n, x: RegularNGonSpec(n=n, r=x),
+                   objective="thm6_radius", spec=_inradius_spec,
                    window=lambda n: (0.0, tangential_radius_limit(n)),
                    total=lambda n, k: k * 0.5 * tangential_radius_limit(n)),
     "1.7": _record(thm7_total_area_lower, "total_circumradius", lambda n: (0.25, 1.5),
-                   objective="thm7_radius", spec=lambda n, x: RegularNGonSpec(n=n, R=x),
+                   objective="thm7_radius", spec=_circumradius_spec,
                    window=lambda n: (0.0, thm7_radius_threshold(n)),
                    total=lambda n, k: k * 0.6 * thm7_radius_threshold(n)),
     "1.8": _record(thm8_total_area_lower, "total_inradius", lambda n: (0.1, 0.9 * tangential_radius_limit(n)),
-                   objective="thm8_radius", spec=lambda n, x: RegularNGonSpec(n=n, r=x),
+                   objective="thm8_radius", spec=_inradius_spec,
                    window=lambda n: (0.0, tangential_radius_limit(n)),
                    total=lambda n, k: k * 0.5 * tangential_radius_limit(n)),
     "1.9": _record(thm9_total_peri_lower, "total_area", _thm9_sweep,

@@ -215,10 +215,7 @@ def cmd_verify(args) -> int:
     total = args.total
     if total is not None and args.degrees:
         total *= DEG
-    reps = [_optimize.verify_theorem(t, n=args.n, k=args.k, radius_range=radius_range,
-                                     total=total if _bounds.THEOREMS[t]["multi"] else None,
-                                     trials=args.trials, seed=args.seed)
-            for t in ids]
+    reps = _optimize.verify_bounds([(t, args.k) for t in ids], args.n, radius_range, total, args.trials, args.seed)
     _emit_json({"manifest": _manifest(args, args.seed), "reports": [rep.to_json_dict() for rep in reps]}, args.out)
     if any(rep.asserted and not rep.passed for rep in reps):
         return 1
@@ -334,8 +331,8 @@ def _crit1_equivalence(seed: int, count: int) -> tuple[bool, str]:
 
 
 def _crit_verify(ids, n: int, ks, trials: int, seed: int) -> tuple[bool, list]:
-    """verify_theorem per (bound, k): each must pass and reproduce its equality case."""
-    reps = [_optimize.verify_theorem(t, n=n, k=k, trials=trials, seed=seed) for t in ids for k in ks]
+    """verify_bounds on every (bound, k): each must pass and reproduce its equality case."""
+    reps = _optimize.verify_bounds([(t, k) for t in ids for k in ks], n, trials=trials, seed=seed)
     return all(rep.passed for rep in reps), reps
 
 

@@ -10,8 +10,11 @@ float64 array elementwise, and each of the three scores its points in
 arrays through _values, which turns a failure or a NaN of f into an
 EvaluationFailure.  The registered objectives are written once over
 arrays, the four sector ones as the polygon kernels.  The module also hosts
-verify_theorem, the randomized per-theorem check, and its draws, in blocks
-of streams, each polygon decided by polygon.validate_rows.
+verify_bounds, the randomized check of bounds, and its draws, in blocks of
+streams, each polygon decided by polygon.validate_rows.  The bounds that
+read the same streams share one walk of them: the single-polygon bounds of
+one family and radius window, and the split bounds of one k.
+verify_theorem is its one-bound call.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from . import bounds as _bounds
 from . import polygon as _polygon
 from .bounds import thm9_theta_threshold
 from .errors import EvaluationFailure, IdealVertex, Infeasible, OracleTooLarge, OutOfRange
-from .hypmath import (LEG_MAX, RegularNGonSpec, fsum_rows, regular_convert, regular_convert_rows,
-                      tangential_radius_limit)
+from .hypmath import (LEG_MAX, RegularNGonSpec, RegularPolygonMetrics, fsum_rows, regular_convert,
+                      regular_convert_rows, tangential_radius_limit)
 from .polygon import CyclicPolygon, TangentialPolygon, TWO_PI
 
 # All randomness flows from one seed in [0, 2**128) through counter-based
@@ -834,7 +837,20 @@ def verify_theorem(
     trials: int = 1000,
     seed: int = DEFAULT_SEED,
 ) -> VerificationReport:
-    """Randomized check of one bound: draw, assert, and count.
+    """Randomized check of one bound: verify_bounds of the one cell (theorem_id, k)."""
+    return verify_bounds([(theorem_id, k)], n, radius_range, total, trials, seed)[0]
+
+
+def verify_bounds(
+    cells: list[tuple[str, int]],
+    n: int = 6,
+    radius_range: tuple[float, float] = RADIUS_RANGE,
+    total: float | None = None,
+    trials: int = 1000,
+    seed: int = DEFAULT_SEED,
+) -> list[VerificationReport]:
+    """Randomized check of bounds: draw, assert, and count, one
+    VerificationReport per (theorem id, k) cell, in order.
 
     A single-polygon bound draws random polygons of its family from
     radius_range and ignores k and total.  A fixed-total bound draws random
@@ -846,45 +862,28 @@ def verify_theorem(
     rounding error in a large bound is not a violation.  The equality
     configuration is asserted with EQ_TOL (1e-9) for a single polygon, and
     with EQ_TOL * max(1, |bound|) for the uniform split, whose left-to-right
-    sum of k equal terms rounds by up to about k**2 * eps * |term| / 4.  The
-    draws come in blocks, each block's verdicts reduced with numpy exactly
-    as a loop over its draws in stream order would.
+    sum of k equal terms rounds by up to about k**2 * eps * |term| / 4.
+
+    Every cell is set up, and its inputs checked, before the first draw,
+    in cell order.  Cells that read the same streams share one walk of
+    them: the single-polygon cells of one family and window, and the split
+    cells of one k, which share their words and row sums, and their
+    regular_convert_rows call where spec, window and total agree.  Each
+    block of a walk goes to every cell of its group, whose verdicts are
+    reduced with numpy exactly as a loop over its draws in stream order
+    would.
     """
-    entry = _bounds.THEOREMS.get(theorem_id)
-    if entry is None or entry["objective"] is None:
-        raise Infeasible(f"unknown theorem id {theorem_id!r}")
-    if entry["multi"]:
-        _bounds._check_nk(n, k)
-        if k < 2:
-            raise Infeasible(f"{theorem_id} bounds a total over k >= 2 polygons, got k={k}")
-        blocks, eq_err, eq_tol, params = _split_draws(entry, n, k, entry["total"](n, k) if total is None else total)
-    else:
-        _bounds._check_nk(n)
-        k = 1
-        blocks, eq_err, eq_tol, params = _polygon_draws(entry, n, radius_range)
-    # blocks(seed, trials) yields, block by block, (skipped draws, margins
-    # and bounds of the kept draws, equality errors, witness); witness(i)
-    # gives the leading keys of kept draw i's counterexample
-    asserted = violations = skipped = 0
-    worst = slack_at_worst = counterexample = None
-    for skips, margins, bound, errors, witness in blocks(seed, trials):
-        skipped += skips
-        asserted += len(margins)
-        i = _first_extreme(worst, margins, np.less)
-        if i is not None:
-            worst, slack_at_worst = float(margins[i]), float(_slack(bound[i]))
-        bad = np.flatnonzero(margins < -_slack(bound))
-        violations += len(bad)
-        if len(bad) and counterexample is None:
-            counterexample = {**witness(bad[0]), "margin": float(margins[bad[0]])}
-        i = _first_extreme(eq_err, errors, np.greater)
-        if i is not None:
-            eq_err = float(errors[i])
-    return VerificationReport(
-        theorem=theorem_id, n=n, k=k, trials=trials, asserted=asserted, violations=violations,
-        skipped=skipped, worst_margin=worst, slack_at_worst=slack_at_worst, equality_abs_error=eq_err,
-        tolerance=INEQ_TOL, equality_tolerance=eq_tol, seed=seed, params=params, counterexample=counterexample,
-    )
+    bounds = [_Bound.setup(theorem_id, n, k, radius_range, total) for theorem_id, k in cells]
+    groups: dict[tuple, list[_Bound]] = {}
+    for bound in bounds:
+        groups.setdefault(bound.group, []).append(bound)
+    for group, members in groups.items():
+        blocks = _polygon_group if group[0] == "polygon" else _split_group
+        for block in blocks(group, n, seed, trials):
+            converted = {}  # one regular_convert_rows call per (spec, window, total) and block
+            for bound in members:
+                bound.add(*bound.verdicts(block, converted))
+    return [bound.report(trials, seed) for bound in bounds]
 
 
 def _margins(kind: str, actual: np.ndarray, bound: np.ndarray) -> np.ndarray:
@@ -892,74 +891,160 @@ def _margins(kind: str, actual: np.ndarray, bound: np.ndarray) -> np.ndarray:
     return actual - bound if kind == "lower" else bound - actual
 
 
-def _polygon_draws(entry: dict, n: int, radius_range: tuple[float, float]) -> tuple[Callable, None, float, dict]:
-    """One random polygon of the record's family per draw, checked against the
-    bound at its radius; the equality case is re-checked at every radius.
-    A draw is _draw_polygon's, from polygon_blocks without redraw, and a
-    tangential polygon with an ideal vertex is skipped."""
-    kind = entry["family"]
-    lo, hi = _radius_window(kind, n, radius_range)
-
-    def blocks(seed, trials):
-        for radii, ts, ideal in polygon_blocks(kind, n, lo, hi, seed, np.arange(trials), redraw=False):
-            rows = np.flatnonzero(~ideal)
-            r, t = radii[rows], ts[rows]
-            bound = entry["rows"](n, r)
-            metric = _polygon.perimeter_rows if bound.quantity == "perimeter" else _polygon.area_rows
-            equal = regular_convert_rows(n, bound.defining, r[bound.equality])
-            equal = equal.perimeter if bound.quantity == "perimeter" else equal.area
-
-            def witness(i: int) -> dict:
-                radius = float(r[i])
-                return {"polygon": _polygon.row_json(kind, n, radius, t[i].tolist()),
-                        "bound": entry["func"](n, radius).to_json_dict()}
-
-            yield (len(ideal) - len(rows), _margins(bound.kind, metric(kind, r, t), bound.value),
-                   bound.value, np.abs(equal - bound.value[bound.equality]), witness)
-
-    return blocks, None, EQ_TOL, {"radius_range": [lo, hi]}
+def _polygon_group(group: tuple, n: int, seed: int, trials: int) -> Iterator[tuple]:
+    """The blocks of one random polygon of the family per draw, as
+    _draw_polygon draws it, from polygon_blocks without redraw: (skipped
+    draws, radii and apex angles of the kept ones); a tangential polygon
+    with an ideal vertex is skipped."""
+    _, kind, lo, hi = group
+    for radii, ts, ideal in polygon_blocks(kind, n, lo, hi, seed, np.arange(trials), redraw=False):
+        rows = np.flatnonzero(~ideal)
+        yield len(ideal) - len(rows), radii[rows], ts[rows]
 
 
-def _split_draws(entry: dict, n: int, k: int, total: float) -> tuple[Callable, float | None, float, dict]:
-    """One random split of the total per draw, as random_split draws it, each
-    component a regular polygon spec(n, x); the equality case is the uniform
-    split, checked once here with EQ_TOL * max(1, |bound|)."""
-    res = entry["func"](n, k, total)
-    spec = entry["spec"]
-    lo, hi = entry["window"](n)
+def _split_group(group: tuple, n: int, seed: int, trials: int) -> Iterator[tuple]:
+    """The blocks of one random split per draw, as random_split draws it
+    before scaling to a total: (uniform(0.1, 1) words, their row sums)."""
+    for _, words in _word_blocks(seed, np.arange(trials), group[1]):
+        u = _uniform(words, 0.1, 1.0)
+        yield u, u.sum(axis=1)
 
-    def metrics(splits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The rows of splits that lie in the window, and the metric of each:
-        the bound's own quantity of every component, converted in one call
-        and summed left to right."""
-        rows = np.flatnonzero(((lo < splits) & (splits < hi)).all(axis=1))
-        m = regular_convert_rows(n, *spec(n, splits[rows]).defining())
-        values = m.perimeter if res.quantity == "perimeter" else m.area
-        sums = np.zeros(len(values))
-        for column in values.T:
-            sums += column
-        return rows, sums
 
-    def blocks(seed, trials):
-        for _, words in _word_blocks(seed, np.arange(trials), k):
-            u = _uniform(words, 0.1, 1.0)
-            splits = u * (total / u.sum(axis=1))[:, None]
-            rows, sums = metrics(splits)
+def _regular_rows(n: int, spec: Callable, window: tuple[float, float],
+                  splits: np.ndarray) -> tuple[np.ndarray, RegularPolygonMetrics]:
+    """The rows of splits that lie in the window, and the regular polygons
+    spec(n, x) of their components, converted in one call."""
+    lo, hi = window
+    rows = np.flatnonzero(((lo < splits) & (splits < hi)).all(axis=1))
+    return rows, regular_convert_rows(n, *spec(n, splits[rows]).defining())
 
-            def witness(i: int) -> dict:
-                xs = splits[rows[i]].tolist()
-                return {"split": xs, "polygons": [_regular_polygon_json(spec(n, x)) for x in xs],
-                        "bound": res.to_json_dict()}
 
-            yield (len(splits) - len(rows), _margins(res.kind, sums, res.value),
-                   np.full(len(rows), res.value), np.empty(0), witness)
+def _row_sums(m: RegularPolygonMetrics, quantity: str) -> np.ndarray:
+    """The quantity of each row's components, summed left to right."""
+    values = m.perimeter if quantity == "perimeter" else m.area
+    sums = np.zeros(len(values))
+    for column in values.T:
+        sums += column
+    return sums
 
-    eq_err, eq_tol = None, EQ_TOL
-    if res.feasible and res.equality_spec is not None:
-        rows, sums = metrics(np.full((1, k), total / k))
-        if len(rows):
-            eq_err, eq_tol = abs(float(sums[0]) - res.value), EQ_TOL * max(1.0, abs(res.value))
-    return blocks, eq_err, eq_tol, {"total": total}
+
+@dataclass
+class _Bound:
+    """One cell of verify_bounds: its set-up, the group of draws it reads,
+    and its verdicts so far."""
+
+    theorem: str
+    n: int
+    k: int
+    entry: dict
+    group: tuple  # ("polygon", family, lo, hi) or ("split", k)
+    params: dict
+    equality_abs_error: float | None = None
+    equality_tolerance: float = EQ_TOL
+    res: _bounds.BoundResult | None = None  # a split bound at its total
+    convert: tuple | None = None  # a split bound's (spec, window, total)
+    asserted: int = 0
+    violations: int = 0
+    skipped: int = 0
+    worst_margin: float | None = None
+    slack_at_worst: float | None = None
+    counterexample: dict | None = None
+
+    @classmethod
+    def setup(cls, theorem_id: str, n: int, k: int, radius_range: tuple[float, float],
+              total: float | None) -> "_Bound":
+        """Check the cell's inputs and evaluate what its draws need; a split
+        bound's equality case, the uniform split, is checked here."""
+        entry = _bounds.THEOREMS.get(theorem_id)
+        if entry is None or entry["objective"] is None:
+            raise Infeasible(f"unknown theorem id {theorem_id!r}")
+        if not entry["multi"]:
+            _bounds._check_nk(n)
+            kind = entry["family"]
+            lo, hi = _radius_window(kind, n, radius_range)
+            return cls(theorem_id, n, 1, entry, ("polygon", kind, lo, hi), {"radius_range": [lo, hi]})
+        _bounds._check_nk(n, k)
+        if k < 2:
+            raise Infeasible(f"{theorem_id} bounds a total over k >= 2 polygons, got k={k}")
+        total = entry["total"](n, k) if total is None else total
+        res = entry["func"](n, k, total)
+        spec, window = entry["spec"], entry["window"](n)
+        bound = cls(theorem_id, n, k, entry, ("split", k), {"total": total}, res=res, convert=(spec, window, total))
+        if res.feasible and res.equality_spec is not None:
+            rows, m = _regular_rows(n, spec, window, np.full((1, k), total / k))
+            if len(rows):
+                bound.equality_abs_error = abs(float(_row_sums(m, res.quantity)[0]) - res.value)
+                bound.equality_tolerance = EQ_TOL * max(1.0, abs(res.value))
+        return bound
+
+    def verdicts(self, block: tuple, converted: dict) -> tuple:
+        """A block's (skipped draws, margins and bounds of the kept draws,
+        equality errors, witness); witness(i) gives the leading keys of kept
+        draw i's counterexample.  converted holds the block's splits and
+        their conversions by (spec, window, total), for the split bounds
+        that share them."""
+        if self.group[0] == "polygon":
+            return self._polygon_verdicts(*block)
+        return self._split_verdicts(block, converted)
+
+    def _polygon_verdicts(self, skips: int, r: np.ndarray, t: np.ndarray) -> tuple:
+        """Each kept polygon checked against the bound at its radius; the
+        equality case is re-checked at every radius."""
+        n, kind, entry = self.n, self.group[1], self.entry
+        bound = entry["rows"](n, r)
+        metric = _polygon.perimeter_rows if bound.quantity == "perimeter" else _polygon.area_rows
+        equal = regular_convert_rows(n, bound.defining, r[bound.equality])
+        equal = equal.perimeter if bound.quantity == "perimeter" else equal.area
+
+        def witness(i: int) -> dict:
+            radius = float(r[i])
+            return {"polygon": _polygon.row_json(kind, n, radius, t[i].tolist()),
+                    "bound": entry["func"](n, radius).to_json_dict()}
+
+        return (skips, _margins(bound.kind, metric(kind, r, t), bound.value), bound.value,
+                np.abs(equal - bound.value[bound.equality]), witness)
+
+    def _split_verdicts(self, block: tuple, converted: dict) -> tuple:
+        """Each split of the total that lies in the window checked against
+        the bound, its metric the bound's own quantity of every component."""
+        n, res, (spec, window, total) = self.n, self.res, self.convert
+        if self.convert not in converted:
+            u, sums = block
+            splits = u * (total / sums)[:, None]
+            converted[self.convert] = splits, *_regular_rows(n, spec, window, splits)
+        splits, rows, m = converted[self.convert]
+
+        def witness(i: int) -> dict:
+            xs = splits[rows[i]].tolist()
+            return {"split": xs, "polygons": [_regular_polygon_json(spec(n, x)) for x in xs],
+                    "bound": res.to_json_dict()}
+
+        return (len(splits) - len(rows), _margins(res.kind, _row_sums(m, res.quantity), res.value),
+                np.full(len(rows), res.value), np.empty(0), witness)
+
+    def add(self, skips: int, margins: np.ndarray, bound: np.ndarray, errors: np.ndarray, witness: Callable) -> None:
+        """Reduce one block's verdicts into the cell's."""
+        self.skipped += skips
+        self.asserted += len(margins)
+        i = _first_extreme(self.worst_margin, margins, np.less)
+        if i is not None:
+            self.worst_margin, self.slack_at_worst = float(margins[i]), float(_slack(bound[i]))
+        bad = np.flatnonzero(margins < -_slack(bound))
+        self.violations += len(bad)
+        if len(bad) and self.counterexample is None:
+            self.counterexample = {**witness(bad[0]), "margin": float(margins[bad[0]])}
+        i = _first_extreme(self.equality_abs_error, errors, np.greater)
+        if i is not None:
+            self.equality_abs_error = float(errors[i])
+
+    def report(self, trials: int, seed: int) -> VerificationReport:
+        return VerificationReport(
+            theorem=self.theorem, n=self.n, k=self.k, trials=trials, asserted=self.asserted,
+            violations=self.violations, skipped=self.skipped, worst_margin=self.worst_margin,
+            slack_at_worst=self.slack_at_worst, equality_abs_error=self.equality_abs_error,
+            tolerance=INEQ_TOL, equality_tolerance=self.equality_tolerance, seed=seed, params=self.params,
+            counterexample=self.counterexample,
+        )
 
 
 def _regular_polygon_json(spec: RegularNGonSpec) -> dict:

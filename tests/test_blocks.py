@@ -37,7 +37,7 @@ import numpy as np
 import pytest
 
 from hypergon import bounds, cli, hmodel, hypmath, optimize, polygon
-from hypergon.errors import IdealVertex
+from hypergon.errors import IdealVertex, Infeasible
 from hypergon.optimize import DEFAULT_SEED
 from hypergon.polygon import CyclicPolygon, TangentialPolygon
 
@@ -152,6 +152,15 @@ def scalar_margin(res, actual):
     return actual - res.value if res.kind == "lower" else res.value - actual
 
 
+def cell_blocks(cell, seed, trials):
+    """The per-block verdicts verify_bounds reduces for the one set-up cell
+    (an optimize._Bound), from a walk of its group's draws: (skipped draws,
+    margins, bounds, equality errors, witness)."""
+    walk = optimize._polygon_group if cell.group[0] == "polygon" else optimize._split_group
+    for block in walk(cell.group, cell.n, seed, trials):
+        yield cell.verdicts(block, {})
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("window", WINDOWS)
 @pytest.mark.parametrize("n", [3, 6, 12, 192])
@@ -161,13 +170,13 @@ def test_verify_polygon_draws_match_scalar_draws(monkeypatch, theorem, n, window
     entry = bounds.THEOREMS[theorem]
     family = TangentialPolygon if entry["family"] == "tangential" else CyclicPolygon
     lo, hi = optimize._radius_window(family.kind, n, window)
-    blocks, _, _, _ = optimize._polygon_draws(entry, n, window)
+    cell = optimize._Bound.setup(theorem, n, 1, window, None)
     for count in boundary_counts(verify_width(n)):
         scalar = [scalar_polygon(family, n, lo, hi, rng) for rng in streams(seed, count)]
         errors = []
         kept = []
         rest = iter(scalar)
-        for skips, margins, bound, errs, witness in blocks(seed, count):
+        for skips, margins, bound, errs, witness in cell_blocks(cell, seed, count):
             mine = [next(rest) for _ in range(skips + len(margins))]
             assert mine.count(None) == skips
             polys = [p for p in mine if p is not None]
@@ -212,16 +221,16 @@ def test_split_draws_match_random_split(monkeypatch, theorem, k, seed):
     monkeypatch.setattr(optimize, "BLOCK_WORDS", 64 * k)
     entry = bounds.THEOREMS[theorem]
     total = entry["total"](12, k)
-    blocks, eq_err, eq_tol, _ = optimize._split_draws(entry, 12, k, total)
+    cell = optimize._Bound.setup(theorem, 12, k, None, total)
     lo, hi = entry["window"](12)
     res = entry["func"](12, k, total)
-    assert eq_err == abs(scalar_split_metric(entry, 12, [total / k] * k, res.quantity) - res.value)
-    assert eq_tol == optimize.EQ_TOL * max(1.0, abs(res.value))
+    assert cell.equality_abs_error == abs(scalar_split_metric(entry, 12, [total / k] * k, res.quantity) - res.value)
+    assert cell.equality_tolerance == optimize.EQ_TOL * max(1.0, abs(res.value))
     for count in boundary_counts(k):
         splits = [optimize.random_split(total, k, rng) for rng in streams(seed, count)]
         rest = iter(xs if all(lo < x < hi for x in xs) else None for xs in splits)
         asserted = 0
-        for skips, margins, bound, errors, witness in blocks(seed, count):
+        for skips, margins, bound, errors, witness in cell_blocks(cell, seed, count):
             mine = [next(rest) for _ in range(skips + len(margins))]
             assert mine.count(None) == skips
             kept = [xs for xs in mine if xs is not None]
@@ -375,6 +384,80 @@ def test_verify_theorem_matches_the_scalar_loop(monkeypatch, theorem, tightened)
     assert violated == tightened
 
 
+def hexed(value):
+    """value with every float written as float.hex, through dicts and lists."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: hexed(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [hexed(v) for v in value]
+    return value
+
+
+SPLIT_IDS = ("1.5", "1.6", "1.7", "1.8", "1.9", "1.10")
+
+
+@pytest.mark.parametrize("tightened", [False, True])
+@pytest.mark.parametrize("ids, n, window, total", [
+    *[pytest.param(pair, n, window, None, id=f"{'+'.join(pair)}-n={n}-window={window[0]:g}:{window[1]:g}")
+      for pair in (("1.1", "1.3"), ("1.2", "1.4")) for n in (3, 6, 12, 192) for window in WINDOWS],
+    # at n = 12 the total 2.0 puts every split of 1.9 and 1.10 outside its
+    # window, and 60.0 every split of 1.6-1.8 and some of 1.9 and 1.10
+    *[pytest.param(SPLIT_IDS, 12, None, total, id=f"1.5-1.10-n=12-total={total}") for total in (None, 2.0, 60.0)],
+])
+def test_verify_bounds_matches_verify_theorem_cell_by_cell(monkeypatch, ids, n, window, total, tightened):
+    # a group walks its draws once for all its cells; each cell's report is
+    # the one its own verify_theorem call gives, bit for bit, violations and
+    # counterexamples included.  The split cells at k = 2, 3 and 5 make
+    # three groups of one call
+    monkeypatch.setattr(optimize, "BLOCK_WORDS", SMALL_BLOCK)
+    for theorem in ids if tightened else ():
+        tighten(monkeypatch, theorem)
+    ks = (2, 3, 5) if window is None else (1,)
+    cells = [(theorem, k) for theorem in ids for k in ks]
+    window = window or optimize.RADIUS_RANGE
+    trials = 400
+    reps = optimize.verify_bounds(cells, n, window, total, trials, DEFAULT_SEED)
+    assert [(rep.theorem, rep.k) for rep in reps] == cells
+    for (theorem, k), rep in zip(cells, reps):
+        alone = optimize.verify_theorem(theorem, n, k, window, total, trials, DEFAULT_SEED)
+        assert hexed(rep.to_json_dict()) == hexed(alone.to_json_dict())
+    assert any(rep.asserted for rep in reps)
+    assert {rep.violations > 0 for rep in reps if rep.asserted} == {tightened}
+
+
+def test_verify_bounds_walks_each_group_once(monkeypatch):
+    # all ten bounds at n = 6 and k = 2 make three groups: the tangential
+    # polygons of 1.1 and 1.3, the cyclic ones of 1.2 and 1.4, and the
+    # splits of 1.5-1.10.  The call reads what one cell of each group reads
+    # alone, and a group reads each (stream, width) pair once
+    reads = record_reads(monkeypatch)
+
+    def read_pairs(cells):
+        reads.clear()
+        optimize.verify_bounds(cells, 6, trials=3000)
+        return collections.Counter((i, width) for streams, width in reads for i in streams)
+
+    alone = [read_pairs([(theorem, 2)]) for theorem in ("1.1", "1.2", "1.5")]
+    assert all(set(pairs.values()) == {1} for pairs in alone)
+    assert read_pairs([(f"1.{i}", 2) for i in range(1, 11)]) == sum(alone, collections.Counter())
+
+
+def test_verify_bounds_sets_up_every_cell_before_the_first_draw(monkeypatch):
+    # the first cell whose inputs fail raises, as it would in a loop of
+    # verify_theorem calls, and no cell draws before that
+    reads = record_reads(monkeypatch)
+    for cells, total, message in (
+        ([("1.1", 1), ("1.5", 1), ("1.6", 0)], None, "1.5 bounds a total over k >= 2 polygons, got k=1"),
+        ([("1.2", 2), ("1.6", 2), ("1.1", 2)], -1.0, "radius must be positive, got -1.0"),
+        ([("1.5", 2), ("2.1", 2), ("1.6", 1)], None, "unknown theorem id '2.1'"),
+    ):
+        with pytest.raises(Infeasible, match=re.escape(message)):
+            optimize.verify_bounds(cells, 6, total=total)
+    assert reads == []
+
+
 def no_scalar_draws(monkeypatch):
     """Make every scalar draw raise, so that a block walk that reaches one fails."""
     def scalar(*args):
@@ -466,13 +549,12 @@ def test_verify_rows_settle_round_by_round(monkeypatch):
         want.append(scalar_polygon(TangentialPolygon, n, lo, hi, rng))
         need.append(rounds(words_read(rng), n + 1))
     assert {(min(j, 2), p is None) for j, p in zip(need, want)} == set(itertools.product((0, 1, 2), (False, True)))
-    entry = bounds.THEOREMS["1.3"]
-    blocks, _, _, _ = optimize._polygon_draws(entry, n, window)
+    cell = optimize._Bound.setup("1.3", n, 1, window, None)
     kept = []
     with monkeypatch.context() as m:
         no_scalar_draws(m)
         reads = record_reads(m)
-        for _, margins, _, _, witness in blocks(DEFAULT_SEED, count):
+        for _, margins, _, _, witness in cell_blocks(cell, DEFAULT_SEED, count):
             kept += [witness(i)["polygon"] for i in range(len(margins))]
     assert kept == [polygon.to_json_dict(p) for p in want if p is not None]
     assert streams_per_width(reads) == {(n + 1) * 4**j: sum(1 for r in need if r >= j) for j in range(max(need) + 1)}
@@ -520,17 +602,16 @@ def test_block_reduction_keeps_the_scalar_loops_choices(monkeypatch, blocks):
     # synthetic margins and bounds, with equality errors of the same values
     draws = [(m, b, {"row": i}, abs(m)) for i, (m, b) in enumerate(itertools.chain(*blocks))]
 
-    def synthetic(entry, n, radius_range):
-        def gen(seed, trials):
-            start = 0
-            for block in blocks:
-                rows = np.arange(start, start + len(block))
-                yield (1, np.array([m for m, _ in block]), np.array([b for _, b in block]),
-                       np.abs(np.array([m for m, _ in block])), lambda i, rows=rows: {"row": int(rows[i])})
-                start += len(block)
-        return gen, None, optimize.EQ_TOL, {}
+    def synthetic(self, j, converted):
+        start = sum(map(len, blocks[:j]))
+        block = blocks[j]
+        rows = np.arange(start, start + len(block))
+        return (1, np.array([m for m, _ in block]), np.array([b for _, b in block]),
+                np.abs(np.array([m for m, _ in block])), lambda i: {"row": int(rows[i])})
 
-    monkeypatch.setattr(optimize, "_polygon_draws", synthetic)
+    # the walk hands the block index j to the synthetic verdicts
+    monkeypatch.setattr(optimize, "_polygon_group", lambda group, n, seed, trials: iter(range(len(blocks))))
+    monkeypatch.setattr(optimize._Bound, "verdicts", synthetic)
     rep = optimize.verify_theorem("1.2", trials=len(draws) + len(blocks))
     want = scalar_verdicts([None] * len(blocks) + draws)
     assert verdicts(rep) == want

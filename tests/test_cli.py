@@ -408,6 +408,22 @@ def test_sample_of_radius_zero_exits_2(capsys):
         assert captured.err.splitlines() == ["error: Infeasible: circumradius must be positive, got 0.0"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--range", "3:4"), "radius range (3.0, 4.0) has no tangential window for n=6"),
+    (("--range", "0:0"), "radius range (0.0, 0.0) has no tangential window for n=6"),
+    (("--n", "3", "--k", "1"), "1.5 bounds a total over k >= 2 polygons, got k=1"),
+    (("--total", "-1"), "radius must be positive, got -1.0"),
+    (("--n", "2"), "need integer n >= 3, got 2"),
+])
+def test_verify_all_names_the_first_cell_that_fails(capsys, argv, message):
+    # every cell is set up before the first draw, in theorem order, so the
+    # error is the first one a loop over the ids would raise, and nothing
+    # is written
+    code = main(["verify", "--thm", "all", *argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: Infeasible: {message}\n")
+
+
 def test_verify_rejects_cor1(capsys):
     code, _ = run_cli(capsys, "verify", "--thm", "cor1")
     assert code == 2
