@@ -91,7 +91,7 @@ def _check_nk(n: int, k: int = 1) -> None:
 def _check_radius(x: float, k: int = 1) -> None:
     """x is one radius, or a total of k radii split evenly."""
     if not x > 0.0:
-        raise Infeasible(f"radius must be positive, got {x!r}")
+        raise Infeasible(f"{'total radius' if k > 1 else 'radius'} must be positive, got {x!r}")
     if x / k > LEG_MAX:
         raise OutOfRange(f"radius {x / k!r} per polygon beyond {LEG_MAX}; cosh would overflow")
 

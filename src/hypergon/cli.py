@@ -238,7 +238,7 @@ def cmd_sample(args) -> int:
     lo, hi = _optimize._radius_window(args.kind, args.n, _radius_range(args))
     samples = []
     blocks = _optimize.polygon_blocks(args.kind, args.n, lo, hi, args.seed, np.arange(args.trials), args.regular)
-    for radii, ts, _ in blocks:
+    for radii, ts in blocks:
         routes = {name: values.tolist() for name, values in _both_routes(args.kind, radii, ts).items()}
         for j, (radius, thetas) in enumerate(zip(radii.tolist(), ts.tolist())):
             samples.append({"polygon": _polygon.row_json(args.kind, args.n, radius, thetas),
@@ -315,7 +315,7 @@ def _crit1_polygons(seed: int, count: int):
     for j in range(20):
         kind, n = ("cyclic", "tangential")[j % 2], 3 + j // 2
         lo, hi = _optimize._radius_window(kind, n, _CRIT1_RANGE)
-        for radii, ts, _ in _optimize.polygon_blocks(kind, n, lo, hi, seed, np.arange(j, count, 20)):
+        for radii, ts in _optimize.polygon_blocks(kind, n, lo, hi, seed, np.arange(j, count, 20)):
             yield kind, radii, ts
 
 
@@ -330,24 +330,27 @@ def _crit1_equivalence(seed: int, count: int) -> tuple[bool, str]:
     return ok, f"{count} polygons, worst perimeter gap {_g12(worst_p)}, worst area gap {_g12(worst_a)}"
 
 
-def _crit_verify(ids, n: int, ks, trials: int, seed: int) -> tuple[bool, list]:
-    """verify_bounds on every (bound, k): each must pass and reproduce its equality case."""
-    reps = _optimize.verify_bounds([(t, k) for t in ids for k in ks], n, trials=trials, seed=seed)
+def _crit2_single(n: int, trials: int, seed: int) -> tuple[bool, list]:
+    """verify_bounds on every single-polygon bound: each must pass and reproduce its equality case."""
+    reps = _optimize.verify_bounds([(t, 1) for t in ("1.1", "1.2", "1.3", "1.4")], n, trials=trials, seed=seed)
     return all(rep.passed for rep in reps), reps
 
 
-def _crit2_single(n: int, trials: int, seed: int) -> tuple[bool, list]:
-    return _crit_verify(("1.1", "1.2", "1.3", "1.4"), n, (1,), trials, seed)
+# The (bound, k) cells of criteria 3 and 4, in battery order.
+_CRIT3_CELLS = [(t, k) for t in ("1.5", "1.6", "1.7", "1.8") for k in (2, 3, 5)]
+_CRIT4_CELLS = [(t, k) for t in ("1.9", "1.10") for k in (2, 3)]
 
 
-def _crit3_radius_totals(n: int, splits: int, seed: int) -> tuple[bool, list]:
-    return _crit_verify(("1.5", "1.6", "1.7", "1.8"), n, (2, 3, 5), splits, seed)
-
-
-def _crit4_guarded(n: int, splits: int, seed: int) -> tuple[bool, list, str]:
-    ok, reps = _crit_verify(("1.9", "1.10"), n, (2, 3), splits, seed)
+def _crit34_splits(n: int, splits: int, seed: int) -> tuple[tuple[bool, list], tuple[bool, list, str]]:
+    """Criteria 3 and 4 from one verify_bounds call, which reads their
+    split draws once, at k = 5: (ok, reports) of the fixed-total-radius
+    bounds and (ok, reports, certificate note) of the guarded ones.  Each
+    bound must pass and reproduce its equality case, and the guarded
+    bounds' convexity certificates must hold."""
+    reps = _optimize.verify_bounds(_CRIT3_CELLS + _CRIT4_CELLS, n, trials=splits, seed=seed)
+    reps3, reps4 = reps[:len(_CRIT3_CELLS)], reps[len(_CRIT3_CELLS):]
     certified, note = _crit4_certificates(n)
-    return ok and certified, reps, note
+    return (all(rep.passed for rep in reps3), reps3), (all(rep.passed for rep in reps4) and certified, reps4, note)
 
 
 def _bound_label(rep) -> str:
@@ -478,11 +481,9 @@ def render_bundle(n: int, k: int, seed: int, polygons: int, trials: int, splits:
     results.append(("2. single-polygon bounds on random polygons", ok2,
                     f"{trials} trials each, tolerance {_optimize.INEQ_TOL:g} * max(1, |bound|)"))
 
-    ok3, reps3 = _crit3_radius_totals(n, splits, seed)
+    (ok3, reps3), (ok4, reps4, note4) = _crit34_splits(n, splits, seed)
     results.append(("3. fixed-total-radius bounds on random splits", ok3,
                     f"{splits} splits per (theorem, k)"))
-
-    ok4, reps4, note4 = _crit4_guarded(n, splits, seed)
     results.append(("4. guarded total-area/total-perimeter bounds", ok4, note4))
     _check_asserted(reps2 + reps3 + reps4)
 

@@ -11,10 +11,10 @@ arrays through _values, which turns a failure or a NaN of f into an
 EvaluationFailure.  The registered objectives are written once over
 arrays, the four sector ones as the polygon kernels.  The module also hosts
 verify_bounds, the randomized check of bounds, and its draws, in blocks of
-streams, each polygon decided by polygon.validate_rows.  The bounds that
-read the same streams share one walk of them: the single-polygon bounds of
-one family and radius window, and the split bounds of one k.
-verify_theorem is its one-bound call.
+streams, each polygon decided by polygon.validate_rows.  The bounds of one
+call share one walk of the streams per kind of draw: every single-polygon
+bound, whatever its family, one read and partition walk, and every split
+bound one read at the largest k.  verify_theorem is its one-bound call.
 """
 
 from __future__ import annotations
@@ -180,87 +180,100 @@ def _at_cursor(words: np.ndarray, rows: np.ndarray, cursor: np.ndarray, k: int) 
     return words[rows[:, None], c[:, None] + np.arange(k)]
 
 
-def _polygon_rows(kind: str, n: int, lo: float, hi: float, words: np.ndarray,
-                  redraw: bool) -> tuple[np.ndarray, ...]:
-    """_draw_polygon(kind's family, n, lo, hi, rng) from each row of words,
-    as (radii, apex angles, settled rows, rows with an ideal vertex).
+def _partitions(n: int, words: np.ndarray, rows: np.ndarray, cursor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """random_partition from the words of each of rows from its cursor on,
+    as (apex angles, taken rows): n words per attempt until one is
+    accepted, each row's cursor moved past the words it read.  A row is
+    taken when an accepted attempt fits in its words; the apex angles of
+    the other rows are garbage."""
+    width = words.shape[1]
+    pending, t = np.arange(len(rows)), None  # the rows still drawing a partition
+    while len(pending):
+        at = rows[pending]
+        u = _uniform(_at_cursor(words, at, cursor, n), 0.1, 1.0)
+        cursor[at] += n
+        sums = u.sum(axis=1)
+        accept = 2.0 * u.max(axis=1) < sums
+        attempt = u * (TWO_PI / sums)[:, None]
+        if t is None:
+            t, taken = attempt, accept
+        else:
+            t[pending], taken[pending[accept]] = attempt, True
+        pending = pending[~accept]
+        pending = pending[cursor[rows[pending]] + n <= width]
+    return t, taken
+
+
+def _polygon_rows(kind: str, n: int, lo: float, hi: float, words: np.ndarray) -> tuple[np.ndarray, ...]:
+    """random_cyclic_polygon or random_tangential_polygon, by kind, from
+    each row of words, as (radii, apex angles, settled rows).
 
     A cursor walks each row's words in polygon attempts: the radius word,
-    then n words per random_partition attempt until one is accepted.  A row
-    is settled when an attempt fits in its words and validate_rows accepts
-    the polygon.  A tangential polygon with an ideal vertex is drawn again
-    from the next word when redraw is set, as random_tangential_polygon
-    does, which gives up after 1000 attempts, and is otherwise settled as
-    an ideal row.  An invalid polygon raises its error.  Unsettled rows
-    are garbage."""
+    then _partitions.  A row is settled when an attempt fits in its words
+    and validate_rows accepts the polygon.  A tangential polygon with an
+    ideal vertex is drawn again from the next word, as
+    random_tangential_polygon does, which gives up after 1000 attempts.  An
+    invalid polygon raises its error.  Unsettled rows are garbage."""
     count, width = words.shape
-    radii, ts = np.zeros(count), np.zeros((count, n))
-    settled, ideal = np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
+    radii, ts, settled = np.zeros(count), np.zeros((count, n)), np.zeros(count, dtype=bool)
     cursor = np.zeros(count, dtype=np.intp)
     rows = np.arange(count)
     for _ in range(1000):
         rows = rows[cursor[rows] + 1 + n <= width]  # room for a radius and one partition
         if not len(rows):
-            return radii, ts, settled, ideal
+            return radii, ts, settled
         r = _uniform(_at_cursor(words, rows, cursor, 1)[:, 0], lo, hi)
         cursor[rows] += 1
-        pending, t = np.arange(len(rows)), None  # the rows still drawing a partition
-        while len(pending):
-            at = rows[pending]
-            u = _uniform(_at_cursor(words, at, cursor, n), 0.1, 1.0)
-            cursor[at] += n
-            sums = u.sum(axis=1)
-            accept = 2.0 * u.max(axis=1) < sums
-            attempt = u * (TWO_PI / sums)[:, None]
-            if t is None:
-                t, taken = attempt, accept
-            else:
-                t[pending], taken[pending[accept]] = attempt, True
-            pending = pending[~accept]
-            pending = pending[cursor[rows[pending]] + n <= width]
+        t, taken = _partitions(n, words, rows, cursor)
         t, status, error = _polygon.validate_rows(kind, r, t)
         invalid = np.flatnonzero(taken & (status == _polygon.INVALID))
         if len(invalid):
             raise error(invalid[0])
-        bad = taken & (status == _polygon.IDEAL)
-        done = taken & ~bad if redraw else taken
+        done = taken & (status == _polygon.ACCEPTED)
         if len(rows) == count:  # no row is settled yet: these arrays become the result
-            radii, ts, settled, ideal = r, t, done, bad & done
+            radii, ts, settled = r, t, done
         else:
-            radii[rows[done]], ts[rows[done]] = r[done], t[done]
-            settled[rows[done]], ideal[rows[done]] = True, bad[done]
+            radii[rows[done]], ts[rows[done]], settled[rows[done]] = r[done], t[done], True
         rows = rows[taken & ~done]
     if len(rows):
         raise Infeasible(f"could not sample a tangential {n}-gon in {(lo, hi)}")
-    return radii, ts, settled, ideal
+    return radii, ts, settled
 
 
-def _settled_rows(kind: str, n: int, lo: float, hi: float, seed: int, index: np.ndarray, words: np.ndarray,
-                  redraw: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_polygon_rows to the end, as (radii, apex angles, ideal rows), where
-    row j of words holds the first words of stream index[j] of seed.  The
-    rows a read leaves unsettled are read again from word 0 of their own
-    streams, through _word_blocks, and walked again: at four polygon
-    attempts, 4(n + 1) words, and at four times the previous width in each
-    round after, until every row is settled."""
-    radii, ts, settled, ideal = _polygon_rows(kind, n, lo, hi, words, redraw)
+def _settle(walk: Callable, n: int, seed: int, index: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, ...]:
+    """walk(words), a tuple of arrays whose last flags the settled rows, to
+    the end, where row j of words holds the first words of stream index[j]
+    of seed; its other arrays.  The rows a read leaves unsettled are read
+    again from word 0 of their own streams, through _word_blocks, and
+    walked again: at four polygon attempts, 4(n + 1) words, and at four
+    times the previous width in each round after, until every row is
+    settled."""
+    *arrays, settled = walk(words)
     rows, width = np.flatnonzero(~settled), 4 * (n + 1)
     while len(rows):
         for part, wide in _word_blocks(seed, index[rows], width):
             at = rows[part]
-            radii[at], ts[at], settled[at], ideal[at] = _polygon_rows(kind, n, lo, hi, wide, redraw)
+            *values, settled[at] = walk(wide)
+            for array, value in zip(arrays, values):
+                array[at] = value
         rows, width = rows[~settled[rows]], 4 * width
-    return radii, ts, ideal
+    return tuple(arrays)
+
+
+def _settled_rows(kind: str, n: int, lo: float, hi: float, seed: int, index: np.ndarray,
+                  words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_polygon_rows settled to the end, as (radii, apex angles); row j of
+    words holds the first words of stream index[j] of seed."""
+    return _settle(lambda wide: _polygon_rows(kind, n, lo, hi, wide), n, seed, index, words)
 
 
 def polygon_blocks(kind: str, n: int, lo: float, hi: float, seed: int, index: np.ndarray,
-                   regular: bool = False, redraw: bool = True) -> Iterator[tuple[np.ndarray, ...]]:
+                   regular: bool = False) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The polygons of the family `kind` on the stream indices index of
-    seed, in order, as blocks of (radii, apex angles, ideal rows) arrays.
-    Each is what random_cyclic_polygon or random_tangential_polygon draws
-    on its stream, or without redraw _draw_polygon, whose ideal rows are
-    garbage, or with regular the regular polygon at rng.uniform(lo, hi);
-    (lo, hi) is a _radius_window."""
+    seed, in order, as blocks of (radii, apex angles) arrays.  Each is what
+    random_cyclic_polygon or random_tangential_polygon draws on its stream,
+    or with regular the regular polygon at rng.uniform(lo, hi); (lo, hi) is
+    a _radius_window."""
     for part, words in _word_blocks(seed, index, 1 if regular else n + 1):
         if regular:
             # a regular polygon's apex angles do not depend on its radius, and
@@ -268,9 +281,58 @@ def polygon_blocks(kind: str, n: int, lo: float, hi: float, seed: int, index: np
             # the constructor: the smallest one stands for the block
             radii = _uniform(words[:, 0], lo, hi)
             thetas = _polygon.regular(kind, n, float(radii.min())).thetas
-            yield radii, np.tile(thetas, (len(radii), 1)), np.zeros(len(radii), bool)
+            yield radii, np.tile(thetas, (len(radii), 1))
             continue
-        yield _settled_rows(kind, n, lo, hi, seed, index[part], words, redraw)
+        yield _settled_rows(kind, n, lo, hi, seed, index[part], words)
+
+
+def _first_polygon(n: int, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The partition of _draw_polygon's one attempt from each row of words,
+    whatever the family: (apex angles, settled rows).  Word 0 is the
+    radius's, and _partitions reads on from word 1; a row is settled when
+    its accepted partition fits in its words."""
+    return _partitions(n, words, np.arange(len(words)), np.ones(len(words), dtype=np.intp))
+
+
+def _family_rows(kind: str, lo: float, hi: float, radius_words: np.ndarray,
+                 ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The polygons of the family `kind` at radius uniform(lo, hi) from each
+    radius word and the partition ts of its row, as validate_rows decides
+    them: (radii, apex angles, ideal rows).  An invalid polygon raises its
+    error."""
+    radii = _uniform(radius_words, lo, hi)
+    ts, status, error = _polygon.validate_rows(kind, radii, ts)
+    invalid = np.flatnonzero(status == _polygon.INVALID)
+    if len(invalid):
+        raise error(invalid[0])
+    return radii, ts, status == _polygon.IDEAL
+
+
+def _polygon_walk(groups: list[tuple], n: int, seed: int, index: np.ndarray) -> Iterator[dict]:
+    """Per block of the stream indices index of seed, in order, one random
+    polygon per stream for each ("polygon", family, lo, hi) group, as
+    _draw_polygon draws it: {group: (radii, apex angles, ideal rows)}.  A
+    draw reads no further than its first polygon attempt, so the families
+    share each block's read, its partitions and the re-reads of its
+    unsettled rows; each maps the radius word into its own window and
+    decides its own polygons, in group order."""
+    for part, words in _word_blocks(seed, index, n + 1):
+        (ts,) = _settle(lambda wide: _first_polygon(n, wide), n, seed, index[part], words)
+        yield {group: _family_rows(*group[1:], words[:, 0], ts) for group in groups}
+
+
+def _split_walk(groups: list[tuple], n: int, seed: int, index: np.ndarray) -> Iterator[dict]:
+    """Per block of the stream indices index of seed, in order, one random
+    split per stream for each ("split", k) group, as random_split draws it
+    before scaling to a total: {group: (uniform(0.1, 1) words, their row
+    sums)}.  The groups share one read at their largest k, of which each
+    takes the first k words of every row."""
+    for _, words in _word_blocks(seed, index, max(k for _, k in groups)):
+        block = {}
+        for group in groups:
+            u = _uniform(words[:, :group[1]], 0.1, 1.0)
+            block[group] = u, u.sum(axis=1)
+        yield block
 
 
 # ---------------------------------------------------------------------------
@@ -865,49 +927,31 @@ def verify_bounds(
     sum of k equal terms rounds by up to about k**2 * eps * |term| / 4.
 
     Every cell is set up, and its inputs checked, before the first draw,
-    in cell order.  Cells that read the same streams share one walk of
-    them: the single-polygon cells of one family and window, and the split
-    cells of one k, which share their words and row sums, and their
-    regular_convert_rows call where spec, window and total agree.  Each
-    block of a walk goes to every cell of its group, whose verdicts are
-    reduced with numpy exactly as a loop over its draws in stream order
-    would.
+    in cell order.  The cells then share one walk of the streams per kind
+    of draw: _polygon_walk for the single-polygon cells, whose families
+    share each stream's words and partition, and _split_walk for the split
+    cells, one read at the largest k.  The cells of one group share its
+    draws, and split cells their regular_convert_rows call where k, spec,
+    window and total agree.  Each block of a walk goes to every cell, whose
+    verdicts are reduced with numpy exactly as a loop over its draws in
+    stream order would.
     """
     bounds = [_Bound.setup(theorem_id, n, k, radius_range, total) for theorem_id, k in cells]
-    groups: dict[tuple, list[_Bound]] = {}
-    for bound in bounds:
-        groups.setdefault(bound.group, []).append(bound)
-    for group, members in groups.items():
-        blocks = _polygon_group if group[0] == "polygon" else _split_group
-        for block in blocks(group, n, seed, trials):
-            converted = {}  # one regular_convert_rows call per (spec, window, total) and block
+    for draw, walk in (("polygon", _polygon_walk), ("split", _split_walk)):
+        members = [bound for bound in bounds if bound.group[0] == draw]
+        if not members:
+            continue
+        groups = list(dict.fromkeys(bound.group for bound in members))
+        for block in walk(groups, n, seed, np.arange(trials)):
+            converted = {}  # one regular_convert_rows call per (group, spec, window, total) and block
             for bound in members:
-                bound.add(*bound.verdicts(block, converted))
+                bound.add(*bound.verdicts(block[bound.group], converted))
     return [bound.report(trials, seed) for bound in bounds]
 
 
 def _margins(kind: str, actual: np.ndarray, bound: np.ndarray) -> np.ndarray:
     """How far each actual value clears a lower or upper bound."""
     return actual - bound if kind == "lower" else bound - actual
-
-
-def _polygon_group(group: tuple, n: int, seed: int, trials: int) -> Iterator[tuple]:
-    """The blocks of one random polygon of the family per draw, as
-    _draw_polygon draws it, from polygon_blocks without redraw: (skipped
-    draws, radii and apex angles of the kept ones); a tangential polygon
-    with an ideal vertex is skipped."""
-    _, kind, lo, hi = group
-    for radii, ts, ideal in polygon_blocks(kind, n, lo, hi, seed, np.arange(trials), redraw=False):
-        rows = np.flatnonzero(~ideal)
-        yield len(ideal) - len(rows), radii[rows], ts[rows]
-
-
-def _split_group(group: tuple, n: int, seed: int, trials: int) -> Iterator[tuple]:
-    """The blocks of one random split per draw, as random_split draws it
-    before scaling to a total: (uniform(0.1, 1) words, their row sums)."""
-    for _, words in _word_blocks(seed, np.arange(trials), group[1]):
-        u = _uniform(words, 0.1, 1.0)
-        yield u, u.sum(axis=1)
 
 
 def _regular_rows(n: int, spec: Callable, window: tuple[float, float],
@@ -981,16 +1025,18 @@ class _Bound:
         """A block's (skipped draws, margins and bounds of the kept draws,
         equality errors, witness); witness(i) gives the leading keys of kept
         draw i's counterexample.  converted holds the block's splits and
-        their conversions by (spec, window, total), for the split bounds
-        that share them."""
+        their conversions by (group, spec, window, total), for the split
+        bounds that share them."""
         if self.group[0] == "polygon":
             return self._polygon_verdicts(*block)
         return self._split_verdicts(block, converted)
 
-    def _polygon_verdicts(self, skips: int, r: np.ndarray, t: np.ndarray) -> tuple:
-        """Each kept polygon checked against the bound at its radius; the
-        equality case is re-checked at every radius."""
+    def _polygon_verdicts(self, radii: np.ndarray, ts: np.ndarray, ideal: np.ndarray) -> tuple:
+        """Each polygon without an ideal vertex checked against the bound at
+        its radius; the equality case is re-checked at every radius."""
         n, kind, entry = self.n, self.group[1], self.entry
+        kept = np.flatnonzero(~ideal)
+        r, t = radii[kept], ts[kept]
         bound = entry["rows"](n, r)
         metric = _polygon.perimeter_rows if bound.quantity == "perimeter" else _polygon.area_rows
         equal = regular_convert_rows(n, bound.defining, r[bound.equality])
@@ -1001,18 +1047,19 @@ class _Bound:
             return {"polygon": _polygon.row_json(kind, n, radius, t[i].tolist()),
                     "bound": entry["func"](n, radius).to_json_dict()}
 
-        return (skips, _margins(bound.kind, metric(kind, r, t), bound.value), bound.value,
+        return (len(ideal) - len(kept), _margins(bound.kind, metric(kind, r, t), bound.value), bound.value,
                 np.abs(equal - bound.value[bound.equality]), witness)
 
     def _split_verdicts(self, block: tuple, converted: dict) -> tuple:
         """Each split of the total that lies in the window checked against
         the bound, its metric the bound's own quantity of every component."""
         n, res, (spec, window, total) = self.n, self.res, self.convert
-        if self.convert not in converted:
+        key = (self.group, *self.convert)
+        if key not in converted:
             u, sums = block
             splits = u * (total / sums)[:, None]
-            converted[self.convert] = splits, *_regular_rows(n, spec, window, splits)
-        splits, rows, m = converted[self.convert]
+            converted[key] = splits, *_regular_rows(n, spec, window, splits)
+        splits, rows, m = converted[key]
 
         def witness(i: int) -> dict:
             xs = splits[rows[i]].tolist()

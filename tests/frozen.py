@@ -111,10 +111,11 @@ VERIFY_BITS_1_8 = (dict(theorem_id="1.8", n=3, k=5, trials=500, seed=7),
 VERIFY_BITS_1_9 = (dict(theorem_id="1.9", n=12, k=2, trials=500, seed=7),
                    425, 75, 0, "0x1.a35f27f180000p-13", "0x0.0p+0")
 
-# sha256 of the draws polygon_blocks(kind, n, *_radius_window(kind, n,
-# window), DEFAULT_SEED, np.arange(count), redraw=redraw) yields: the
-# ideal-row flags as bytes, then the float64 bytes (little-endian) of the
-# radii and of the apex angles of the rows that are not ideal.  Recorded
+# sha256 of the draws on streams 0 .. count-1 of DEFAULT_SEED in the
+# window _radius_window(kind, n, window), of polygon_blocks with redraw, and
+# without redraw of verify's _polygon_walk on the one group: the ideal-row
+# flags as bytes (none with redraw), then the float64 bytes (little-endian)
+# of the radii and of the apex angles of the rows that are not ideal.  Recorded
 # while the rows a block read left unsettled were still replayed by the
 # scalar draws, in windows where that happened (the cyclic and tangential
 # 3-gons at (0.05, 3.0) and (0.1, 2.0), the tangential 6-gon there, and

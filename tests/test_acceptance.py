@@ -52,7 +52,7 @@ def test_criterion_3_fixed_total_radius_bounds_hold():
     # 2000 draws per (bound, k) for k in {2, 3, 5} so at least 1000 splits
     # land inside the admissibility guards; none may beat the bound at
     # 1e-12 and the uniform split must reproduce it to 1e-9
-    ok, reps = cli._crit3_radius_totals(6, 2000, SEED)
+    (ok, reps), _ = cli._crit34_splits(6, 2000, SEED)
     assert ok
     assert len(reps) == 12
     for rep in reps:
@@ -69,7 +69,7 @@ def test_criterion_4_guarded_bounds_and_convexity_windows():
     # guards; inside, 4000 random splits per (bound, k) never beat them,
     # and the convexity certificate is positive inside the window and
     # mixed straddling it
-    ok, reps, note = cli._crit4_guarded(6, 4000, SEED)
+    _, (ok, reps, note) = cli._crit34_splits(6, 4000, SEED)
     assert ok, note
     assert len(reps) == 4
     for rep in reps:

@@ -156,9 +156,9 @@ def cell_blocks(cell, seed, trials):
     """The per-block verdicts verify_bounds reduces for the one set-up cell
     (an optimize._Bound), from a walk of its group's draws: (skipped draws,
     margins, bounds, equality errors, witness)."""
-    walk = optimize._polygon_group if cell.group[0] == "polygon" else optimize._split_group
-    for block in walk(cell.group, cell.n, seed, trials):
-        yield cell.verdicts(block, {})
+    walk = optimize._polygon_walk if cell.group[0] == "polygon" else optimize._split_walk
+    for block in walk([cell.group], cell.n, seed, np.arange(trials)):
+        yield cell.verdicts(block[cell.group], {})
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -251,20 +251,24 @@ def test_split_draws_match_random_split(monkeypatch, theorem, k, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("n", range(3, 12))
 def test_partition_attempts_match_random_partition(monkeypatch, n, seed):
-    # the walker without redraws on rows of three random_partition attempts,
-    # below n = 12, where random_partition can reject one; blocks of 37 rows
-    # cut the run mid-way.  Rows that need a fourth attempt are not plain:
-    # they are left to the re-reads, which
-    # test_verify_rows_settle_round_by_round compares at n = 3.
+    # the verify walker's first polygon attempt on rows of three
+    # random_partition attempts, below n = 12, where random_partition can
+    # reject one, and each family's polygons from it; blocks of 37 rows cut
+    # the run mid-way.  Rows that need a fourth attempt are not plain: they
+    # are left to the re-reads, which test_verify_rows_settle_round_by_round
+    # compares at n = 3.
     width = 1 + 3 * n
     monkeypatch.setattr(optimize, "BLOCK_WORDS", 37 * width + 5)
     attempts = collections.Counter()
     for family in FAMILIES:
         lo, hi = optimize._radius_window(family.kind, n, (0.1, 2.0))
-        rows = [row for _, words in optimize._word_blocks(seed, np.arange(300), width)
-                for row in zip(*optimize._polygon_rows(family.kind, n, lo, hi, words, redraw=False))]
+        rows = []
+        for _, words in optimize._word_blocks(seed, np.arange(300), width):
+            ts, plain = optimize._first_polygon(n, words)
+            drawn = zip(*optimize._family_rows(family.kind, lo, hi, words[plain, 0], ts[plain]))
+            rows += [next(drawn) if p else None for p in plain]
         assert len(rows) == 300
-        for i, (radius, ts, plain, ideal) in enumerate(rows):
+        for i, row in enumerate(rows):
             rng = optimize.trial_rng(seed, i)
             rng.uniform(lo, hi)
             for attempt in itertools.count(1):
@@ -272,9 +276,10 @@ def test_partition_attempts_match_random_partition(monkeypatch, n, seed):
                 if 2.0 * u.max() < u.sum():
                     break
             attempts[min(attempt, 4)] += 1
-            assert plain == (attempt <= 3)
-            if not plain:
+            assert (row is not None) == (attempt <= 3)
+            if row is None:
                 continue
+            radius, ts, ideal = row
             want = scalar_polygon(family, n, lo, hi, optimize.trial_rng(seed, i))
             assert ideal == (want is None)
             if want is not None:
@@ -396,42 +401,54 @@ def hexed(value):
 
 
 SPLIT_IDS = ("1.5", "1.6", "1.7", "1.8", "1.9", "1.10")
+# all ten bounds, the families and the split bounds interleaved
+MIXED_IDS = ("1.4", "1.1", "1.6", "1.2", "1.9", "1.3", "1.10", "1.5", "1.8", "1.7")
 
 
 @pytest.mark.parametrize("tightened", [False, True])
-@pytest.mark.parametrize("ids, n, window, total", [
-    *[pytest.param(pair, n, window, None, id=f"{'+'.join(pair)}-n={n}-window={window[0]:g}:{window[1]:g}")
+@pytest.mark.parametrize("ids, ks, n, window, total, seed", [
+    *[pytest.param(pair, (1,), n, window, None, DEFAULT_SEED,
+                   id=f"{'+'.join(pair)}-n={n}-window={window[0]:g}:{window[1]:g}")
       for pair in (("1.1", "1.3"), ("1.2", "1.4")) for n in (3, 6, 12, 192) for window in WINDOWS],
     # at n = 12 the total 2.0 puts every split of 1.9 and 1.10 outside its
     # window, and 60.0 every split of 1.6-1.8 and some of 1.9 and 1.10
-    *[pytest.param(SPLIT_IDS, 12, None, total, id=f"1.5-1.10-n=12-total={total}") for total in (None, 2.0, 60.0)],
+    *[pytest.param(SPLIT_IDS, (2, 3, 5), 12, optimize.RADIUS_RANGE, total, DEFAULT_SEED,
+                   id=f"1.5-1.10-n=12-total={total}") for total in (None, 2.0, 60.0)],
+    *[pytest.param(MIXED_IDS, (5, 2, 3), n, window, None, seed,
+                   id=f"all-n={n}-window={window[0]:g}:{window[1]:g}-seed={seed:#x}")
+      for n in (3, 6, 12, 192) for window in WINDOWS for seed in (DEFAULT_SEED, 7)],
 ])
-def test_verify_bounds_matches_verify_theorem_cell_by_cell(monkeypatch, ids, n, window, total, tightened):
-    # a group walks its draws once for all its cells; each cell's report is
-    # the one its own verify_theorem call gives, bit for bit, violations and
-    # counterexamples included.  The split cells at k = 2, 3 and 5 make
-    # three groups of one call
+def test_verify_bounds_matches_verify_theorem_cell_by_cell(monkeypatch, ids, ks, n, window, total, seed, tightened):
+    # one call walks the polygons of both families once and the splits of
+    # every k once; each cell's report is the one its own verify_theorem
+    # call gives, bit for bit, violations and counterexamples included,
+    # whatever the order of the cells.  A single-polygon cell ignores k
     monkeypatch.setattr(optimize, "BLOCK_WORDS", SMALL_BLOCK)
     for theorem in ids if tightened else ():
         tighten(monkeypatch, theorem)
-    ks = (2, 3, 5) if window is None else (1,)
     cells = [(theorem, k) for theorem in ids for k in ks]
-    window = window or optimize.RADIUS_RANGE
     trials = 400
-    reps = optimize.verify_bounds(cells, n, window, total, trials, DEFAULT_SEED)
-    assert [(rep.theorem, rep.k) for rep in reps] == cells
+    reps = optimize.verify_bounds(cells, n, window, total, trials, seed)
+    assert [(rep.theorem, rep.k) for rep in reps] == [
+        (theorem, k if bounds.THEOREMS[theorem]["multi"] else 1) for theorem, k in cells]
+    alone = {}
     for (theorem, k), rep in zip(cells, reps):
-        alone = optimize.verify_theorem(theorem, n, k, window, total, trials, DEFAULT_SEED)
-        assert hexed(rep.to_json_dict()) == hexed(alone.to_json_dict())
+        if (theorem, rep.k) not in alone:
+            alone[theorem, rep.k] = optimize.verify_theorem(theorem, n, k, window, total, trials, seed)
+        assert hexed(rep.to_json_dict()) == hexed(alone[theorem, rep.k].to_json_dict())
     assert any(rep.asserted for rep in reps)
-    assert {rep.violations > 0 for rep in reps if rep.asserted} == {tightened}
+    violated = {(rep.theorem, rep.k): rep.violations > 0 for rep in reps if rep.asserted}
+    if tightened and n == 192:
+        # 1.6-1.8 at k = 5 hold on all 400 draws even 3% tighter
+        violated = {cell: v for cell, v in violated.items() if cell[1] != 5}
+    assert set(violated.values()) == {tightened}
 
 
 def test_verify_bounds_walks_each_group_once(monkeypatch):
-    # all ten bounds at n = 6 and k = 2 make three groups: the tangential
-    # polygons of 1.1 and 1.3, the cyclic ones of 1.2 and 1.4, and the
-    # splits of 1.5-1.10.  The call reads what one cell of each group reads
-    # alone, and a group reads each (stream, width) pair once
+    # all ten bounds at k = 2, 3 and 5 share two walks: one of the polygons
+    # of both families, at n + 1 words a stream and its re-reads, and one of
+    # the splits, at k = 5.  Each (stream, width) pair is read at most once
+    # per call, and the call reads what 1.1 and 1.5 at k = 5 read alone
     reads = record_reads(monkeypatch)
 
     def read_pairs(cells):
@@ -439,9 +456,9 @@ def test_verify_bounds_walks_each_group_once(monkeypatch):
         optimize.verify_bounds(cells, 6, trials=3000)
         return collections.Counter((i, width) for streams, width in reads for i in streams)
 
-    alone = [read_pairs([(theorem, 2)]) for theorem in ("1.1", "1.2", "1.5")]
-    assert all(set(pairs.values()) == {1} for pairs in alone)
-    assert read_pairs([(f"1.{i}", 2) for i in range(1, 11)]) == sum(alone, collections.Counter())
+    pairs = read_pairs([(f"1.{i}", k) for i in range(1, 11) for k in (2, 3, 5)])
+    assert set(pairs.values()) == {1}
+    assert pairs == read_pairs([("1.1", 1)]) + read_pairs([("1.5", 5)])
 
 
 def test_verify_bounds_sets_up_every_cell_before_the_first_draw(monkeypatch):
@@ -610,7 +627,8 @@ def test_block_reduction_keeps_the_scalar_loops_choices(monkeypatch, blocks):
                 np.abs(np.array([m for m, _ in block])), lambda i: {"row": int(rows[i])})
 
     # the walk hands the block index j to the synthetic verdicts
-    monkeypatch.setattr(optimize, "_polygon_group", lambda group, n, seed, trials: iter(range(len(blocks))))
+    monkeypatch.setattr(optimize, "_polygon_walk",
+                        lambda groups, n, seed, index: ({group: j for group in groups} for j in range(len(blocks))))
     monkeypatch.setattr(optimize._Bound, "verdicts", synthetic)
     rep = optimize.verify_theorem("1.2", trials=len(draws) + len(blocks))
     want = scalar_verdicts([None] * len(blocks) + draws)
@@ -631,9 +649,8 @@ def test_polygon_blocks_match_the_sample_draws(monkeypatch, family, n, window, r
     for seed in SEEDS:
         for count in boundary_counts(1 if regular else n + 1):
             blocks = list(optimize.polygon_blocks(family.kind, n, lo, hi, seed, np.arange(count), regular))
-            radii = np.concatenate([r for r, _, _ in blocks])
-            ts = np.concatenate([t for _, t, _ in blocks])
-            assert not np.concatenate([ideal for _, _, ideal in blocks]).any()
+            radii = np.concatenate([r for r, _ in blocks])
+            ts = np.concatenate([t for _, t in blocks])
             want = [family.regular(n, rng.uniform(lo, hi)) if regular else sampler(n, (lo, hi), rng)
                     for rng in streams(seed, count)]
             assert hexes(radii) == hexes(p.radius for p in want)
@@ -645,13 +662,19 @@ def test_polygon_blocks_match_the_sample_draws(monkeypatch, family, n, window, r
 def test_polygon_blocks_draw_any_streams(monkeypatch, family, mode):
     # a strided index, cut into blocks of 7 streams at n = 3 (4 words a
     # stream) and of 28 when regular: row j is the draw on stream index[j]
-    # and on no other, through the block read and the re-reads
+    # and on no other, through the block read and the re-reads.  Without
+    # redraw the draws are verify's, through _polygon_walk
     n = 3
     lo, hi = optimize._radius_window(family.kind, n, (0.4, 0.6))
     monkeypatch.setattr(optimize, "BLOCK_WORDS", 28)
     index = np.arange(5, 5 + 7 * 300, 7)
     regular = mode == "regular"
-    blocks = list(optimize.polygon_blocks(family.kind, n, lo, hi, DEFAULT_SEED, index, regular, mode == "redraw"))
+    if mode == "no redraw":
+        group = ("polygon", family.kind, lo, hi)
+        blocks = [block[group] for block in optimize._polygon_walk([group], n, DEFAULT_SEED, index)]
+    else:
+        blocks = [(radii, ts, np.zeros(len(radii), bool))
+                  for radii, ts in optimize.polygon_blocks(family.kind, n, lo, hi, DEFAULT_SEED, index, regular)]
     size = 28 if regular else 7
     assert [len(r) for r, _, _ in blocks] == [len(index[k:k + size]) for k in range(0, len(index), size)]
     radii, ts, ideal = (np.concatenate(arrays) for arrays in zip(*blocks))

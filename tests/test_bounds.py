@@ -99,6 +99,15 @@ def test_thm5_anchor_and_k1_consistency():
         assert thm5_total_peri_lower(6, 1, T).value == thm2_peri_upper(6, T).value
 
 
+def test_a_bad_total_is_named_the_total():
+    # k = 1 makes the total one polygon's radius
+    for func in (thm5_total_peri_lower, thm6_total_peri_lower, thm7_total_area_lower, thm8_total_area_lower):
+        for k, name in ((2, "total radius"), (1, "radius")):
+            for T in (-1.0, 0.0, math.nan):
+                with pytest.raises(Infeasible, match=f"^{name} must be positive, got {T!r}$"):
+                    func(6, k, T)
+
+
 def test_thm6_anchor_and_k1_consistency():
     res = thm6_total_peri_lower(4, 2, 2.0 * math.asinh(0.5))
     assert math.isclose(res.value, frozen.EIGHT_LN3, rel_tol=1e-13)

@@ -412,7 +412,7 @@ def test_sample_of_radius_zero_exits_2(capsys):
     (("--range", "3:4"), "radius range (3.0, 4.0) has no tangential window for n=6"),
     (("--range", "0:0"), "radius range (0.0, 0.0) has no tangential window for n=6"),
     (("--n", "3", "--k", "1"), "1.5 bounds a total over k >= 2 polygons, got k=1"),
-    (("--total", "-1"), "radius must be positive, got -1.0"),
+    (("--total", "-1"), "total radius must be positive, got -1.0"),
     (("--n", "2"), "need integer n >= 3, got 2"),
 ])
 def test_verify_all_names_the_first_cell_that_fails(capsys, argv, message):
@@ -422,6 +422,33 @@ def test_verify_all_names_the_first_cell_that_fails(capsys, argv, message):
     code = main(["verify", "--thm", "all", *argv])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", f"error: Infeasible: {message}\n")
+
+
+@pytest.mark.parametrize("thm", ["1.5", "1.6", "1.7", "1.8", "all"])
+def test_verify_names_the_total_it_rejects(capsys, thm):
+    # a fixed-total bound rejects its total, not a radius of a polygon
+    code = main(["verify", "--thm", thm, "--total", "nan"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: Infeasible: total radius must be positive, got nan\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--n", "6", "--k", "3"),
+    ("--n", "12", "--k", "5", "--range", "0.001:15", "--seed", "7"),
+    ("--n", "3", "--k", "2", "--range", "0.4:0.6", "--total", "1.5"),
+])
+def test_verify_all_reports_what_each_theorem_reports_alone(capsys, argv):
+    # verify --thm all shares its draws across the bounds; each of its
+    # reports is the one the bound's own --thm run prints
+    code, out = run_cli(capsys, "verify", "--thm", "all", "--trials", "500", *argv)
+    reports = json.loads(out)["reports"]
+    assert [rep["theorem"] for rep in reports] == [t for t, entry in bounds.THEOREMS.items() if entry["objective"]]
+    codes = set()
+    for rep in reports:
+        code_alone, out = run_cli(capsys, "verify", "--thm", rep["theorem"], "--trials", "500", *argv)
+        assert json.dumps(json.loads(out)["reports"]) == json.dumps([rep])
+        codes.add(code_alone)
+    assert code == max(codes)
 
 
 def test_verify_rejects_cor1(capsys):

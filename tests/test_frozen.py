@@ -106,7 +106,13 @@ def test_seeded_verification_bits():
 def test_polygon_block_draws():
     for kind, n, window, redraw, count, digest in frozen.POLYGON_BLOCK_DRAWS:
         lo, hi = optimize._radius_window(kind, n, window)
-        blocks = optimize.polygon_blocks(kind, n, lo, hi, optimize.DEFAULT_SEED, np.arange(count), redraw=redraw)
+        index = np.arange(count)
+        if redraw:  # no row of polygon_blocks is ideal
+            blocks = ((*rows, np.zeros(len(rows[0]), bool))
+                      for rows in optimize.polygon_blocks(kind, n, lo, hi, optimize.DEFAULT_SEED, index))
+        else:
+            group = ("polygon", kind, lo, hi)
+            blocks = (block[group] for block in optimize._polygon_walk([group], n, optimize.DEFAULT_SEED, index))
         radii, ts, ideal = (np.concatenate(arrays) for arrays in zip(*blocks))
         got = hashlib.sha256(ideal.tobytes() + radii[~ideal].tobytes() + ts[~ideal].tobytes()).hexdigest()
         assert got == digest, (kind, n, window, redraw)
