@@ -225,9 +225,8 @@ def cmd_verify(args) -> int:
 
 def _both_routes(kind: str, radii: np.ndarray, ts: np.ndarray) -> dict[str, np.ndarray]:
     """Each row's perimeter and area in closed form and as measured on its embedding, and their gaps."""
-    xs = _hmodel.embed_rows(kind, radii, ts)
     peri, ar = _polygon.perimeter_rows(kind, radii, ts), _polygon.area_rows(kind, radii, ts)
-    mperi, mar = _hmodel.measured_perimeter_rows(*xs), _hmodel.measured_area_rows(*xs)
+    mperi, mar = _hmodel.measured_rows(*_hmodel.embed_rows(kind, radii, ts))
     return {"perimeter": peri, "area": ar, "measured_perimeter": mperi, "measured_area": mar,
             "perimeter_route_gap": np.abs(peri - mperi), "area_route_gap": np.abs(ar - mar)}
 
@@ -310,13 +309,21 @@ def _crit1_polygons(seed: int, count: int):
     """Polygon i of the metric-equivalence battery, for i < count, is what
     random_cyclic_polygon (even i) or random_tangential_polygon (odd i)
     draws with n = 3 + (i // 2) % 10 in _CRIT1_RANGE on stream i of seed.
-    So cell j = i % 20 holds the streams j, j + 20, ... of one family and
-    one n; yields each cell's polygon_blocks as (kind, radii, apex angles)."""
-    for j in range(20):
-        kind, n = ("cyclic", "tangential")[j % 2], 3 + j // 2
-        lo, hi = _optimize._radius_window(kind, n, _CRIT1_RANGE)
-        for radii, ts in _optimize.polygon_blocks(kind, n, lo, hi, seed, np.arange(j, count, 20)):
-            yield kind, radii, ts
+    Each family is one polygon_blocks call over its streams grouped by n,
+    in stream order within an n, so that a block of the word budget holds
+    rows of several n; yields each block's polygons of one n as (kind,
+    radii, apex angles)."""
+    for parity, kind in enumerate(("cyclic", "tangential")):
+        windows = np.array([_optimize._radius_window(kind, n, _CRIT1_RANGE) for n in range(3, 13)])
+        index = np.concatenate([np.arange(2 * j + parity, count, 20) for j in range(10)])
+        n = 3 + (index // 2) % 10
+        lo, hi = windows[n - 3].T
+        start = 0
+        for radii, ts in _optimize.polygon_blocks(kind, n, lo, hi, seed, index):
+            block = n[start:start + len(radii)]
+            start += len(radii)
+            for run in np.split(np.arange(len(block)), np.flatnonzero(np.diff(block)) + 1):
+                yield kind, radii[run], ts[run, :block[run[0]]]
 
 
 def _crit1_equivalence(seed: int, count: int) -> tuple[bool, str]:

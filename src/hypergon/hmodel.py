@@ -7,9 +7,10 @@ can be re-measured here from raw coordinates.
 
 Each measurement is written once, for a block: embed_rows places the
 polygons of one family and one n, as three (polygons, n) coordinate arrays,
-and dist_rows, measured_perimeter_rows and measured_area_rows measure them
-with numpy's ufuncs.  dist, embed, measured_perimeter and measured_area are
-their one-row calls on HPoint and Embedding values.
+and dist_rows and measured_rows measure them with numpy's ufuncs;
+measured_rows checks the vertex ring and shifts it once for both the
+perimeter and the area.  dist, embed, measured_perimeter and measured_area
+are their one-row calls on HPoint and Embedding values.
 """
 
 from __future__ import annotations
@@ -97,14 +98,14 @@ def embed(p: Polygon) -> Embedding:
 
 
 def measured_perimeter(e: Embedding) -> float:
-    """The one-row call of measured_perimeter_rows."""
-    return float(measured_perimeter_rows(*_coords(e.vertices))[0])
+    """The one-row call of measured_rows' perimeter."""
+    return float(measured_rows(*_coords(e.vertices))[0][0])
 
 
 def measured_area(e: Embedding) -> float:
-    """The one-row call of measured_area_rows, about e's center."""
+    """The one-row call of measured_rows' area, about e's center."""
     _validate(e.center)
-    return float(measured_area_rows(*_coords(e.vertices), e.center)[0])
+    return float(measured_rows(*_coords(e.vertices), e.center)[1][0])
 
 
 def embed_rows(kind: str, radii: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -138,29 +139,27 @@ def _validate_rows(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> None:
         _validate(HPoint(*(x.ravel()[i].item() for x in (x0, x1, x2))))
 
 
-def measured_perimeter_rows(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """The perimeter of every row's vertex ring, each side by dist_rows."""
-    _validate_rows(x0, x1, x2)
-    return fsum_rows(dist_rows(x0, x1, x2, *(np.roll(x, -1, axis=1) for x in (x0, x1, x2))))
+def measured_rows(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray,
+                  c: HPoint = ORIGIN) -> tuple[np.ndarray, np.ndarray]:
+    """The perimeter and the area of every row's vertex ring, once every
+    vertex is _validate'd.
 
-
-def measured_area_rows(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray, c: HPoint = ORIGIN) -> np.ndarray:
-    """The area of every row's vertex ring as a sum of sector triangles
-    (center c, v_i, v_i+1), added in ring order.
-
-    Each is tan(A/2) = |det[c, p, q]| / (1 + <c, p> + <p, q> + <q, c>), the
+    The perimeter sums each side by dist_rows.  The area sums the sector
+    triangles (center c, v_i, v_i+1), added in ring order, each by
+    tan(A/2) = |det[c, p, q]| / (1 + <c, p> + <p, q> + <q, c>), the
     hyperboloid form of Van Oosterom & Strackee's solid-angle formula; it
     needs no side lengths, so tiny triangles lose no digits to cancellation.
     """
     _validate_rows(x0, x1, x2)
     q0, q1, q2 = (np.roll(x, -1, axis=1) for x in (x0, x1, x2))
+    perimeter = fsum_rows(dist_rows(x0, x1, x2, q0, q1, q2))
     det = (c.x0 * (x1 * q2 - x2 * q1)
            - c.x1 * (x0 * q2 - x2 * q0)
            + c.x2 * (x0 * q1 - x1 * q0))
     den = (1.0 + (c.x0 * x0 - c.x1 * x1 - c.x2 * x2) + (x0 * q0 - x1 * q1 - x2 * q2)
            + (q0 * c.x0 - q1 * c.x1 - q2 * c.x2))
     terms = 2.0 * np.arctan2(np.abs(det), den)
-    return np.cumsum(terms, axis=1)[:, -1]
+    return perimeter, np.cumsum(terms, axis=1)[:, -1]
 
 
 def measured_interior_angles(e: Embedding) -> tuple[float, ...]:

@@ -8,13 +8,18 @@ certificate for f'', a scan of every two-value split (x, ..., x, y, ..., y)
 of c, and an exhaustive grid oracle for k in {2, 3}.  An objective f maps a
 float64 array elementwise, and each of the three scores its points in
 arrays through _values, which turns a failure or a NaN of f into an
-EvaluationFailure.  The registered objectives are written once over
-arrays, the four sector ones as the polygon kernels.  The module also hosts
+EvaluationFailure; so is a second difference of the certificate that is
+not finite.  The registered objectives are written once over arrays, the
+four sector ones as the polygon kernels.  The module also hosts
 verify_bounds, the randomized check of bounds, and its draws, in blocks of
-streams, each polygon decided by polygon.validate_rows.  The bounds of one
-call share one walk of the streams per kind of draw: every single-polygon
-bound, whatever its family, one read and partition walk, and every split
-bound one read at the largest k.  verify_theorem is its one-bound call.
+streams, each polygon decided by polygon.validate_rows.  One walker draws
+every polygon: it takes a number of sides and a radius window per stream,
+so a block may hold rows of several n, as the report's metric-equivalence
+battery draws them; sample and verify give every stream the same n.  The
+bounds of one call share one walk of the streams per kind of draw: every
+single-polygon bound, whatever its family, one read and partition walk,
+and every split bound one read at the largest k.  verify_theorem is its
+one-bound call.
 """
 
 from __future__ import annotations
@@ -101,7 +106,9 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
 # would: lo + (hi - lo) * (word >> 11) * 2**-53.  The words are a prefix
 # of each stream, which a counter-based generator addresses directly, so a
 # row whose draw reads past them is read again from word 0, wider, and
-# retraces the same draw; no draw falls back to the scalar functions.
+# retraces the same draw; no draw falls back to the scalar functions.  A
+# block of polygon streams of several n is read at the width of its
+# largest n, and its rows of fewer sides carry zero-padded apex angles.
 
 # Words per block and scan slice: their arrays stay this small whatever n or
 # k is.  Below it numpy's per-call cost dominates a block; above it peak
@@ -153,46 +160,80 @@ def _read(seed: int, indices, width: int) -> np.ndarray:
     return np.stack([v0, v1, v2, v3], axis=-1).reshape(len(i), 4 * len(blocks))[:, :width]
 
 
-def _word_blocks(seed: int, index: np.ndarray, width: int) -> Iterator[tuple[slice, np.ndarray]]:
+def _word_blocks(seed: int, index: np.ndarray, width) -> Iterator[tuple[slice, np.ndarray]]:
     """Blocks (part, words) that cut the stream indices index of seed in
-    order, where row j of words holds words 0 .. width-1 of stream
-    index[part][j]."""
-    size = max(1, BLOCK_WORDS // width)
-    for start in range(0, len(index), size):
-        part = slice(start, start + size)
-        yield part, _read(seed, index[part], width)
+    order, where row j of words holds words 0 .. w-1 of stream
+    index[part][j] and w is the largest of width[part].  width is an int,
+    or one per stream that does not decrease along index.  A block holds
+    as many streams as fit in BLOCK_WORDS at its w, and it ends before a
+    wider run of streams that would not fit whole, unless that run starts
+    it: a run of one width is cut only where it fills whole blocks."""
+    width = np.broadcast_to(width, np.shape(index))
+    if not len(index):
+        return
+    ends = (np.flatnonzero(np.diff(width)) + 1).tolist() + [len(index)]
+    cuts, start = [], 0
+    for a, b in zip([0] + ends[:-1], ends):
+        size = max(1, BLOCK_WORDS // int(width[a]))  # streams a block at this run's width holds
+        if start < a and b - start > size:
+            cuts.append(a)
+            start = a
+        while b - start > size:
+            start += size
+            cuts.append(start)
+    for a, b in zip([0] + cuts, cuts + [len(index)]):
+        yield slice(a, b), _read(seed, index[a:b], int(width[b - 1]))
 
 
-def _uniform(words: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Generator.uniform(lo, hi) from each word."""
+def _uniform(words: np.ndarray, lo, hi) -> np.ndarray:
+    """Generator.uniform(lo, hi) from each word; lo and hi are floats or
+    arrays that broadcast against words."""
     span = hi - lo
-    if not 0.0 <= span < math.inf:
+    if not np.all((0.0 <= span) & (span < math.inf)):
         raise Infeasible(f"need finite lo <= hi, got ({lo!r}, {hi!r})")
     return lo + span * ((words >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0))
 
 
 def _at_cursor(words: np.ndarray, rows: np.ndarray, cursor: np.ndarray, k: int) -> np.ndarray:
-    """The k words of each of rows from its cursor on; a slice when the
-    cursors agree, as they do while the rows walk their first polygon attempt."""
-    c = cursor[rows]
-    if c.min() == c.max():
+    """The k words of each of rows from its cursor on, a column past the
+    last word reading the last word; a slice when the cursors agree, as
+    they do while the rows walk their first polygon attempt."""
+    c, width = cursor[rows], words.shape[1]
+    if c.min() == c.max() and c[0] + k <= width:
         return words[rows, c[0]:c[0] + k]
-    return words[rows[:, None], c[:, None] + np.arange(k)]
+    return words[rows[:, None], np.minimum(c[:, None] + np.arange(k), width - 1)]
 
 
-def _partitions(n: int, words: np.ndarray, rows: np.ndarray, cursor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """random_partition from the words of each of rows from its cursor on,
-    as (apex angles, taken rows): n words per attempt until one is
-    accepted, each row's cursor moved past the words it read.  A row is
-    taken when an accepted attempt fits in its words; the apex angles of
-    the other rows are garbage."""
+def _run_sums(u: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The sum of the first sizes[j] values of each row j, sizes not
+    decreasing, as numpy sums the C-contiguous (rows, n) array of a run of
+    rows of one n.  Its order of additions depends on n and on the memory
+    layout, so each run is summed alone."""
+    if sizes[0] == sizes[-1]:  # one run
+        return np.ascontiguousarray(u[:, :sizes[0]]).sum(axis=1)
+    cuts = np.flatnonzero(np.diff(sizes)) + 1
+    return np.concatenate([np.ascontiguousarray(part[:, :n]).sum(axis=1)
+                           for part, n in zip(np.split(u, cuts), sizes[np.r_[0, cuts]].tolist())])
+
+
+def _partitions(sizes: np.ndarray, words: np.ndarray, rows: np.ndarray, cursor: np.ndarray,
+                top: int) -> tuple[np.ndarray, np.ndarray]:
+    """random_partition of sizes[j] angles from the words of each row j of
+    rows from its cursor on, sizes[rows] not decreasing, as (apex angles
+    zero-padded to top columns, taken rows): sizes[j] words per attempt
+    until one is accepted, each row's cursor moved past the words it read.
+    A row is taken when an accepted attempt fits in its words; the apex
+    angles of the other rows are garbage."""
     width = words.shape[1]
     pending, t = np.arange(len(rows)), None  # the rows still drawing a partition
     while len(pending):
         at = rows[pending]
-        u = _uniform(_at_cursor(words, at, cursor, n), 0.1, 1.0)
+        n = sizes[at]
+        u = _uniform(_at_cursor(words, at, cursor, top), 0.1, 1.0)
+        if n[0] < top:  # some rows take fewer words than top: zero their padding
+            u[np.arange(top) >= n[:, None]] = 0.0
         cursor[at] += n
-        sums = u.sum(axis=1)
+        sums = _run_sums(u, n)
         accept = 2.0 * u.max(axis=1) < sums
         attempt = u * (TWO_PI / sums)[:, None]
         if t is None:
@@ -200,13 +241,17 @@ def _partitions(n: int, words: np.ndarray, rows: np.ndarray, cursor: np.ndarray)
         else:
             t[pending], taken[pending[accept]] = attempt, True
         pending = pending[~accept]
-        pending = pending[cursor[rows[pending]] + n <= width]
+        at = rows[pending]
+        pending = pending[cursor[at] + sizes[at] <= width]
     return t, taken
 
 
-def _polygon_rows(kind: str, n: int, lo: float, hi: float, words: np.ndarray) -> tuple[np.ndarray, ...]:
-    """random_cyclic_polygon or random_tangential_polygon, by kind, from
-    each row of words, as (radii, apex angles, settled rows).
+def _polygon_rows(kind: str, sizes: np.ndarray, lo: np.ndarray, hi: np.ndarray, words: np.ndarray,
+                  top: int) -> tuple[np.ndarray, ...]:
+    """random_cyclic_polygon or random_tangential_polygon, by kind, of
+    sizes[j] sides with radius uniform in [lo[j], hi[j]] from each row j of
+    words, sizes not decreasing, as (radii, apex angles zero-padded to top
+    columns, settled rows).
 
     A cursor walks each row's words in polygon attempts: the radius word,
     then _partitions.  A row is settled when an attempt fits in its words
@@ -215,17 +260,17 @@ def _polygon_rows(kind: str, n: int, lo: float, hi: float, words: np.ndarray) ->
     random_tangential_polygon does, which gives up after 1000 attempts.  An
     invalid polygon raises its error.  Unsettled rows are garbage."""
     count, width = words.shape
-    radii, ts, settled = np.zeros(count), np.zeros((count, n)), np.zeros(count, dtype=bool)
+    radii, ts, settled = np.zeros(count), np.zeros((count, top)), np.zeros(count, dtype=bool)
     cursor = np.zeros(count, dtype=np.intp)
     rows = np.arange(count)
     for _ in range(1000):
-        rows = rows[cursor[rows] + 1 + n <= width]  # room for a radius and one partition
+        rows = rows[cursor[rows] + 1 + sizes[rows] <= width]  # room for a radius and one partition
         if not len(rows):
             return radii, ts, settled
-        r = _uniform(_at_cursor(words, rows, cursor, 1)[:, 0], lo, hi)
+        r = _uniform(_at_cursor(words, rows, cursor, 1)[:, 0], lo[rows], hi[rows])
         cursor[rows] += 1
-        t, taken = _partitions(n, words, rows, cursor)
-        t, status, error = _polygon.validate_rows(kind, r, t)
+        t, taken = _partitions(sizes, words, rows, cursor, top)
+        t, status, error = _polygon.validate_rows(kind, r, t, sizes[rows])
         invalid = np.flatnonzero(taken & (status == _polygon.INVALID))
         if len(invalid):
             raise error(invalid[0])
@@ -236,62 +281,78 @@ def _polygon_rows(kind: str, n: int, lo: float, hi: float, words: np.ndarray) ->
             radii[rows[done]], ts[rows[done]], settled[rows[done]] = r[done], t[done], True
         rows = rows[taken & ~done]
     if len(rows):
-        raise Infeasible(f"could not sample a tangential {n}-gon in {(lo, hi)}")
+        j = rows[0]
+        raise Infeasible(f"could not sample a tangential {sizes[j]}-gon in {(float(lo[j]), float(hi[j]))}")
     return radii, ts, settled
 
 
-def _settle(walk: Callable, n: int, seed: int, index: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, ...]:
-    """walk(words), a tuple of arrays whose last flags the settled rows, to
-    the end, where row j of words holds the first words of stream index[j]
-    of seed; its other arrays.  The rows a read leaves unsettled are read
-    again from word 0 of their own streams, through _word_blocks, and
-    walked again: at four polygon attempts, 4(n + 1) words, and at four
-    times the previous width in each round after, until every row is
-    settled."""
-    *arrays, settled = walk(words)
-    rows, width = np.flatnonzero(~settled), 4 * (n + 1)
+def _settle(walk: Callable, seed: int, index: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, ...]:
+    """walk(rows, words) to the end, where row j of words holds the first
+    words of stream index[j] of seed and walk returns a tuple of arrays
+    for those rows, whose last flags the settled ones; its other arrays.
+    The rows a read leaves unsettled are read again from word 0 of their
+    own streams, through _word_blocks, and walked again: at four times the
+    width of words, and at four times the previous width in each round
+    after, until every row is settled."""
+    *arrays, settled = walk(np.arange(len(words)), words)
+    rows, width = np.flatnonzero(~settled), 4 * words.shape[1]
     while len(rows):
         for part, wide in _word_blocks(seed, index[rows], width):
             at = rows[part]
-            *values, settled[at] = walk(wide)
+            *values, settled[at] = walk(at, wide)
             for array, value in zip(arrays, values):
                 array[at] = value
         rows, width = rows[~settled[rows]], 4 * width
     return tuple(arrays)
 
 
-def _settled_rows(kind: str, n: int, lo: float, hi: float, seed: int, index: np.ndarray,
+def _settled_rows(kind: str, n: np.ndarray, lo: np.ndarray, hi: np.ndarray, seed: int, index: np.ndarray,
                   words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_polygon_rows settled to the end, as (radii, apex angles); row j of
-    words holds the first words of stream index[j] of seed."""
-    return _settle(lambda wide: _polygon_rows(kind, n, lo, hi, wide), n, seed, index, words)
+    """_polygon_rows settled to the end, as (radii, apex angles zero-padded
+    to the largest n); row j of words holds the first words of stream
+    index[j] of seed, which draws an n[j]-gon in (lo[j], hi[j])."""
+    top = int(n.max())
+    return _settle(lambda at, wide: _polygon_rows(kind, n[at], lo[at], hi[at], wide, top), seed, index, words)
 
 
-def polygon_blocks(kind: str, n: int, lo: float, hi: float, seed: int, index: np.ndarray,
+def polygon_blocks(kind: str, n, lo, hi, seed: int, index: np.ndarray,
                    regular: bool = False) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The polygons of the family `kind` on the stream indices index of
     seed, in order, as blocks of (radii, apex angles) arrays.  Each is what
     random_cyclic_polygon or random_tangential_polygon draws on its stream,
-    or with regular the regular polygon at rng.uniform(lo, hi); (lo, hi) is
-    a _radius_window."""
+    or with regular the regular polygon at rng.uniform(lo, hi).  n, lo and
+    hi are ints and floats, or arrays of one per stream: stream index[j]
+    draws an n[j]-gon in the _radius_window (lo[j], hi[j]), and n must not
+    decrease along index.  A block's rows of fewer sides than its largest n
+    are zero-padded to it.
+
+    A block holds the streams of about BLOCK_WORDS words, cut by
+    _word_blocks at one polygon attempt, n + 1 words, a stream, or one word
+    when regular; a stream that needs more is read again at four times its
+    block's width, and so on (_settle)."""
+    n, lo, hi = (np.broadcast_to(x, np.shape(index)) for x in (n, lo, hi))
     for part, words in _word_blocks(seed, index, 1 if regular else n + 1):
-        if regular:
-            # a regular polygon's apex angles do not depend on its radius, and
-            # every radius lies in the window, where only a radius of 0 fails
-            # the constructor: the smallest one stands for the block
-            radii = _uniform(words[:, 0], lo, hi)
-            thetas = _polygon.regular(kind, n, float(radii.min())).thetas
-            yield radii, np.tile(thetas, (len(radii), 1))
+        sizes = n[part]
+        if not regular:
+            yield _settled_rows(kind, sizes, lo[part], hi[part], seed, index[part], words)
             continue
-        yield _settled_rows(kind, n, lo, hi, seed, index[part], words)
+        # every radius lies in the window, where only a radius of 0 fails
+        # the constructor, and validate_rows raises what it raises
+        radii = _uniform(words[:, 0], lo[part], hi[part])
+        ts = np.where(np.arange(sizes.max()) < sizes[:, None], TWO_PI / sizes[:, None], 0.0)
+        ts, status, error = _polygon.validate_rows(kind, radii, ts, sizes)
+        if (status != _polygon.ACCEPTED).any():
+            raise error(int(np.argmax(status != _polygon.ACCEPTED)))
+        yield radii, ts
 
 
 def _first_polygon(n: int, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The partition of _draw_polygon's one attempt from each row of words,
-    whatever the family: (apex angles, settled rows).  Word 0 is the
+    """The partition of _draw_polygon's one n-gon attempt from each row of
+    words, whatever the family: (apex angles, settled rows).  Word 0 is the
     radius's, and _partitions reads on from word 1; a row is settled when
     its accepted partition fits in its words."""
-    return _partitions(n, words, np.arange(len(words)), np.ones(len(words), dtype=np.intp))
+    count = len(words)
+    return _partitions(np.full(count, n), words, np.arange(count), np.ones(count, dtype=np.intp), n)
 
 
 def _family_rows(kind: str, lo: float, hi: float, radius_words: np.ndarray,
@@ -317,7 +378,7 @@ def _polygon_walk(groups: list[tuple], n: int, seed: int, index: np.ndarray) -> 
     unsettled rows; each maps the radius word into its own window and
     decides its own polygons, in group order."""
     for part, words in _word_blocks(seed, index, n + 1):
-        (ts,) = _settle(lambda wide: _first_polygon(n, wide), n, seed, index[part], words)
+        (ts,) = _settle(lambda at, wide: _first_polygon(n, wide), seed, index[part], words)
         yield {group: _family_rows(*group[1:], words[:, 0], ts) for group in groups}
 
 
@@ -454,7 +515,9 @@ def certify_convexity(f: Callable[[np.ndarray], np.ndarray], interval: tuple[flo
 
     Uses h = 1e-5 times the interval width at GRID_POINTS interior points,
     scored in one call of f.  The certificate is consistent only if every
-    second difference has the same strict sign.
+    second difference has the same strict sign.  A second difference that
+    is not finite, as when h * h underflows on a tiny interval, is an
+    EvaluationFailure: it has no sign to certify.
     """
     lo, hi = interval
     if not lo < hi:
@@ -463,9 +526,12 @@ def certify_convexity(f: Callable[[np.ndarray], np.ndarray], interval: tuple[flo
     h = FD_H_FRACTION * width
     xs = lo + width * np.arange(1, GRID_POINTS + 1) / (GRID_POINTS + 1)
     v = _values(f, xs[:, None] + np.array([-h, 0.0, h]))
-    d2 = (v[:, 0] - 2.0 * v[:, 1] + v[:, 2]) / (h * h)
-    if np.isnan(d2).any():
-        raise EvaluationFailure(f"objective produced NaN near {float(xs[np.isnan(d2)][0])!r}")
+    with np.errstate(all="ignore"):  # a value that is not finite raises below
+        d2 = (v[:, 0] - 2.0 * v[:, 1] + v[:, 2]) / (h * h)
+    bad = ~np.isfinite(d2)
+    if bad.any():
+        raise EvaluationFailure(f"objective produced a second difference of {float(d2[bad][0])!r} "
+                                f"near {float(xs[bad][0])!r}")
     ref = d2[0]
     sign = "positive" if ref > 0.0 else "negative"
     # a second difference of the other sign or zero; at ref == 0 that is the first one

@@ -19,7 +19,8 @@ so perimeter and area, the one-row calls of their rows functions, equal
 a block's row bit for bit.  The polygon rule is written once, on rows:
 validate_rows scales each row's apex angles to 2*pi and decides whether
 the row is a polygon, has an ideal vertex or is no polygon at all, for
-the block draws and, as its one-row call, for the constructors.
+the block draws, whose rows of several n it takes zero-padded, and, as
+its one-row call, for the constructors.
 """
 
 from __future__ import annotations
@@ -109,14 +110,18 @@ def _beyond_cap(radius: float) -> OutOfRange:
 ACCEPTED, IDEAL, INVALID = 0, 1, 2
 
 
-def validate_rows(kind: str, radii: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, Callable]:
+def validate_rows(kind: str, radii: np.ndarray, ts: np.ndarray,
+                  sizes: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, Callable]:
     """The polygon rule on every row of a block of one family: (apex angles
-    scaled by 2*pi over their math.fsum, status, error).  A row is INVALID
-    when its radius is not positive or beyond LEG_MAX, its angles sum
-    farther than PARTITION_TOL from 2*pi or a scaled angle lies outside
-    (0, pi); else IDEAL when the family is tangential and some
-    tan(theta/2)*sinh r >= 1; else ACCEPTED.  error(j) is the exception the
-    constructor raises on row j, for the first fault in that order, or None.
+    scaled by 2*pi over their math.fsum, status, error).  Row j holds
+    sizes[j] apex angles, zero-padded to the block's width; without sizes
+    every row fills it.  A row is INVALID when its radius is not positive
+    or beyond LEG_MAX, its angles sum farther than PARTITION_TOL from 2*pi
+    or a scaled angle lies outside (0, pi); else IDEAL when the family is
+    tangential and some tan(theta/2)*sinh r >= 1; else ACCEPTED.  error(j)
+    is the exception the constructor raises on row j, for the first fault
+    in that order, or None.  math.fsum is exact and a padded 0 is no
+    vertex, so a padded row is decided as its unpadded one.
     """
     radii, ts = np.asarray(radii, dtype=np.float64), np.asarray(ts, dtype=np.float64)
     totals = fsum_rows(ts)
@@ -126,6 +131,8 @@ def validate_rows(kind: str, radii: np.ndarray, ts: np.ndarray) -> tuple[np.ndar
     positive, capped = radii > 0.0, radii <= LEG_MAX
     summed = np.abs(totals - TWO_PI) <= PARTITION_TOL
     inside = (ts > 0.0) & (ts < math.pi)
+    if sizes is not None:
+        inside |= np.arange(ts.shape[1]) >= np.asarray(sizes)[:, None]
     valid = positive & capped & summed & inside.all(axis=1)
     status = np.where(valid, np.where(vertex.any(axis=1), IDEAL, ACCEPTED), INVALID)
 

@@ -706,15 +706,17 @@ def crit1_cell(i):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_criterion_1_draws_each_cell_through_polygon_blocks(monkeypatch, seed):
+def test_criterion_1_draws_each_family_through_polygon_blocks(monkeypatch, seed):
     # polygon i is random_cyclic_polygon at even i and
     # random_tangential_polygon at odd i, with n = 3 + (i // 2) % 10, in the
-    # window (0.05, 3.0), on stream i.  Two budgets: the real one, where
-    # each cell's 35 streams are one block, and blocks of 140 words, where
-    # a cell spans blocks; at both, a stream is read again, round by round
-    # at four times the width, until its draw fits, and never by a scalar draw
+    # window (0.05, 3.0), on stream i.  Each family's streams, grouped by n,
+    # go through polygon_blocks; a block is read at one polygon attempt of
+    # its largest n, and a stream is read again, round by round at four
+    # times the width, until its draw fits, and never by a scalar draw.  Two
+    # budgets: the real one, where each family's 350 streams are one block
+    # of rows of every n, and blocks of 140 words, where an n spans blocks
     count = 700
-    want, need = [], []
+    want, used = [], []
     attempts = collections.Counter()
     draw_polygon = optimize._draw_polygon
 
@@ -729,9 +731,8 @@ def test_criterion_1_draws_each_cell_through_polygon_blocks(monkeypatch, seed):
             family, n = crit1_cell(i)
             sampler = optimize.random_cyclic_polygon if family is CyclicPolygon else optimize.random_tangential_polygon
             want.append(sampler(n, (0.05, 3.0), rng))
-            need.append(rounds(words_read(rng), n + 1))
+            used.append(words_read(rng))
     assert {min(a, 3) for a in attempts.values()} == {1, 2, 3}  # settled on polygon attempt 1, 2, 3 or later
-    assert {min(j, 2) for j in need} == {0, 1, 2}  # by the first read, the first re-read or a later one
     no_scalar_draws(monkeypatch)
     reads = record_reads(monkeypatch)
     for block_words in (optimize.BLOCK_WORDS, 140):
@@ -739,45 +740,100 @@ def test_criterion_1_draws_each_cell_through_polygon_blocks(monkeypatch, seed):
         reads.clear()
         cells = collections.defaultdict(list)
         for kind, radii, ts in cli._crit1_polygons(seed, count):
+            assert ts.flags.c_contiguous
             cells[kind, ts.shape[1]].append((radii, ts))
-        assert list(cells) == [(f.kind, n) for f, n in map(crit1_cell, range(20))]
-        for j, ((kind, n), blocks) in enumerate(cells.items()):
-            # cell j holds streams j, j + 20, ..., each once and in order
-            streams = range(j, count, 20)
+        assert sorted(cells) == sorted((f.kind, n) for f, n in map(crit1_cell, range(20)))
+        for (kind, n), blocks in cells.items():
+            # the cell of (kind, n) holds streams j, j + 20, ..., each once and in order
+            streams = range(2 * (n - 3) + (kind == "tangential"), count, 20)
             radii, ts = np.concatenate([r for r, _ in blocks]), np.concatenate([t for _, t in blocks])
             assert hexes(radii) == hexes(want[i].radius for i in streams)
             assert [hexes(row) for row in ts] == [hexes(want[i].thetas) for i in streams]
-            size = max(1, block_words // (n + 1))
-            assert len(blocks) == -(-len(streams) // size)
-        widths = collections.defaultdict(list)
+        widths, first = collections.defaultdict(list), []
         for streams, width in reads:
+            assert len(streams) * width <= max(block_words, width)
+            if streams[0] not in widths:  # a block's first read
+                assert not widths.keys() & set(streams)
+                assert width == 1 + max(crit1_cell(i)[1] for i in streams)
+                first.append(width)
             for i in streams:
                 widths[i].append(width)
-        assert widths == {i: [(p.n + 1) * 4**r for r in range(j + 1)] for i, (p, j) in enumerate(zip(want, need))}
-        if block_words != optimize.BLOCK_WORDS:
-            assert max(len(blocks) for blocks in cells.values()) >= 2
+        assert widths == {i: [widths[i][0] * 4**r for r in range(rounds(u, widths[i][0]) + 1)]
+                          for i, u in enumerate(used)}
+        assert max(map(len, widths.values())) == 3  # some stream is read a third time
+        if block_words == 140:
+            assert len(set(first)) == 10 and max(len(blocks) for blocks in cells.values()) >= 2
+        else:
+            assert first == [13, 13]
 
 
-def test_criterion_1_cells_fill_the_word_budget(monkeypatch):
-    # each cell's first reads, at one polygon attempt per stream, fill the
-    # word budget; at the default seed 278 reads of the 10^4 polygons go
-    # past the first re-read (272 streams at a second round, 6 at a third),
-    # and none reaches a scalar draw
+def test_criterion_1_blocks_fill_the_word_budget(monkeypatch):
+    # each family is one polygon_blocks call over its 5,000 streams grouped
+    # by n, in stream order within an n; the word budget cuts it into two
+    # blocks, n = 3 .. 8 (3,000 streams at 9 words) and n = 9 .. 12 (2,000
+    # at 13), and the re-reads stay within it.  At the default seed 80
+    # streams go past the first re-read, and none reaches a scalar draw
     reads = record_reads(monkeypatch)
     no_scalar_draws(monkeypatch)
     polygon_blocks = optimize.polygon_blocks
-    cells, late = [], []
+    calls = []
 
-    def cell(kind, n, lo, hi, seed, index, *args):
+    def family(kind, n, lo, hi, seed, index, *args):
+        calls.append((kind, n.tolist(), index.tolist()))
         yield from polygon_blocks(kind, n, lo, hi, seed, index, *args)
-        late.extend(len(streams) for streams, width in reads if width > 4 * (n + 1))
-        assert_full_blocks(reads, len(index), n + 1)
-        cells.append((kind, n, index.tolist()))
 
-    monkeypatch.setattr(optimize, "polygon_blocks", cell)
+    monkeypatch.setattr(optimize, "polygon_blocks", family)
     assert sum(len(radii) for _, radii, _ in cli._crit1_polygons(DEFAULT_SEED, 10_000)) == 10_000
-    assert cells == [(f.kind, n, list(range(j, 10_000, 20))) for j, (f, n) in enumerate(map(crit1_cell, range(20)))]
-    assert 0 < sum(late) <= 300
+    assert [kind for kind, _, _ in calls] == ["cyclic", "tangential"]
+    for parity, (_, n, index) in enumerate(calls):
+        assert index == [i for j in range(parity, 20, 2) for i in range(j, 10_000, 20)]
+        assert n == [crit1_cell(i)[1] for i in index]
+    assert [(len(streams), width) for streams, width in reads if width < 16] == [(3000, 9), (2000, 13)] * 2
+    late = 0
+    for streams, width in reads:
+        assert len(streams) * width <= optimize.BLOCK_WORDS
+        base = 9 if width % 9 == 0 else 13
+        assert width in (base * 4**j for j in range(6))
+        late += len(streams) if width > 4 * base else 0
+    assert late == 80
+
+
+def test_criterion_1_walks_in_few_calls(monkeypatch):
+    # the battery's fixed cost, counted rather than timed: _read calls and
+    # polygon attempt walks (one _partitions call each) for the 10^4
+    # polygons at the default seed.  Drawing each (family, n) cell alone
+    # made 44 reads and 158 walks
+    calls = collections.Counter()
+    for name in ("_read", "_partitions"):
+        def counted(*args, name=name, f=getattr(optimize, name)):
+            calls[name] += 1
+            return f(*args)
+
+        monkeypatch.setattr(optimize, name, counted)
+    ok, _ = cli._crit1_equivalence(DEFAULT_SEED, 10_000)
+    assert ok
+    assert calls["_read"] <= 10 and calls["_partitions"] <= 52
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_block_of_mixed_n_draws_each_row_as_its_own_n(family):
+    # 500 streams of 3-gons, then 500 of 12-gons: one block, read at 13
+    # words a stream, whose 3-gon rows are zero-padded to 12 angles.  Each
+    # run of one n sums its partitions as a (rows, n) array of its own:
+    # numpy's pairwise row sums of a strided gather of the 12-gon rows
+    # would be added in another order and move last bits
+    n = np.repeat([3, 12], 500)
+    window = (0.05, 3.0)
+    lo, hi = np.array([optimize._radius_window(family.kind, m, window) for m in n.tolist()]).T
+    blocks = list(optimize.polygon_blocks(family.kind, n, lo, hi, DEFAULT_SEED, np.arange(1000)))
+    assert len(blocks) == 1
+    radii, ts = blocks[0]
+    assert ts.shape == (1000, 12) and not ts[:500, 3:].any()
+    sampler = optimize.random_tangential_polygon if family is TangentialPolygon else optimize.random_cyclic_polygon
+    for j, rng in enumerate(streams(DEFAULT_SEED, 1000)):
+        want = sampler(int(n[j]), window, rng)
+        assert radii[j].hex() == want.radius.hex()
+        assert hexes(ts[j, :n[j]]) == hexes(want.thetas)
 
 
 def jumped_rng(seed, index):
@@ -832,8 +888,8 @@ def measured(which):
     """A measured route of (kind, radii, ts), or one coordinate of the embedding."""
     if isinstance(which, int):
         return lambda kind, radii, ts: hmodel.embed_rows(kind, radii, ts)[which]
-    f = hmodel.measured_perimeter_rows if which == "perimeter" else hmodel.measured_area_rows
-    return lambda kind, radii, ts: f(*hmodel.embed_rows(kind, radii, ts))
+    route = ("perimeter", "area").index(which)
+    return lambda kind, radii, ts: hmodel.measured_rows(*hmodel.embed_rows(kind, radii, ts))[route]
 
 
 # The block routes of (kind, radii, ts) that a block value must equal the

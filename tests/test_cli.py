@@ -536,7 +536,8 @@ def test_sample_near_the_tangential_limit_exits_2(capsys, monkeypatch):
         for name in ("_draw_polygon", "random_partition", "random_tangential_polygon"):
             m.setattr(optimize, name, None)  # calling one raises TypeError
         with pytest.raises(Infeasible, match="could not sample a tangential 3-gon"):
-            optimize._settled_rows("tangential", 3, lo, hi, seed, index, read(seed, index, 4))
+            optimize._settled_rows("tangential", np.full(10, 3), np.full(10, lo), np.full(10, hi), seed, index,
+                                   read(seed, index, 4))
     rounds = {}
     for streams, width in reads:
         rounds.setdefault(width, []).extend(streams)
@@ -704,9 +705,11 @@ def test_a_nan_route_gap_fails_criterion_1(monkeypatch, call):
     assert files["report.md"].split("\n- [FAIL] 1.")[1].split("\n")[0].endswith("worst area gap nan")
 
 
-@pytest.mark.parametrize("polygons", [1, 19])
+@pytest.mark.parametrize("polygons", [1, 7, 19, 21])
 def test_criterion_1_passes_with_empty_cells(polygons):
-    # fewer polygons than the 20 (family, n) cells leave cells with no stream
+    # fewer polygons than the 20 (family, n) cells leave cells with no
+    # stream: at 1 the tangential family has none, and at 21 the cyclic
+    # 3-gons alone have two
     files, failures = cli.render_bundle(6, 2, 7, polygons, 20, 20)
     assert failures == 0
     line, = [line for line in files["report.md"].splitlines() if "1. closed-form vs measured metrics" in line]

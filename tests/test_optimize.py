@@ -81,6 +81,22 @@ def test_certificate_guards():
         certify_convexity(lambda x: np.sqrt(0.5 - x), (0.0, 1.0))
 
 
+@pytest.mark.parametrize("name, value", [("tangential_tangent_length", "inf"), ("tangential_interior_angle", "-inf")])
+def test_an_infinite_second_difference_is_an_evaluation_failure(run_module, name, value):
+    # at inradius 400 the window (0, 2 atan2(1, sinh r)) is about 7.7e-174
+    # wide, so h * h underflows to 0 and every second difference is
+    # infinite: there is no sign to certify, and optimize exits 2 where it
+    # printed a certificate of Infinity
+    prob = make_problem(name, radius=400.0)
+    with pytest.raises(EvaluationFailure, match=f"^objective produced a second difference of {value} near "):
+        certify_convexity(prob.f, prob.interval)
+    proc = run_module("optimize", "--objective", name, "--radius", "400", "--k", "2")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: EvaluationFailure: objective produced a second difference of {value} ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def test_certificate_angle_objective_windows():
     # convex strictly below the threshold angle, mixed on a window that
     # straddles it

@@ -216,6 +216,40 @@ def test_validate_rows_raises_what_the_constructors_raised():
         assert str(raised.value) == message
 
 
+def test_validate_rows_decides_padded_rows_as_their_own_n():
+    # rows of 3 .. 12 apex angles, zero-padded to 12, decided in one call
+    # as each row is alone: the scaled angles, the status and the error,
+    # for accepted, ideal and invalid rows.  Faults by j % 6: a radius of 0,
+    # a radius beyond LEG_MAX, a sum off 2*pi, an angle of pi, none, none
+    rng = np.random.default_rng(0x9AD)
+    sizes = np.repeat(np.arange(3, 13), 30)
+    radii = rng.uniform(0.05, 2.0, len(sizes))
+    rows = [u * (TWO_PI / u.sum()) for u in (rng.uniform(0.1, 1.0, n) for n in sizes)]
+    for j, row in enumerate(rows):
+        fault = j % 6
+        if fault == 0:
+            radii[j] = 0.0
+        elif fault == 1:
+            radii[j] = 2.0 * LEG_MAX
+        elif fault == 2:
+            row *= 1.01
+        elif fault == 3:
+            row[1:] *= math.pi / row[1:].sum()
+            row[0] = math.pi
+    padded = np.zeros((len(rows), 12))
+    for j, row in enumerate(rows):
+        padded[j, :len(row)] = row
+    for kind in ("cyclic", "tangential"):
+        ts, status, error = validate_rows(kind, radii, padded, sizes)
+        assert not ts[np.arange(12) >= sizes[:, None]].any()
+        for j, row in enumerate(rows):
+            one_ts, one_status, one_error = validate_rows(kind, radii[j:j + 1], row[None])
+            assert status[j] == one_status[0]
+            assert [x.hex() for x in ts[j, :len(row)].tolist()] == [x.hex() for x in one_ts[0].tolist()]
+            assert type(error(j)) is type(one_error(0)) and str(error(j)) == str(one_error(0))
+        assert set(status.tolist()) == ({ACCEPTED, IDEAL, INVALID} if kind == "tangential" else {ACCEPTED, INVALID})
+
+
 # metrics
 
 def test_regular_metrics_match_regular_convert():
